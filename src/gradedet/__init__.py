@@ -4,62 +4,27 @@ The library represents scalars in cyclotomic fields exactly, grades
 algebras by finite abelian groups with a commutation factor, and computes
 graded traces, graded determinants and graded Berezinians through the
 J_sigma twist transform, cross-checked by structurally independent oracle
-routes and seeded verification sweeps.
+routes and seeded verification sweeps.  The package root exports the
+entry points the README documents; the full API lives in the submodules.
 """
 
-from .algebra import (AlgebraElement, GradedAlgebra, INHOMOGENEOUS,
-                      crossed_unit, degree_admissible, det_gauss,
-                      even_crossed_product, graded_tensor, invert_element,
-                      left_regular_matrix, make_algebra, preset,
-                      tensor_embed_left, tensor_embed_right, tensor_factors,
-                      tensor_project_left, transport, twist, unit_degrees,
-                      unit_witness)
-from .berezinian import (ParityBlocks, ber_super, ber_super_components,
-                         gber, gber0, gber_via_ber_super, parity_blocks,
-                         udl)
-from .gdet import (all_ns_multipliers, canonical_ordering, canonical_sigma,
-                   det_of_commuting, gdet0, gdet0_leibniz,
-                   gdet0_via_crossed, gdet_sigma, is_valid_ordering,
-                   ns_multiplier, permutation_cycles, permutation_sign,
-                   random_ordering)
-from .gmatrix import (GradedMatrix, change_basis, diagonal, gamma_rank,
-                      graded_trace, identity, invert_matrix, j_sigma,
-                      matmul, permutation_matrix, scalar_action,
-                      shift_degrees, superrank, zero_matrix)
-from .grading import (Bicharacter, GradingGroup, Multiplier,
-                      enumerate_ns_multipliers, generator_parities,
-                      is_commutation_factor, is_ns_multiplier, lambda_twist,
-                      parity, solve_ns_multiplier, trivial_multiplier)
-from .oracles import (SweepReport, complex_embedding, dieudonne_norm_check,
-                      gdet_via_row_decomposition, leibniz_det_commutative,
-                      quaternion_norm, run_property_sweeps, trace_via_twist)
-from .scalars import (CycloScalar, as_scalar, coerce_to, cyclo,
-                      format_scalar, parse_scalar, rational)
+from .algebra import det_gauss, make_algebra, preset, twist
+from .berezinian import gber, gber0, gber_via_ber_super
+from .gdet import (all_ns_multipliers, canonical_sigma, gdet0, gdet0_leibniz,
+                   gdet_sigma)
+from .gmatrix import GradedMatrix, graded_trace, scalar_action
+from .grading import is_ns_multiplier, parity
+from .oracles import (complex_embedding, quaternion_norm, run_property_sweeps,
+                      trace_via_twist)
+from .scalars import CycloScalar, cyclo
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement", "Bicharacter", "CycloScalar", "GradedAlgebra",
-    "GradedMatrix", "GradingGroup", "INHOMOGENEOUS", "Multiplier",
-    "ParityBlocks", "SweepReport", "all_ns_multipliers", "as_scalar",
-    "ber_super", "ber_super_components", "canonical_ordering",
-    "canonical_sigma", "change_basis", "coerce_to", "complex_embedding",
-    "crossed_unit", "cyclo", "degree_admissible", "det_gauss",
-    "det_of_commuting", "diagonal", "dieudonne_norm_check",
-    "enumerate_ns_multipliers", "even_crossed_product", "format_scalar",
-    "gamma_rank", "gber", "gber0", "gber_via_ber_super", "gdet0",
-    "gdet0_leibniz", "gdet0_via_crossed", "gdet_sigma",
-    "gdet_via_row_decomposition", "generator_parities", "graded_tensor",
-    "graded_trace", "identity", "invert_element", "invert_matrix",
-    "is_commutation_factor", "is_ns_multiplier", "is_valid_ordering",
-    "j_sigma", "lambda_twist", "left_regular_matrix",
-    "leibniz_det_commutative", "make_algebra", "matmul", "ns_multiplier",
-    "parity", "parity_blocks", "parse_scalar", "permutation_cycles",
-    "permutation_matrix", "permutation_sign", "preset", "quaternion_norm",
-    "random_ordering", "rational", "run_property_sweeps", "scalar_action",
-    "shift_degrees", "solve_ns_multiplier", "superrank",
-    "tensor_embed_left", "tensor_embed_right", "tensor_factors",
-    "tensor_project_left", "trace_via_twist", "transport",
-    "trivial_multiplier", "twist", "udl", "unit_degrees", "unit_witness",
-    "zero_matrix",
+    "CycloScalar", "GradedMatrix", "all_ns_multipliers", "canonical_sigma",
+    "complex_embedding", "cyclo", "det_gauss", "gber", "gber0",
+    "gber_via_ber_super", "gdet0", "gdet0_leibniz", "gdet_sigma",
+    "graded_trace", "is_ns_multiplier", "make_algebra", "parity", "preset",
+    "quaternion_norm", "run_property_sweeps", "scalar_action",
+    "trace_via_twist", "twist",
 ]

@@ -132,16 +132,8 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_same(other)
-            table = self.algebra.table
-            acc = {}
-            for i, ci in self.coeffs.items():
-                row = table[i]
-                for j, cj in other.coeffs.items():
-                    cij = ci * cj
-                    for k, c in row[j]:
-                        prod = cij * c
-                        acc[k] = acc[k] + prod if k in acc else prod
-            return AlgebraElement(self.algebra, acc)
+            return AlgebraElement(self.algebra, _table_product(
+                self.algebra.table, self.coeffs, other.coeffs))
         return self.scalar_mul(other)
 
     def __rmul__(self, other):
@@ -191,10 +183,6 @@ class AlgebraElement:
             out.setdefault(d, {})[k] = c
         return {d: AlgebraElement(self.algebra, m) for d, m in out.items()}
 
-    def coeff_labels(self):
-        labels = self.algebra.labels
-        return {labels[k]: c for k, c in self.coeffs.items()}
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -212,14 +200,6 @@ class AlgebraElement:
             else:
                 parts.append(f"({text})*{labels[k]}")
         return " + ".join(parts)
-
-
-def degree_of(a):
-    return a.degree_of()
-
-
-def homogeneous_components(a):
-    return a.homogeneous_components()
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +300,9 @@ def _normalize_structure(structure, dim):
     return tuple(tuple(r) for r in table)
 
 
-def _row_mul(table, left, right):
-    """Product of two sparse coefficient dicts through the table."""
+def _table_product(table, left, right):
+    """Product of two sparse coefficient dicts through the structure
+    table."""
     acc = {}
     for i, ci in left.items():
         row = table[i]
@@ -367,8 +348,8 @@ def _validate_algebra(group, lam, labels, degrees, table, name):
         for j in range(dim):
             left_ij = dict(table[i][j])
             for k in range(dim):
-                lhs = _row_mul(table, left_ij, {k: ONE})
-                rhs = _row_mul(table, {i: ONE}, dict(table[j][k]))
+                lhs = _table_product(table, left_ij, {k: ONE})
+                rhs = _table_product(table, {i: ONE}, dict(table[j][k]))
                 if lhs != rhs:
                     raise NotAssociative(
                         f"{name}: ({labels[i]}*{labels[j]})*{labels[k]} != "
@@ -763,7 +744,7 @@ def tensor_project_left(t, elem):
 
 
 # ---------------------------------------------------------------------------
-# inversion, units, admissibility
+# inversion and units
 
 def left_regular_matrix(a):
     """The matrix of x |-> a*x on the basis, as scalar rows."""
@@ -865,28 +846,7 @@ def unit_witness(alg, degree):
     """An invertible homogeneous element of the given degree and its
     inverse, as found by unit_degrees."""
     unit_degrees(alg)
-    pair = alg._unit_witnesses.get(degree)
-    if pair is None:
-        return None
-    return pair
-
-
-def degree_admissible(alg, mu, nu):
-    """A permutation pi and units a_i in A^(nu_i - mu_pi(i)) realizing a
-    change of basis between the two degree vectors, if one exists.  The
-    lexicographically least pi is returned."""
-    mu = tuple(mu)
-    nu = tuple(nu)
-    if len(mu) != len(nu):
-        raise InvalidParams("degree vectors must have equal lengths")
-    unit_degrees(alg)
-    witnesses = alg._unit_witnesses
-    n = len(mu)
-    for pi in itertools.permutations(range(n)):
-        needed = [nu[i] - mu[pi[i]] for i in range(n)]
-        if all(d in witnesses for d in needed):
-            return pi, tuple(witnesses[d][0] for d in needed)
-    return None
+    return alg._unit_witnesses.get(degree)
 
 
 # ---------------------------------------------------------------------------

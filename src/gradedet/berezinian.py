@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 from .algebra import INHOMOGENEOUS, invert_element, transport
 from .errors import (InvalidParams, NotInvertible, NotParitySorted,
-                     NotSquare, OddDegree, Singular, SingularOddBlock)
+                     OddDegree, Singular, SingularOddBlock)
 from .gdet import canonical_sigma, det_of_commuting, gdet_sigma
-from .gmatrix import (GradedMatrix, identity, invert_matrix, j_sigma,
-                      zero_matrix)
+from .gmatrix import (GradedMatrix, _require_endo, identity, invert_matrix,
+                      j_sigma, zero_matrix)
 from .grading import is_ns_multiplier, parity, trivial_multiplier
 from .scalars import cyclo
 
@@ -40,9 +40,7 @@ class ParityBlocks:
 def parity_blocks(x):
     """Split a square matrix with a parity-sorted degree vector (all even
     degrees before all odd ones) into its four parity blocks."""
-    if x.nrows != x.ncols or not x.is_endo():
-        raise NotSquare("parity blocks need a square matrix with equal row "
-                        "and column degree vectors")
+    _require_endo(x, "a parity-block split")
     lam = x.algebra.lam
     parities = [parity(lam, d) for d in x.col_degrees]
     r0 = parities.count(0)
@@ -161,7 +159,9 @@ def gber0(x):
     return gber(x, canonical_sigma(x.algebra))
 
 
-def _super_components(y):
+def ber_super_components(y):
+    """(det(Schur), det(Y11)) of the classical Berezinian over a
+    supercommutative algebra, before combining."""
     if not is_ns_multiplier(y.algebra.lam, trivial_multiplier(y.algebra.group)):
         raise InvalidParams(
             f"{y.algebra.name} is not supercommutative; ber_super applies "
@@ -175,16 +175,10 @@ def _super_components(y):
     return comp0, comp1
 
 
-def ber_super_components(y):
-    """(det(Schur), det(Y11)) of the classical Berezinian over a
-    supercommutative algebra, before combining."""
-    return _super_components(y)
-
-
 def ber_super(y):
     """det(Y00 - Y01 Y11^(-1) Y10) det(Y11)^(-1), everything in Y's own
     (supercommutative) algebra."""
-    comp0, comp1 = _super_components(y)
+    comp0, comp1 = ber_super_components(y)
     try:
         inv1 = invert_element(comp1)
     except NotInvertible as exc:

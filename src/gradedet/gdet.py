@@ -23,9 +23,9 @@ from .algebra import (INHOMOGENEOUS, crossed_unit, even_crossed_product,
                       graded_tensor, tensor_embed_left, tensor_embed_right,
                       tensor_project_left, transport, unit_witness)
 from .errors import (InvalidOrdering, NoSolutionAtThisRootOrder,
-                     NotCrossedProduct, NotDegreeZero, NotSquare, OddEntries,
+                     NotCrossedProduct, NotDegreeZero, OddEntries,
                      UnsupportedGroup)
-from .gmatrix import j_sigma, shift_degrees
+from .gmatrix import _require_endo, j_sigma, shift_degrees
 from .grading import enumerate_ns_multipliers, parity, solve_ns_multiplier
 
 
@@ -106,15 +106,10 @@ def random_ordering(pi, rng):
 # ---------------------------------------------------------------------------
 # shared checks
 
-def _require_endo(x, what):
-    if x.nrows != x.ncols or not x.is_endo():
-        raise NotSquare(f"{what} needs a square matrix with equal row and "
-                        "column degree vectors")
-
-
 def _require_even(x, what):
-    """Every homogeneous component degree and every entry component must
-    have even parity; zero entries pass vacuously."""
+    """Every entry component and every homogeneous component degree must
+    have even parity; zero entries pass vacuously.  Entries are checked
+    first, so an odd entry is reported before an odd component."""
     lam = x.algebra.lam
     degrees = x.algebra.degrees
     for i, row in enumerate(x.entries):
@@ -125,10 +120,20 @@ def _require_even(x, what):
                         f"{what}: entry ({i},{j}) has an odd-degree "
                         f"component {x.algebra.labels[k]}; expansion order "
                         "would matter")
-    for d in x.homogeneous_components():
-        if parity(lam, d):
-            raise OddEntries(
-                f"{what}: homogeneous component of odd degree {d!r}")
+    for mu, row in zip(x.row_degrees, x.entries):
+        for nu, e in zip(x.col_degrees, row):
+            for k in e.coeffs:
+                d = degrees[k] + mu - nu
+                if parity(lam, d):
+                    raise OddEntries(
+                        f"{what}: homogeneous component of odd degree {d!r}")
+
+
+def _require_degree_zero(x, what):
+    d = x.degree_of()
+    if d is INHOMOGENEOUS or d:
+        raise NotDegreeZero(f"{what} needs a homogeneous matrix of degree 0, "
+                            f"got degree {d!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +221,7 @@ def gdet0(x):
     """The graded determinant of a degree-0 matrix, computed through a
     fixed internal multiplier; the value is independent of that choice."""
     _require_endo(x, "gdet0")
-    if x.degree_of() is INHOMOGENEOUS or x.degree_of():
-        raise NotDegreeZero(
-            f"gdet0 needs a homogeneous matrix of degree 0, got degree "
-            f"{x.degree_of()!r}")
+    _require_degree_zero(x, "gdet0")
     _require_even(x, "gdet0")
     return gdet_sigma(x, canonical_sigma(x.algebra))
 
@@ -230,10 +232,7 @@ def gdet0_leibniz(x, orderings=None):
     keeps each cycle of pi consecutive.  All valid orderings give the same
     value; supplying invalid ones raises InvalidOrdering."""
     _require_endo(x, "gdet0_leibniz")
-    if x.degree_of() is INHOMOGENEOUS or x.degree_of():
-        raise NotDegreeZero(
-            f"gdet0_leibniz needs a homogeneous matrix of degree 0, got "
-            f"degree {x.degree_of()!r}")
+    _require_degree_zero(x, "gdet0_leibniz")
     _require_even(x, "gdet0_leibniz")
     n = x.nrows
     supplied = {}
@@ -284,9 +283,7 @@ def gdet0_via_crossed(x):
     Raises NotCrossedProduct when no route exists.
     """
     _require_endo(x, "gdet0_via_crossed")
-    if x.degree_of() is INHOMOGENEOUS or x.degree_of():
-        raise NotDegreeZero(
-            f"gdet0_via_crossed needs degree 0, got {x.degree_of()!r}")
+    _require_degree_zero(x, "gdet0_via_crossed")
     _require_even(x, "gdet0_via_crossed")
     alg = x.algebra
     nu = x.col_degrees

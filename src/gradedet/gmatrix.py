@@ -4,24 +4,19 @@ A matrix carries a row degree vector mu, a column degree vector nu and
 entries in the algebra; it is homogeneous of degree x when entry (i,j)
 is homogeneous of degree x - mu_i + nu_j.  This module provides the
 homogeneity bookkeeping, products, the left module action, the J_sigma
-transform into the twisted algebra, the graded trace, exact inversion,
-permutation matrices built from homogeneous units, and base change.
+transform into the twisted algebra (a root-of-unity rescaling of each
+stored coefficient), the graded trace, exact inversion, permutation
+matrices built from homogeneous units, and base change.  Operations on
+endomorphism matrices (equal row and column degree vectors) share one
+precondition, _require_endo.
 """
 
-from collections import Counter
-
 from .algebra import (AlgebraElement, INHOMOGENEOUS, invert_element,
-                      left_regular_matrix, solve_linear, transport, twist,
-                      unit_witness)
+                      left_regular_matrix, solve_linear, twist, unit_witness)
 from .errors import (DegreeMismatch, InhomogeneousScalar, InvalidParams,
                      MissingUnit, MixedAlgebras, NotSquare, Singular)
 from .grading import parity
 from .scalars import ONE, ZERO, cyclo
-
-
-def gamma_rank(degrees):
-    """Multiset of degrees as a Counter."""
-    return Counter(degrees)
 
 
 def superrank(lam, degrees):
@@ -100,23 +95,6 @@ class GradedMatrix:
                         return False
         return True
 
-    def homogeneous_components(self):
-        comps = {}
-        zero = self.algebra.zero()
-        for i, mu in enumerate(self.row_degrees):
-            for j, nu in enumerate(self.col_degrees):
-                for d, part in self.entries[i][j].homogeneous_components().items():
-                    x = d + mu - nu
-                    grid = comps.get(x)
-                    if grid is None:
-                        grid = [[zero for _ in range(self.ncols)]
-                                for _ in range(self.nrows)]
-                        comps[x] = grid
-                    grid[i][j] = part
-        return {x: GradedMatrix(self.algebra, self.row_degrees,
-                                self.col_degrees, grid)
-                for x, grid in comps.items()}
-
     def map_entries(self, fn):
         return GradedMatrix(self.algebra, self.row_degrees, self.col_degrees,
                             [[fn(e) for e in row] for row in self.entries])
@@ -172,6 +150,12 @@ class GradedMatrix:
         rows = "; ".join(", ".join(repr(e) for e in row)
                          for row in self.entries)
         return f"[{rows}]"
+
+
+def _require_endo(x, what):
+    if not x.is_endo():
+        raise NotSquare(f"{what} needs a square matrix with equal row and "
+                        "column degree vectors")
 
 
 def identity(algebra, degrees):
@@ -239,35 +223,39 @@ def scalar_action(a, x):
 
 
 def j_sigma(x, sigma):
-    """The twist transform: on a homogeneous component of degree d,
-    (J_sigma X)^i_j = sigma(d, nu_j) sigma(nu_i, d - nu_i + nu_j)^(-1)
-    X^i_j, valued over twist(A, sigma); inhomogeneous input transforms
-    componentwise and sums."""
-    if x.nrows != x.ncols or not x.is_endo():
-        raise NotSquare("J_sigma needs a square matrix with equal row and "
-                        "column degree vectors")
+    """The twist transform, valued over twist(A, sigma): the coefficient
+    of a basis vector e of degree g in X^i_j is multiplied by
+    sigma(d, nu_j) sigma(nu_i, g)^(-1), where d = g + nu_i - nu_j is the
+    degree of the homogeneous component it belongs to; inhomogeneous input
+    thus transforms componentwise."""
+    _require_endo(x, "J_sigma")
     twisted = twist(x.algebra, sigma)
+    degrees = x.algebra.degrees
     nu = x.col_degrees
     n_ord = sigma.root_order
-    grid = [[twisted.zero() for _ in range(x.ncols)] for _ in range(x.nrows)]
-    for d, comp in x.homogeneous_components().items():
-        for i, nui in enumerate(nu):
-            for j, nuj in enumerate(nu):
-                e = comp.entries[i][j]
-                if e.is_zero():
-                    continue
-                exp = (sigma.exponent(d, nuj)
-                       - sigma.exponent(nui, d - nui + nuj)) % n_ord
-                grid[i][j] = grid[i][j] + transport(e, twisted) * cyclo(exp, n_ord)
+    grid = []
+    for nui, row in zip(nu, x.entries):
+        out = []
+        for nuj, e in zip(nu, row):
+            factors = {}    # basis degree g -> factor, as cyclo is uncached
+            coeffs = {}
+            for k, c in e.coeffs.items():
+                g = degrees[k]
+                f = factors.get(g)
+                if f is None:
+                    exp = (sigma.exponent(g + nui - nuj, nuj)
+                           - sigma.exponent(nui, g)) % n_ord
+                    f = factors[g] = cyclo(exp, n_ord)
+                coeffs[k] = f * c
+            out.append(AlgebraElement(twisted, coeffs))
+        grid.append(out)
     return GradedMatrix(twisted, nu, nu, grid)
 
 
 def graded_trace(x):
     """Sum over homogeneous components of degree d of
     sum_i lambda(nu_i, d + nu_i) X^i_i."""
-    if x.nrows != x.ncols or not x.is_endo():
-        raise NotSquare("the graded trace needs a square matrix with equal "
-                        "row and column degree vectors")
+    _require_endo(x, "the graded trace")
     lam = x.algebra.lam
     acc = x.algebra.zero()
     for i, nui in enumerate(x.col_degrees):
@@ -362,9 +350,7 @@ def permutation_matrix(algebra, pi, nu, units=None):
 def change_basis(x, p):
     """P^(-1) X P, with the transported degree vector taken from P's
     columns."""
-    if x.nrows != x.ncols or not x.is_endo():
-        raise NotSquare("base change needs a square matrix with equal row "
-                        "and column degree vectors")
+    _require_endo(x, "base change")
     if p.row_degrees != x.col_degrees:
         raise DegreeMismatch(
             f"base-change rows {list(p.row_degrees)} do not match the "

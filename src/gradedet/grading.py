@@ -9,7 +9,7 @@ root-of-unity-valued factor; general field-valued factors are out of scope.
 """
 
 import itertools
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import (IncompatibleGroups, IncompatibleRootOrders,
                      InvalidCommutationFactor, InvalidParams,
@@ -171,7 +171,11 @@ class Bicharacter:
         return a == b
 
     def __hash__(self):
-        return hash((self.group.moduli, self.root_order, self.exponents))
+        # equal maps have equal reduced forms: divide out the common gcd
+        g = gcd(self.root_order, *itertools.chain(*self.exponents))
+        return hash((self.group.moduli, self.root_order // g,
+                     tuple(tuple(e // g for e in row)
+                           for row in self.exponents)))
 
     def __repr__(self):
         return (f"{type(self).__name__}(moduli={list(self.group.moduli)}, "

@@ -23,12 +23,12 @@ from .berezinian import ber_super_components, gber, gber0, \
     gber_via_ber_super, udl
 from .errors import (InvalidParams, NonCommutingEntries, NotInvertible,
                      MissingUnit)
-from .gdet import (_require_endo, _require_even, all_ns_multipliers, gdet0,
-                   gdet0_leibniz, gdet0_via_crossed, gdet_sigma,
-                   permutation_sign, random_ordering)
-from .gmatrix import (GradedMatrix, diagonal, graded_trace, identity,
-                      invert_matrix, j_sigma, matmul, permutation_matrix,
-                      scalar_action, superrank)
+from .gdet import (_require_even, all_ns_multipliers, gdet0, gdet0_leibniz,
+                   gdet0_via_crossed, gdet_sigma, permutation_sign,
+                   random_ordering)
+from .gmatrix import (GradedMatrix, _require_endo, diagonal, graded_trace,
+                      identity, invert_matrix, j_sigma, matmul,
+                      permutation_matrix, scalar_action, superrank)
 from .grading import (Multiplier, enumerate_ns_multipliers,
                       is_commutation_factor, is_ns_multiplier, lambda_twist,
                       parity, solve_ns_multiplier)

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .algebra import unit_witness
 from .errors import MissingUnit, Singular
-from .gdet import all_ns_multipliers
 from .gmatrix import GradedMatrix, identity, invert_matrix, matmul
 from .grading import parity
 
@@ -47,17 +46,6 @@ def rand_component(rng, algebra, degree, density=0.75, nonzero=False):
         if coeffs or not nonzero:
             return algebra.element(coeffs)
     return algebra.basis_element(idxs[0])
-
-
-def rand_element(rng, algebra, density=0.4):
-    """A random, generally inhomogeneous element."""
-    coeffs = {}
-    for k in range(algebra.dim):
-        if rng.random() < density:
-            c = rand_fraction(rng)
-            if c:
-                coeffs[k] = c
-    return algebra.element(coeffs)
 
 
 def sorted_degrees(algebra):
@@ -184,13 +172,3 @@ def rand_invertible_parity_blocks(rng, algebra, nu, r1, degree=None,
     u = GradedMatrix(algebra, nu, nu, ug)
     lo = GradedMatrix(algebra, nu, nu, lg)
     return matmul(matmul(u, d), lo)
-
-
-def rand_permutation(rng, n):
-    pi = list(range(n))
-    rng.shuffle(pi)
-    return tuple(pi)
-
-
-def rand_sigma(rng, lam):
-    return rng.choice(all_ns_multipliers(lam))

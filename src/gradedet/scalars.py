@@ -370,7 +370,10 @@ def parse_scalar(text, root_order=1):
             raise ParseError(f"bad scalar term {tok!r} in {text!r}")
         if m.group("star") and m.group("z") is None:
             raise ParseError(f"bad scalar term {tok!r} in {text!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else _F1
+        try:
+            coef = Fraction(m.group("coef")) if m.group("coef") else _F1
+        except ZeroDivisionError as exc:
+            raise ParseError(f"zero denominator in {text!r}") from exc
         k = 0
         if m.group("z"):
             k = int(m.group("exp")) if m.group("exp") else 1

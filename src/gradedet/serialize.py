@@ -43,6 +43,16 @@ def _check_format(doc, where):
         raise ParseError(f"{where}: unsupported format {doc['format']!r}")
 
 
+def _root_order(doc, where):
+    """The document's optional "root_order" (default 1), a positive
+    integer."""
+    order = doc.get("root_order", 1)
+    if not isinstance(order, int) or order < 1:
+        raise ParseError(f"{where}: root_order must be a positive integer, "
+                         f"got {order!r}")
+    return order
+
+
 # ---------------------------------------------------------------------------
 # groups and multipliers
 
@@ -159,7 +169,7 @@ def parse_algebra(doc, where="algebra"):
     if not is_commutation_factor(lam):
         raise InvalidCommutationFactor(
             f"{where}: the declared map is not skew-symmetric")
-    order = doc.get("root_order", 1)
+    order = _root_order(doc, where)
     basis = _field(doc, "basis", where, list)
     labels, degrees = [], []
     for item in basis:
@@ -231,7 +241,7 @@ def format_matrix(x):
 
 def parse_matrix(doc, algebra, where="matrix"):
     _check_format(doc, where)
-    order = doc.get("root_order", 1)
+    order = _root_order(doc, where)
     rows = _field(doc, "row_degrees", where, list)
     cols = _field(doc, "col_degrees", where, list)
     entries = _field(doc, "entries", where, list)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from gradedet.algebra import (INHOMOGENEOUS, crossed_unit, degree_admissible,
-                              det_gauss, even_crossed_product, graded_tensor,
+from gradedet.algebra import (INHOMOGENEOUS, crossed_unit, det_gauss,
+                              even_crossed_product, graded_tensor,
                               invert_element, left_regular_matrix,
                               make_algebra, preset, tensor_embed_left,
                               tensor_embed_right, tensor_factors,
@@ -154,22 +154,6 @@ def test_unit_degrees_and_witnesses():
         assert w.degree_of() == d
         assert w * winv == cl.one()
     assert unit_witness(dn, dn.group.element([1, 0])) is None
-
-
-def test_degree_admissible():
-    zero = Q.group.zero()
-    jt = J.degree_of()
-    found = degree_admissible(Q, [zero, zero], [jt, zero])
-    assert found is not None
-    pi, units = found
-    assert sorted(pi) == [0, 1]
-    for i, u in enumerate(units):
-        assert u.degree_of() == [jt, zero][i] - [zero, zero][pi[i]]
-    dn = preset("dual_numbers", 2)
-    assert degree_admissible(dn, [dn.group.zero()],
-                             [dn.group.element([1, 0])]) is None
-    with pytest.raises(InvalidParams):
-        degree_admissible(Q, [zero], [zero, zero])
 
 
 def test_graded_tensor_product_rule():

@@ -109,6 +109,21 @@ def test_parse_error_exit_codes(capsys, tmp_path, xfile):
     assert code == 3 and doc["error"] == "InvalidParams"
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc["entries"][0][0][0].update(c="1/0"),
+    lambda doc: doc.update(root_order=0),
+    lambda doc: doc.update(root_order=-3),
+], ids=["coefficient_1/0", "root_order_0", "root_order_-3"])
+def test_parse_boundary_errors(capsys, tmp_path, corrupt):
+    doc = format_matrix(X)
+    corrupt(doc)
+    p = tmp_path / "hostile.json"
+    p.write_text(json.dumps(doc))
+    code, out = run(capsys, "gdet0", "--algebra", "preset:quaternions",
+                    "--matrix", str(p))
+    assert code == 2 and out["error"] == "ParseError"
+
+
 def test_precondition_exit_code(capsys, tmp_path):
     dn = preset("dual_numbers", 2)
     odd = dn.group.element([1, 0])

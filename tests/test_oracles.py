@@ -4,8 +4,9 @@ import pytest
 
 from gradedet.algebra import det_gauss, preset
 from gradedet.errors import InvalidParams, NonCommutingEntries
-from gradedet.gdet import all_ns_multipliers, gdet0, gdet_sigma
-from gradedet.gmatrix import GradedMatrix, graded_trace
+from gradedet.gdet import (all_ns_multipliers, canonical_sigma,
+                           det_of_commuting, gdet0, gdet_sigma)
+from gradedet.gmatrix import GradedMatrix, graded_trace, j_sigma
 from gradedet.oracles import (SUITES, SweepReport, complex_embedding,
                               dieudonne_norm_check, gdet_via_row_decomposition,
                               leibniz_det_commutative,
@@ -64,8 +65,14 @@ def test_leibniz_det_commutative():
     y = rand_matrix(rng, ga, [ga.group.zero()] * 3,
                     mu=[ga.group.zero()] * 3)
     base = leibniz_det_commutative(y)
+    assert base == det_of_commuting(y.entries, y.algebra)
     for _ in range(5):
         assert leibniz_det_commutative(y, rng=rng) == base
+    # J_sigma output over the twisted quaternions, which are commutative
+    x = rand_matrix(rng, Q, [ZERO, JT, K.degree_of()])
+    y = j_sigma(x, canonical_sigma(Q))
+    assert leibniz_det_commutative(y) == det_of_commuting(y.entries,
+                                                          y.algebra)
     with pytest.raises(NonCommutingEntries):
         leibniz_det_commutative(
             GradedMatrix(Q, [ZERO, JT], [ZERO, JT],
