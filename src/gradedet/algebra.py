@@ -390,8 +390,28 @@ def make_algebra(degrees, structure, lam, labels=None, validate=True,
 # ---------------------------------------------------------------------------
 # presets
 
-def _subset_label(prefix, subset):
-    return "1" if not subset else prefix + "".join(str(i + 1) for i in subset)
+def _subset_algebra(n, prefix, group, lam, degree, product, name):
+    """The algebra on the monomials e_S of n generators, S running over the
+    subsets of range(n) by size, then lexicographically; e_S is labelled
+    prefix followed by the 1-based members of S ("1" for the empty set)
+    and has degree degree(S).  product(a, b, sign) gives the coefficient of
+    e_a e_b on e_(a xor b), or 0 when the product vanishes; sign is
+    (-1)^(inversions) from sorting anticommuting generators of a and b."""
+    subsets = [s for size in range(n + 1)
+               for s in itertools.combinations(range(n), size)]
+    index = {s: i for i, s in enumerate(subsets)}
+    labels = ["1" if not s else prefix + "".join(str(i + 1) for i in s)
+              for s in subsets]
+    structure = {}
+    for si, a in enumerate(subsets):
+        for sj, b in enumerate(subsets):
+            sign = (-1) ** sum(x > y for x in a for y in b)
+            c = product(a, b, sign)
+            target = tuple(sorted(set(a) ^ set(b)))
+            structure[(si, sj)] = ({index[target]: scalars.rational(c)}
+                                   if c else {})
+    return make_algebra([group.element(degree(s)) for s in subsets],
+                        structure, lam, labels, name=name)
 
 
 def _quaternions():
@@ -422,30 +442,12 @@ def _clifford(p, q):
     group = GradingGroup([2] * (n + 1))
     lam = Bicharacter(group, 2, [[int(a == b) for b in range(n + 1)]
                                  for a in range(n + 1)])
-    subsets = []
-    for size in range(n + 1):
-        subsets.extend(itertools.combinations(range(n), size))
-    index = {s: i for i, s in enumerate(subsets)}
-    labels = [_subset_label("e", s) for s in subsets]
-    degrees = []
-    for s in subsets:
-        res = [int(t in s) for t in range(n)] + [len(s) % 2]
-        degrees.append(group.element(res))
-    structure = {}
-    for si, a in enumerate(subsets):
-        for sj, b in enumerate(subsets):
-            sign = 1
-            for x in a:
-                for y in b:
-                    if x > y:
-                        sign = -sign
-            for t in set(a) & set(b):
-                if t >= p:
-                    sign = -sign
-            target = tuple(sorted(set(a) ^ set(b)))
-            structure[(si, sj)] = {index[target]: scalars.rational(sign)}
-    return make_algebra(degrees, structure, lam, labels,
-                        name=f"clifford({p},{q})")
+    return _subset_algebra(
+        n, "e", group, lam,
+        lambda s: [int(t in s) for t in range(n)] + [len(s) % 2],
+        lambda a, b, sign: sign * (-1) ** sum(
+            t >= p for t in set(a) & set(b)),
+        name=f"clifford({p},{q})")
 
 
 def _dual_numbers(n):
@@ -455,49 +457,20 @@ def _dual_numbers(n):
     group = GradingGroup([2] * n)
     lam = Bicharacter(group, 2, [[int(a == b) for b in range(n)]
                                  for a in range(n)])
-    subsets = []
-    for size in range(n + 1):
-        subsets.extend(itertools.combinations(range(n), size))
-    index = {s: i for i, s in enumerate(subsets)}
-    labels = [_subset_label("eps", s) for s in subsets]
-    degrees = [group.element([int(t in s) for t in range(n)]) for s in subsets]
-    structure = {}
-    for si, a in enumerate(subsets):
-        for sj, b in enumerate(subsets):
-            if set(a) & set(b):
-                structure[(si, sj)] = {}
-            else:
-                target = tuple(sorted(a + b))
-                structure[(si, sj)] = {index[target]: 1}
-    return make_algebra(degrees, structure, lam, labels,
-                        name=f"dual_numbers({n})")
+    return _subset_algebra(
+        n, "eps", group, lam, lambda s: [int(t in s) for t in range(n)],
+        lambda a, b, sign: 0 if set(a) & set(b) else 1,
+        name=f"dual_numbers({n})")
 
 
 def _grassmann(n):
     """n anticommuting square-zero odd generators over Z_2."""
     group = GradingGroup([2])
     lam = Bicharacter(group, 2, [[1]])
-    subsets = []
-    for size in range(n + 1):
-        subsets.extend(itertools.combinations(range(n), size))
-    index = {s: i for i, s in enumerate(subsets)}
-    labels = [_subset_label("xi", s) for s in subsets]
-    degrees = [group.element([len(s) % 2]) for s in subsets]
-    structure = {}
-    for si, a in enumerate(subsets):
-        for sj, b in enumerate(subsets):
-            if set(a) & set(b):
-                structure[(si, sj)] = {}
-                continue
-            sign = 1
-            for x in a:
-                for y in b:
-                    if x > y:
-                        sign = -sign
-            target = tuple(sorted(a + b))
-            structure[(si, sj)] = {index[target]: scalars.rational(sign)}
-    return make_algebra(degrees, structure, lam, labels,
-                        name=f"grassmann({n})")
+    return _subset_algebra(
+        n, "xi", group, lam, lambda s: [len(s) % 2],
+        lambda a, b, sign: 0 if set(a) & set(b) else sign,
+        name=f"grassmann({n})")
 
 
 def _residue_label(gamma):
@@ -516,7 +489,6 @@ def _crossed(group, sigma, name, validate=True):
     alg = make_algebra(elems, structure, lam, labels, validate=validate,
                        name=name, unit_index=index[group.zero().residues])
     alg._cp_index = index
-    alg._cp_sigma = sigma
     return alg
 
 
@@ -626,26 +598,26 @@ def twist(algebra, sigma, validate=False):
             f"multiplier on {sigma.group!r} cannot twist an algebra over "
             f"{algebra.group!r}")
     key = (sigma.root_order, sigma.exponents)
-    cached = algebra._twist_cache.get(key)
-    if cached is not None:
-        return cached
-    degrees = algebra.degrees
-    new_table = tuple(
-        tuple(
-            tuple((k, sigma.value(degrees[i], degrees[j]) * c)
-                  for k, c in cell)
-            for j, cell in enumerate(row))
-        for i, row in enumerate(algebra.table))
-    lam2 = lambda_twist(algebra.lam, sigma)
-    # validation must see the twisted table, so it runs after the swap below
-    out = make_algebra(degrees, {}, lam2, algebra.labels, validate=False,
-                       name=f"twist({algebra.name})",
-                       unit_index=algebra.unit_index)
-    out.table = new_table
+    out = algebra._twist_cache.get(key)
+    if out is None:
+        degrees = algebra.degrees
+        new_table = tuple(
+            tuple(
+                tuple((k, sigma.value(degrees[i], degrees[j]) * c)
+                      for k, c in cell)
+                for j, cell in enumerate(row))
+            for i, row in enumerate(algebra.table))
+        out = make_algebra(degrees, {}, lambda_twist(algebra.lam, sigma),
+                           algebra.labels, validate=False,
+                           name=f"twist({algebra.name})",
+                           unit_index=algebra.unit_index)
+        out.table = new_table
+        algebra._twist_cache[key] = out
+    # a cached twist is validated too; validation must see the twisted
+    # table, which make_algebra above never received
     if validate:
-        _validate_algebra(out.group, lam2, out.labels, degrees, new_table,
-                          out.name)
-    algebra._twist_cache[key] = out
+        _validate_algebra(out.group, out.lam, out.labels, out.degrees,
+                          out.table, out.name)
     return out
 
 

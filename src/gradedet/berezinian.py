@@ -8,7 +8,10 @@ is sigma(x,x)^(-r1(r0-r1)) Gdet_sigma(X00 - X01 X11^(-1) X10)
 Gdet_sigma(X11)^(-1); ber_super is the independent classical-Berezinian
 path over the twisted (supercommutative) algebra, which matches gber
 exactly once the sigma bookkeeping between the twisted product and the
-base product is carried out.
+base product is carried out.  udl, gber and ber_super share one block
+step, _schur: the even-degree check, the parity split, X11^(-1) and the
+Schur complement.  The oracle route applies J_sigma before that step and
+gber after it, so the two routes share only block arithmetic.
 """
 
 from dataclasses import dataclass
@@ -16,9 +19,9 @@ from dataclasses import dataclass
 from .algebra import INHOMOGENEOUS, invert_element, transport
 from .errors import (InvalidParams, NotInvertible, NotParitySorted,
                      OddDegree, Singular, SingularOddBlock)
-from .gdet import canonical_sigma, det_of_commuting, gdet_sigma
-from .gmatrix import (GradedMatrix, _require_endo, identity, invert_matrix,
-                      j_sigma, zero_matrix)
+from .gdet import _det_sigma, canonical_sigma, det_of_commuting
+from .gmatrix import (GradedMatrix, _require_endo, block_matrix, identity,
+                      invert_matrix, j_sigma, zero_matrix)
 from .grading import is_ns_multiplier, parity, trivial_multiplier
 from .scalars import cyclo
 
@@ -68,7 +71,10 @@ def parity_blocks(x):
     )
 
 
-def _even_degree(x, what):
+def _schur(x, what):
+    """The block arithmetic shared by the Berezinian routes: checks that X
+    is homogeneous of even degree d, splits it into parity blocks and
+    returns (d, blocks, X11^(-1), X00 - X01 X11^(-1) X10)."""
     d = x.degree_of()
     if d is INHOMOGENEOUS:
         raise OddDegree(f"{what} needs a homogeneous matrix, got an "
@@ -76,47 +82,28 @@ def _even_degree(x, what):
     if parity(x.algebra.lam, d):
         raise OddDegree(f"{what} needs an even homogeneous degree, got "
                         f"{d!r}")
-    return d
-
-
-def _assemble(algebra, nu0, nu1, b00, b01, b10, b11):
-    nu = tuple(nu0) + tuple(nu1)
-    r0 = len(nu0)
-    grid = []
-    for i in range(len(nu)):
-        row = []
-        for j in range(len(nu)):
-            if i < r0:
-                src = b00 if j < r0 else b01
-                row.append(src.entries[i][j if j < r0 else j - r0])
-            else:
-                src = b10 if j < r0 else b11
-                row.append(src.entries[i - r0][j if j < r0 else j - r0])
-        grid.append(row)
-    return GradedMatrix(algebra, nu, nu, grid)
+    blocks = parity_blocks(x)
+    try:
+        x11inv = invert_matrix(blocks.x11)
+    except Singular as exc:
+        raise SingularOddBlock(
+            "the odd-odd block is not invertible") from exc
+    schur = blocks.x00 - blocks.x01 @ x11inv @ blocks.x10
+    return d, blocks, x11inv, schur
 
 
 def udl(x):
     """X = U D L with U = [[I, X01 X11^(-1)], [0, I]],
     D = diag(X00 - X01 X11^(-1) X10, X11), L = [[I, 0], [X11^(-1) X10, I]].
     U and L are homogeneous of degree 0, D of the degree of X."""
-    d = _even_degree(x, "udl")
-    blocks = parity_blocks(x)
+    d, blocks, x11inv, schur = _schur(x, "udl")
     alg = x.algebra
     nu0, nu1 = blocks.even_degrees, blocks.odd_degrees
-    try:
-        x11inv = invert_matrix(blocks.x11)
-    except Singular as exc:
-        raise SingularOddBlock(
-            "the odd-odd block is not invertible") from exc
-    u01 = blocks.x01 @ x11inv
-    l10 = x11inv @ blocks.x10
-    schur = blocks.x00 - u01 @ blocks.x10
     i0, i1 = identity(alg, nu0), identity(alg, nu1)
     z01, z10 = zero_matrix(alg, nu0, nu1), zero_matrix(alg, nu1, nu0)
-    u = _assemble(alg, nu0, nu1, i0, u01, z10, i1)
-    dmat = _assemble(alg, nu0, nu1, schur, z01, z10, blocks.x11)
-    lmat = _assemble(alg, nu0, nu1, i0, z01, l10, i1)
+    u = block_matrix(i0, blocks.x01 @ x11inv, z10, i1)
+    dmat = block_matrix(schur, z01, z10, blocks.x11)
+    lmat = block_matrix(i0, z01, x11inv @ blocks.x10, i1)
     zero = alg.group.zero()
     assert u.is_homogeneous_of(zero) and lmat.is_homogeneous_of(zero)
     assert dmat.is_homogeneous_of(d)
@@ -125,18 +112,14 @@ def udl(x):
 
 def gber(x, sigma):
     """sigma(x,x)^(-r1(r0-r1)) Gdet_sigma(Schur) Gdet_sigma(X11)^(-1) on a
-    homogeneous even-degree invertible matrix with parity-sorted degrees."""
-    d = _even_degree(x, "gber")
-    blocks = parity_blocks(x)
+    homogeneous even-degree invertible matrix with parity-sorted degrees.
+    Both blocks are even by construction (X has even degree, and the
+    degrees within a diagonal block share one parity), so the determinants
+    skip gdet_sigma's input checks."""
+    d, blocks, _, schur = _schur(x, "gber")
     r0, r1 = blocks.superrank
-    try:
-        x11inv = invert_matrix(blocks.x11)
-    except Singular as exc:
-        raise SingularOddBlock(
-            "the odd-odd block is not invertible") from exc
-    schur = blocks.x00 - blocks.x01 @ x11inv @ blocks.x10
-    det0 = gdet_sigma(schur, sigma)
-    det1 = gdet_sigma(blocks.x11, sigma)
+    det0 = _det_sigma(schur, sigma)
+    det1 = _det_sigma(blocks.x11, sigma)
     try:
         inv1 = invert_element(det1)
     except NotInvertible as exc:
@@ -166,10 +149,7 @@ def ber_super_components(y):
         raise InvalidParams(
             f"{y.algebra.name} is not supercommutative; ber_super applies "
             "to matrices over a twisted algebra")
-    _even_degree(y, "ber_super")
-    blocks = parity_blocks(y)
-    y11inv = invert_matrix(blocks.x11)
-    schur = blocks.x00 - blocks.x01 @ y11inv @ blocks.x10
+    _, blocks, _, schur = _schur(y, "ber_super")
     comp0 = det_of_commuting(schur.entries, y.algebra)
     comp1 = det_of_commuting(blocks.x11.entries, y.algebra)
     return comp0, comp1

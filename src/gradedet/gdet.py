@@ -207,14 +207,20 @@ def canonical_sigma(algebra):
 # ---------------------------------------------------------------------------
 # determinants
 
-def gdet_sigma(x, sigma):
+def _det_sigma(x, sigma):
     """det(J_sigma(X)) over the twisted algebra, read back in the base
-    algebra (the twist shares the underlying space)."""
+    algebra (the twist shares the underlying space).  Unchecked: the caller
+    guarantees a square matrix whose entries and components are even."""
+    y = j_sigma(x, sigma)
+    return transport(det_of_commuting(y.entries, y.algebra), x.algebra)
+
+
+def gdet_sigma(x, sigma):
+    """det(J_sigma(X)) on a square matrix whose entry and component degrees
+    are all even."""
     _require_endo(x, "gdet_sigma")
     _require_even(x, "gdet_sigma")
-    y = j_sigma(x, sigma)
-    d = det_of_commuting(y.entries, y.algebra)
-    return transport(d, x.algebra)
+    return _det_sigma(x, sigma)
 
 
 def gdet0(x):
@@ -223,7 +229,7 @@ def gdet0(x):
     _require_endo(x, "gdet0")
     _require_degree_zero(x, "gdet0")
     _require_even(x, "gdet0")
-    return gdet_sigma(x, canonical_sigma(x.algebra))
+    return _det_sigma(x, canonical_sigma(x.algebra))
 
 
 def gdet0_leibniz(x, orderings=None):

@@ -173,6 +173,16 @@ def zero_matrix(algebra, row_degrees, col_degrees):
                         [[zero for _ in col_degrees] for _ in row_degrees])
 
 
+def block_matrix(b00, b01, b10, b11):
+    """The 2x2 block matrix [[B00, B01], [B10, B11]]: its row degrees are
+    those of B00 then B10, its column degrees those of B00 then B01."""
+    return GradedMatrix(
+        b00.algebra, b00.row_degrees + b10.row_degrees,
+        b00.col_degrees + b01.col_degrees,
+        [r0 + r1 for r0, r1 in zip(b00.entries, b01.entries)]
+        + [r0 + r1 for r0, r1 in zip(b10.entries, b11.entries)])
+
+
 def diagonal(algebra, degrees, elems):
     degrees = _coerce_degrees(algebra.group, degrees)
     n = len(degrees)
@@ -200,11 +210,7 @@ def matmul(x, y):
                 acc = acc + x.entries[i][k] * y.entries[k][j]
             row.append(acc)
         out.append(row)
-    result = GradedMatrix(x.algebra, x.row_degrees, y.col_degrees, out)
-    dx, dy = x.degree_of(), y.degree_of()
-    if dx is not INHOMOGENEOUS and dy is not INHOMOGENEOUS:
-        assert result.is_homogeneous_of(dx + dy)
-    return result
+    return GradedMatrix(x.algebra, x.row_degrees, y.col_degrees, out)
 
 
 def scalar_action(a, x):

@@ -26,9 +26,10 @@ from .errors import (InvalidParams, NonCommutingEntries, NotInvertible,
 from .gdet import (_require_even, all_ns_multipliers, gdet0, gdet0_leibniz,
                    gdet0_via_crossed, gdet_sigma, permutation_sign,
                    random_ordering)
-from .gmatrix import (GradedMatrix, _require_endo, diagonal, graded_trace,
-                      identity, invert_matrix, j_sigma, matmul,
-                      permutation_matrix, scalar_action, superrank)
+from .gmatrix import (GradedMatrix, _require_endo, block_matrix, diagonal,
+                      graded_trace, identity, invert_matrix, j_sigma, matmul,
+                      permutation_matrix, scalar_action, superrank,
+                      zero_matrix)
 from .grading import (Multiplier, enumerate_ns_multipliers,
                       is_commutation_factor, is_ns_multiplier, lambda_twist,
                       parity, solve_ns_multiplier)
@@ -760,14 +761,8 @@ def sweep_berezinian(seed=0):
             nu = rand_parity_sorted_degrees(rng, alg, r0, r1)
             x00 = rand_invertible(rng, alg, nu[:r0])
             x11 = rand_invertible(rng, alg, nu[r0:])
-            grid = [[alg.zero()] * (r0 + r1) for _ in range(r0 + r1)]
-            for i in range(r0):
-                for j in range(r0):
-                    grid[i][j] = x00.entry(i, j)
-            for i in range(r1):
-                for j in range(r1):
-                    grid[r0 + i][r0 + j] = x11.entry(i, j)
-            bd = GradedMatrix(alg, nu, nu, grid)
+            bd = block_matrix(x00, zero_matrix(alg, nu[:r0], nu[r0:]),
+                              zero_matrix(alg, nu[r0:], nu[:r0]), x11)
             report.compare(_tag(bd), gdet0(x00)
                            * invert_element(gdet0(x11)), gber0(bd))
             tri = [list(row) for row in identity(alg, nu).entries]
@@ -865,14 +860,8 @@ def sweep_matrix_identities(seed=0):
             nu1, nu2 = nu[:n1], nu[n1:]
             b1 = rand_matrix(rng, alg, nu1)
             b2 = rand_matrix(rng, alg, nu2)
-            grid = [[alg.zero()] * n for _ in range(n)]
-            for i in range(n1):
-                for j in range(n1):
-                    grid[i][j] = b1.entry(i, j)
-            for i in range(n2):
-                for j in range(n2):
-                    grid[n1 + i][n1 + j] = b2.entry(i, j)
-            bd = GradedMatrix(alg, nu, nu, grid)
+            bd = block_matrix(b1, zero_matrix(alg, nu1, nu2),
+                              zero_matrix(alg, nu2, nu1), b2)
             report.compare(_tag(bd), gdet0(b1) * gdet0(b2), gdet0(bd))
             tri = [list(row) for row in identity(alg, nu).entries]
             for i in range(n1):

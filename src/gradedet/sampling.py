@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from .algebra import unit_witness
 from .errors import MissingUnit, Singular
-from .gmatrix import GradedMatrix, identity, invert_matrix, matmul
+from .gmatrix import (GradedMatrix, block_matrix, identity, invert_matrix,
+                      matmul, zero_matrix)
 from .grading import parity
 
 
@@ -154,15 +155,8 @@ def rand_invertible_parity_blocks(rng, algebra, nu, r1, degree=None,
             continue
     d0 = rand_invertible(rng, algebra, nu[:r0], x)
     d1 = rand_invertible(rng, algebra, nu[r0:], x)
-    zero = algebra.zero()
-    grid = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(r0):
-        for j in range(r0):
-            grid[i][j] = d0.entry(i, j)
-    for i in range(r1):
-        for j in range(r1):
-            grid[r0 + i][r0 + j] = d1.entry(i, j)
-    d = GradedMatrix(algebra, nu, nu, grid)
+    d = block_matrix(d0, zero_matrix(algebra, nu[:r0], nu[r0:]),
+                     zero_matrix(algebra, nu[r0:], nu[:r0]), d1)
     ug = [list(row) for row in identity(algebra, nu).entries]
     lg = [list(row) for row in identity(algebra, nu).entries]
     for i in range(r0):

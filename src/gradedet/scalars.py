@@ -9,9 +9,7 @@ canonicalized down to root order 1 so that rationals compare equal no matter
 which order produced them.
 
 Binary operations on scalars of different root orders coerce both sides to
-the lcm order; the coercion is an injective ring map.  Passing
-``coerce=False`` to the module-level operations disables this and raises
-IncompatibleRootOrders instead.
+the lcm order; the coercion is an injective ring map.
 """
 
 import re
@@ -243,33 +241,30 @@ def coerce_to(a, order):
     return CycloScalar(order, _residue(poly, order))
 
 
-def _aligned(a, b, coerce):
+def _aligned(a, b):
     if a.order == b.order:
         return a, b, a.order
-    if not coerce:
-        raise IncompatibleRootOrders(
-            f"root orders {a.order} and {b.order} differ and coercion is disabled")
     n = lcm(a.order, b.order)
     return coerce_to(a, n), coerce_to(b, n), n
 
 
-def _padded(a, b, coerce):
+def _padded(a, b):
     # aligned operands may still differ in length: rational values collapse
     # to a single coefficient regardless of root order
-    a, b, n = _aligned(a, b, coerce)
+    a, b, n = _aligned(a, b)
     m = max(len(a.coeffs), len(b.coeffs))
     pa = a.coeffs + (_F0,) * (m - len(a.coeffs))
     pb = b.coeffs + (_F0,) * (m - len(b.coeffs))
     return pa, pb, n
 
 
-def add(a, b, coerce=True):
-    pa, pb, n = _padded(a, b, coerce)
+def add(a, b):
+    pa, pb, n = _padded(a, b)
     return CycloScalar(n, tuple(x + y for x, y in zip(pa, pb)))
 
 
-def sub(a, b, coerce=True):
-    pa, pb, n = _padded(a, b, coerce)
+def sub(a, b):
+    pa, pb, n = _padded(a, b)
     return CycloScalar(n, tuple(x - y for x, y in zip(pa, pb)))
 
 
@@ -277,8 +272,8 @@ def neg(a):
     return CycloScalar(a.order, tuple(-x for x in a.coeffs))
 
 
-def mul(a, b, coerce=True):
-    pa, pb, n = _padded(a, b, coerce)
+def mul(a, b):
+    pa, pb, n = _padded(a, b)
     if n == 1:
         return CycloScalar(1, (pa[0] * pb[0],))
     m = len(pa)
@@ -319,9 +314,8 @@ def inv(a):
     return CycloScalar(a.order, _residue(u, a.order))
 
 
-def div(a, b, coerce=True):
-    a, b, _ = _aligned(a, b, coerce)
-    return mul(a, inv(b), coerce)
+def div(a, b):
+    return mul(a, inv(b))
 
 
 def power(a, k):
@@ -335,8 +329,8 @@ def power(a, k):
     return out
 
 
-def eq(a, b, coerce=True):
-    a, b, _ = _aligned(a, b, coerce)
+def eq(a, b):
+    a, b, _ = _aligned(a, b)
     return a.coeffs == b.coeffs
 
 

@@ -199,6 +199,19 @@ def test_twist_validates_and_commutes():
     assert twist(Q, sigma) is tw
 
 
+def test_twist_validates_a_cached_twist():
+    # validate=True checks a twist taken from the cache as well: the cached
+    # table is swapped for the untwisted, noncommutative one, which the
+    # twisted (commutative) factor rejects
+    fresh = make_algebra(Q.degrees, {(i, j): dict(Q.table[i][j])
+                                     for i in range(4) for j in range(4)},
+                         Q.lam, Q.labels)
+    sigma = printed_quaternion_multipliers()[0]
+    twist(fresh, sigma).table = fresh.table
+    with pytest.raises(NotLambdaCommutative):
+        twist(fresh, sigma, validate=True)
+
+
 def test_twist_by_solver_multiplier():
     dn = preset("dual_numbers", 2)
     sigma = solve_ns_multiplier(dn.lam)

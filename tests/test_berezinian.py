@@ -84,6 +84,9 @@ def test_gber_singular_odd_block():
         gber0(m)
     with pytest.raises(SingularOddBlock):
         udl(m)
+    for sigma in all_ns_multipliers(DN.lam):
+        with pytest.raises(SingularOddBlock):
+            gber_via_ber_super(m, sigma)
 
 
 def test_gber_morphism():

@@ -11,6 +11,8 @@ from gradedet.gmatrix import (GradedMatrix, change_basis, diagonal,
                               graded_trace, identity, invert_matrix, j_sigma,
                               matmul, permutation_matrix, scalar_action,
                               shift_degrees, superrank, zero_matrix)
+from gradedet.sampling import (make_rng, rand_degrees, rand_matrix,
+                               sorted_degrees)
 from gradedet.scalars import rational
 
 Q = preset("quaternions")
@@ -63,6 +65,19 @@ def test_matmul_and_errors():
         matmul(X, identity(preset("dual_numbers", 2),
                            [preset("dual_numbers", 2).group.zero()] * 2))
     assert (X @ Y) == matmul(X, Y)
+    # homogeneous factors of nonzero degrees dx, dy give degree dx + dy
+    rng = make_rng("matmul-degrees")
+    for alg in (Q, preset("dual_numbers", 2)):
+        pool = [d for d in sorted_degrees(alg) if d]
+        nonzero = 0
+        for dx in pool:
+            for dy in pool:
+                nu = rand_degrees(rng, alg, 3)
+                prod = matmul(rand_matrix(rng, alg, nu, dx),
+                              rand_matrix(rng, alg, nu, dy))
+                assert prod.is_homogeneous_of(dx + dy)
+                nonzero += prod != zero_matrix(alg, nu, nu)
+        assert nonzero
 
 
 def test_addition_and_scaling():

@@ -11,7 +11,8 @@ from gradedet.oracles import (SUITES, SweepReport, complex_embedding,
                               dieudonne_norm_check, gdet_via_row_decomposition,
                               leibniz_det_commutative,
                               printed_quaternion_multipliers, quaternion_norm,
-                              run_property_sweeps, trace_via_twist)
+                              run_property_sweeps, sweep_grading,
+                              sweep_matrix_identities, trace_via_twist)
 from gradedet.sampling import make_rng, rand_matrix
 from gradedet.scalars import cyclo, rational
 
@@ -50,6 +51,15 @@ def test_run_property_sweeps_deterministic():
         run_property_sweeps(suites=["nonexistent"])
     assert set(SUITES) == {"grading", "algebra", "gmatrix", "gdet",
                            "berezinian"}
+
+
+@pytest.mark.parametrize("sweep, instances", [(sweep_grading, 1020),
+                                              (sweep_matrix_identities, 208)])
+def test_sweeps_outside_acceptance(sweep, instances):
+    # the acceptance suite runs every other sweep
+    report = sweep(seed=0)
+    assert report.instances == instances
+    assert report.ok, report.failures[:3]
 
 
 def test_trace_via_twist_matches():
