@@ -21,7 +21,7 @@ from .errors import (DegreeViolation, IncompatibleGroups, InvalidParams,
                      NotInvertible, NotLambdaCommutative, UnsupportedGroup)
 from .grading import (Bicharacter, GradingGroup, Multiplier, lambda_twist,
                       parity, trivial_multiplier)
-from .scalars import ONE, ZERO, as_scalar
+from .scalars import MINUS_ONE, ONE, ZERO, as_scalar
 
 
 class _Inhomogeneous:
@@ -282,35 +282,59 @@ class GradedAlgebra:
         return f"GradedAlgebra({self.name}, dim={self.dim})"
 
 
+def _cell_constant(c):
+    """A structure constant as stored in a table: the shared ONE or
+    MINUS_ONE when it equals +1 or -1 (rationals are always root order 1),
+    otherwise c itself.  _table_product recognises the shared objects by
+    identity."""
+    if c.order == 1:
+        if c.coeffs[0] == 1:
+            return ONE
+        if c.coeffs[0] == -1:
+            return MINUS_ONE
+    return c
+
+
 def _normalize_structure(structure, dim):
     """Accepts {(i,j): {k: c}} / {(i,j): [(k, c), ...]} or a dense nested
     list c[i][j][k]; returns the sparse tuple-of-tuples table."""
     table = [[() for _ in range(dim)] for _ in range(dim)]
     if isinstance(structure, dict):
-        for (i, j), cell in structure.items():
-            items = cell.items() if isinstance(cell, dict) else cell
-            row = [(int(k), as_scalar(c)) for k, c in items if as_scalar(c)]
-            table[i][j] = tuple(row)
+        cells = {ij: cell.items() if isinstance(cell, dict) else cell
+                 for ij, cell in structure.items()}
     else:
-        for i, plane in enumerate(structure):
-            for j, cell in enumerate(plane):
-                row = [(k, as_scalar(c)) for k, c in enumerate(cell)
-                       if as_scalar(c)]
-                table[i][j] = tuple(row)
+        cells = {(i, j): enumerate(cell) for i, plane in enumerate(structure)
+                 for j, cell in enumerate(plane)}
+    for (i, j), items in cells.items():
+        constants = [(int(k), as_scalar(c)) for k, c in items]
+        table[i][j] = tuple((k, _cell_constant(c)) for k, c in constants
+                            if c)
     return tuple(tuple(r) for r in table)
 
 
 def _table_product(table, left, right):
     """Product of two sparse coefficient dicts through the structure
-    table."""
+    table.  Empty cells are skipped before ci*cj is formed.  A cell
+    constant that is the shared ONE or MINUS_ONE (see _cell_constant) adds
+    or subtracts ci*cj without multiplying by it; any other constant
+    multiplies as usual.  Interning changes only the speed: a table whose
+    +-1 constants are other objects gives the same products."""
     acc = {}
     for i, ci in left.items():
         row = table[i]
         for j, cj in right.items():
+            cell = row[j]
+            if not cell:
+                continue
             cij = ci * cj
-            for k, c in row[j]:
-                prod = cij * c
-                acc[k] = acc[k] + prod if k in acc else prod
+            for k, c in cell:
+                if c is ONE:
+                    acc[k] = acc[k] + cij if k in acc else cij
+                elif c is MINUS_ONE:
+                    acc[k] = acc[k] - cij if k in acc else -cij
+                else:
+                    prod = cij * c
+                    acc[k] = acc[k] + prod if k in acc else prod
     return {k: c for k, c in acc.items() if c}
 
 
@@ -603,8 +627,8 @@ def twist(algebra, sigma, validate=False):
         degrees = algebra.degrees
         new_table = tuple(
             tuple(
-                tuple((k, sigma.value(degrees[i], degrees[j]) * c)
-                      for k, c in cell)
+                tuple((k, _cell_constant(
+                    sigma.value(degrees[i], degrees[j]) * c)) for k, c in cell)
                 for j, cell in enumerate(row))
             for i, row in enumerate(algebra.table))
         out = make_algebra(degrees, {}, lambda_twist(algebra.lam, sigma),

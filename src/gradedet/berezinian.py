@@ -96,7 +96,7 @@ def udl(x):
     """X = U D L with U = [[I, X01 X11^(-1)], [0, I]],
     D = diag(X00 - X01 X11^(-1) X10, X11), L = [[I, 0], [X11^(-1) X10, I]].
     U and L are homogeneous of degree 0, D of the degree of X."""
-    d, blocks, x11inv, schur = _schur(x, "udl")
+    _, blocks, x11inv, schur = _schur(x, "udl")
     alg = x.algebra
     nu0, nu1 = blocks.even_degrees, blocks.odd_degrees
     i0, i1 = identity(alg, nu0), identity(alg, nu1)
@@ -104,9 +104,6 @@ def udl(x):
     u = block_matrix(i0, blocks.x01 @ x11inv, z10, i1)
     dmat = block_matrix(schur, z01, z10, blocks.x11)
     lmat = block_matrix(i0, z01, x11inv @ blocks.x10, i1)
-    zero = alg.group.zero()
-    assert u.is_homogeneous_of(zero) and lmat.is_homogeneous_of(zero)
-    assert dmat.is_homogeneous_of(d)
     return u, dmat, lmat
 
 

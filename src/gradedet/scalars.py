@@ -10,6 +10,12 @@ which order produced them.
 
 Binary operations on scalars of different root orders coerce both sides to
 the lcm order; the coercion is an injective ring map.
+
+Fast paths: add, sub, mul and neg on operands that are both of root order 1
+do one Fraction operation and build the (already canonical) result
+directly, without padding, alignment or re-canonicalising.  cyclo results
+are cached and shared, which is sound because a CycloScalar is never
+mutated after __init__.
 """
 
 import re
@@ -141,22 +147,31 @@ class CycloScalar:
         return self.coeffs[0]
 
     def __add__(self, other):
-        other = _lift(other)
-        return add(self, other) if other is not None else NotImplemented
+        if type(other) is not CycloScalar:
+            other = _lift(other)
+            if other is None:
+                return NotImplemented
+        return add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _lift(other)
-        return sub(self, other) if other is not None else NotImplemented
+        if type(other) is not CycloScalar:
+            other = _lift(other)
+            if other is None:
+                return NotImplemented
+        return sub(self, other)
 
     def __rsub__(self, other):
         other = _lift(other)
         return sub(other, self) if other is not None else NotImplemented
 
     def __mul__(self, other):
-        other = _lift(other)
-        return mul(self, other) if other is not None else NotImplemented
+        if type(other) is not CycloScalar:
+            other = _lift(other)
+            if other is None:
+                return NotImplemented
+        return mul(self, other)
 
     __rmul__ = __mul__
 
@@ -187,7 +202,7 @@ class CycloScalar:
     __hash__ = None
 
     def __bool__(self):
-        return not is_zero(self)
+        return any(self.coeffs)
 
     def __repr__(self):
         return f"CycloScalar({format_scalar(self)!r}, order={self.order})"
@@ -198,6 +213,16 @@ class CycloScalar:
 
 ZERO = CycloScalar(1, (_F0,))
 ONE = CycloScalar(1, (_F1,))
+MINUS_ONE = CycloScalar(1, (-_F1,))
+
+
+def _rational(f):
+    """The Fraction f as a root-order-1 scalar, which is canonical as it
+    stands, so __init__ is skipped."""
+    out = object.__new__(CycloScalar)
+    out.order = 1
+    out.coeffs = (f,)
+    return out
 
 
 def rational(p, q=1):
@@ -221,10 +246,14 @@ def as_scalar(x):
 
 
 def cyclo(n, N):
-    """zeta_N raised to the n-th power, reduced modulo Phi_N."""
-    k = n % N
-    mono = [_F0] * k + [_F1]
-    return CycloScalar(N, _residue(mono, N))
+    """zeta_N raised to the n-th power, reduced modulo Phi_N.  The result
+    is shared between calls with the same n mod N."""
+    return _cyclo(n % N, N)
+
+
+@lru_cache(maxsize=1024)
+def _cyclo(k, N):
+    return CycloScalar(N, _residue([_F0] * k + [_F1], N))
 
 
 def coerce_to(a, order):
@@ -259,23 +288,29 @@ def _padded(a, b):
 
 
 def add(a, b):
+    if a.order == 1 and b.order == 1:
+        return _rational(a.coeffs[0] + b.coeffs[0])
     pa, pb, n = _padded(a, b)
     return CycloScalar(n, tuple(x + y for x, y in zip(pa, pb)))
 
 
 def sub(a, b):
+    if a.order == 1 and b.order == 1:
+        return _rational(a.coeffs[0] - b.coeffs[0])
     pa, pb, n = _padded(a, b)
     return CycloScalar(n, tuple(x - y for x, y in zip(pa, pb)))
 
 
 def neg(a):
+    if a.order == 1:
+        return _rational(-a.coeffs[0])
     return CycloScalar(a.order, tuple(-x for x in a.coeffs))
 
 
 def mul(a, b):
+    if a.order == 1 and b.order == 1:
+        return _rational(a.coeffs[0] * b.coeffs[0])
     pa, pb, n = _padded(a, b)
-    if n == 1:
-        return CycloScalar(1, (pa[0] * pb[0],))
     m = len(pa)
     conv = [_F0] * (2 * m - 1)
     for i, x in enumerate(pa):

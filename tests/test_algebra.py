@@ -1,9 +1,14 @@
 """Structure-constant algebras: presets, validation, tensor, inversion."""
 
+import itertools
+import json
+import random
+from fractions import Fraction
+
 import pytest
 
-from gradedet.algebra import (INHOMOGENEOUS, crossed_unit, det_gauss,
-                              even_crossed_product, graded_tensor,
+from gradedet.algebra import (INHOMOGENEOUS, _table_product, crossed_unit,
+                              det_gauss, even_crossed_product, graded_tensor,
                               invert_element, left_regular_matrix,
                               make_algebra, preset, tensor_embed_left,
                               tensor_embed_right, tensor_factors,
@@ -12,10 +17,12 @@ from gradedet.algebra import (INHOMOGENEOUS, crossed_unit, det_gauss,
 from gradedet.errors import (DegreeViolation, InvalidParams, MixedAlgebras,
                              NoUnit, NotAssociative, NotInvertible,
                              NotLambdaCommutative)
-from gradedet.grading import (GradingGroup, parity, solve_ns_multiplier,
-                              trivial_multiplier)
+from gradedet.gdet import canonical_sigma
+from gradedet.grading import (GradingGroup, Multiplier, parity,
+                              solve_ns_multiplier, trivial_multiplier)
 from gradedet.oracles import printed_quaternion_multipliers
-from gradedet.scalars import ONE, rational
+from gradedet.scalars import MINUS_ONE, ONE, ZERO, CycloScalar, cyclo, rational
+from gradedet.serialize import FORMAT, parse_algebra
 
 Q = preset("quaternions")
 I, J, K = (Q.basis_element(s) for s in "ijk")
@@ -237,3 +244,90 @@ def test_det_gauss():
     assert det_gauss(m) == ONE
     assert det_gauss([[rational(0)]]) == rational(0)
     assert det_gauss([]) == ONE
+
+
+# ---------------------------------------------------------------------------
+# the table product against the definition
+
+def _quadratic_json():
+    """Q(sqrt 2, sqrt(-1/2)) as a JSON algebra document: basis e_(a,b) over
+    Z_2 x Z_2 with trivial commutation factor and
+    e_(a,b) e_(c,d) = 2^(ac) (-1/2)^(bd) e_(a+c,b+d), so its structure
+    constants are 1, 2, -1/2 and -1."""
+    elems = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    table = {}
+    for i, (a, b) in enumerate(elems):
+        for j, (c, d) in enumerate(elems):
+            k = elems.index(((a + c) % 2, (b + d) % 2))
+            value = Fraction(2) ** (a * c) * Fraction(-1, 2) ** (b * d)
+            table[f"{i},{j}"] = [{"k": k, "c": str(value)}]
+    doc = {"format": FORMAT, "name": "quadratic",
+           "group": {"moduli": [2, 2]},
+           "lambda": {"root_order": 2, "exponents": [[0, 0], [0, 0]]},
+           "basis": [{"label": f"e{a}{b}", "degree": [a, b]}
+                     for a, b in elems],
+           "table": table}
+    return parse_algebra(json.loads(json.dumps(doc)))
+
+
+def _product_algebras():
+    """Every preset, the JSON algebra above and a twisted clock_shift(3)."""
+    cs = preset("clock_shift", 3)
+    return [Q, preset("clifford", 2, 1), preset("dual_numbers", 2),
+            preset("grassmann", 3), preset("group_algebra", 2, 3),
+            preset("crossed_product", GradingGroup([2, 2]),
+                   Multiplier(GradingGroup([2, 2]), 2, [[1, 1], [0, 1]])),
+            cs, _quadratic_json(), twist(cs, canonical_sigma(cs))]
+
+
+def _by_definition(a, b):
+    """sum over i, j, k of a_i b_j c_ij^k e_k, multiplying in every
+    structure constant."""
+    acc = {}
+    for (i, ai), (j, bj) in itertools.product(a.coeffs.items(),
+                                              b.coeffs.items()):
+        for k, c in a.algebra.table[i][j]:
+            acc[k] = acc.get(k, ZERO) + ai * bj * c
+    return a.algebra.element(acc)
+
+
+def _random_element(rng, alg, order):
+    return alg.element({
+        k: rational(rng.randint(-4, 4), rng.randint(1, 3))
+        + cyclo(1, order) * rng.randint(-2, 2)
+        for k in range(alg.dim) if rng.random() < 0.7})
+
+
+@pytest.mark.parametrize("alg", _product_algebras(), ids=lambda a: a.name)
+def test_table_product_matches_definition(alg):
+    basis = [alg.basis_element(k) for k in range(alg.dim)]
+    for a, b in itertools.product(basis, basis):
+        assert a * b == _by_definition(a, b)
+    rng = random.Random(alg.name)
+    # dense elements, rational and with zeta_3 coefficients, so that terms
+    # accumulate on one target and mixed root orders meet
+    for order in (1, 3):
+        for _ in range(10):
+            a = _random_element(rng, alg, order)
+            b = _random_element(rng, alg, order)
+            assert a * b == _by_definition(a, b)
+
+
+def test_table_product_interning_changes_only_speed():
+    rng = random.Random("interning")
+    for alg in _product_algebras():
+        constants = [c for row in alg.table for cell in row for _, c in cell]
+        assert all(c is ONE or c is MINUS_ONE
+                   for c in constants if c in (ONE, MINUS_ONE))
+        # the same table with every +-1 constant a fresh, unshared object
+        fresh = tuple(tuple(tuple((k, CycloScalar(c.order, c.coeffs))
+                                  for k, c in cell) for cell in row)
+                      for row in alg.table)
+        assert fresh == alg.table
+        assert not any(c is ONE or c is MINUS_ONE
+                       for row in fresh for cell in row for _, c in cell)
+        for _ in range(5):
+            a = _random_element(rng, alg, 3)
+            b = _random_element(rng, alg, 1)
+            assert (_table_product(fresh, a.coeffs, b.coeffs)
+                    == _table_product(alg.table, a.coeffs, b.coeffs))

@@ -50,6 +50,7 @@ def test_udl():
     u, d, lo = udl(M)
     assert matmul(u, matmul(d, lo)) == M
     assert u.degree_of() == ZERO and lo.degree_of() == ZERO
+    assert d.is_homogeneous_of(M.degree_of())
     assert u.entry(1, 0).is_zero() and lo.entry(0, 1).is_zero()
     assert gber0(u) == DN.one()
     assert gber0(lo) == DN.one()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gradedet import scalars as scalar_module
 from gradedet.errors import (DivisionByZero, IncompatibleRootOrders,
                              ParseError)
 from gradedet.scalars import (ONE, ZERO, CycloScalar, as_scalar, coerce_to,
@@ -91,6 +92,42 @@ def test_ring_laws(a, b, c):
     assert a + ZERO == a
     assert a * ONE == a
     assert a - a == ZERO
+
+
+@given(rationals, rationals)
+def test_rational_fast_path_is_fraction_arithmetic(x, y):
+    a, b = as_scalar(x), as_scalar(y)
+    for got, want in ((a + b, x + y), (a - b, x - y), (a * b, x * y),
+                      (-a, -x)):
+        # the canonical form: root order 1 and one coefficient, so equality,
+        # formatting and serialize digests see the same value as before
+        assert got.order == 1 and got.coeffs == (want,)
+        assert got == rational(want.numerator, want.denominator)
+        assert format_scalar(got) == str(want)
+
+
+def test_mixed_root_orders_take_the_padded_path(monkeypatch):
+    seen = []
+    padded = scalar_module._padded
+
+    def spy(a, b):
+        seen.append((a.order, b.order))
+        return padded(a, b)
+
+    monkeypatch.setattr(scalar_module, "_padded", spy)
+    half, i = rational(1, 2), cyclo(1, 4)
+    assert (half + half, half - half, half * half) == (ONE, ZERO,
+                                                       rational(1, 4))
+    assert seen == []
+    assert half * i + half * i == i
+    assert (i - half) + half == i
+    assert seen == [(1, 4), (1, 4), (4, 4), (4, 1), (4, 1)]
+
+
+def test_cyclo_is_shared_per_residue():
+    assert cyclo(1, 3) is cyclo(4, 3) is cyclo(-2, 3)
+    assert cyclo(2, 4) is cyclo(6, 4)
+    assert cyclo(2, 4) == rational(-1) and cyclo(2, 4).order == 1
 
 
 @given(scalars)
