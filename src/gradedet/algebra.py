@@ -133,7 +133,7 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             self._check_same(other)
             return AlgebraElement(self.algebra, _table_product(
-                self.algebra.table, self.coeffs, other.coeffs))
+                self.algebra.table, self.coeffs, other.coeffs, {}))
         return self.scalar_mul(other)
 
     def __rmul__(self, other):
@@ -312,14 +312,18 @@ def _normalize_structure(structure, dim):
     return tuple(tuple(r) for r in table)
 
 
-def _table_product(table, left, right):
-    """Product of two sparse coefficient dicts through the structure
-    table.  Empty cells are skipped before ci*cj is formed.  A cell
-    constant that is the shared ONE or MINUS_ONE (see _cell_constant) adds
-    or subtracts ci*cj without multiplying by it; any other constant
-    multiplies as usual.  Interning changes only the speed: a table whose
-    +-1 constants are other objects gives the same products."""
-    acc = {}
+def _table_product(table, left, right, acc):
+    """Add the product of two sparse coefficient dicts, taken through the
+    structure table, into the dict acc, and return acc.  This is the one
+    multiply-accumulate kernel: element products, the associativity check,
+    matmul and the determinant all run on it, so a sum of products builds
+    no element per term.  acc may be left holding zero coefficients;
+    AlgebraElement drops them.  Empty cells are skipped before ci*cj is
+    formed.  A cell constant that is the shared ONE or MINUS_ONE (see
+    _cell_constant) adds or subtracts ci*cj without multiplying by it; any
+    other constant multiplies as usual.  Interning changes only the speed:
+    a table whose +-1 constants are other objects gives the same
+    products."""
     for i, ci in left.items():
         row = table[i]
         for j, cj in right.items():
@@ -335,7 +339,17 @@ def _table_product(table, left, right):
                 else:
                     prod = cij * c
                     acc[k] = acc[k] + prod if k in acc else prod
-    return {k: c for k, c in acc.items() if c}
+    return acc
+
+
+def _dot(table, row, col):
+    """sum_i row[i] col[i] over coefficient dicts, for i < len(col), as a
+    dict that may hold zero coefficients."""
+    acc = {}
+    for a, b in zip(row, col):
+        if a and b:
+            _table_product(table, a, b, acc)
+    return acc
 
 
 def _validate_algebra(group, lam, labels, degrees, table, name):
@@ -372,9 +386,10 @@ def _validate_algebra(group, lam, labels, degrees, table, name):
         for j in range(dim):
             left_ij = dict(table[i][j])
             for k in range(dim):
-                lhs = _table_product(table, left_ij, {k: ONE})
-                rhs = _table_product(table, {i: ONE}, dict(table[j][k]))
-                if lhs != rhs:
+                # (e_i e_j) e_k - e_i (e_j e_k), accumulated in one dict
+                diff = _table_product(table, left_ij, {k: ONE}, {})
+                _table_product(table, {i: MINUS_ONE}, dict(table[j][k]), diff)
+                if any(diff.values()):
                     raise NotAssociative(
                         f"{name}: ({labels[i]}*{labels[j]})*{labels[k]} != "
                         f"{labels[i]}*({labels[j]}*{labels[k]})")

@@ -129,6 +129,11 @@ class NotCrossedProduct(GradedetError):
     pass
 
 
+class TooLarge(GradedetError):
+    """An input past a documented size limit, refused before any work
+    because its cost would explode."""
+
+
 # berezinian
 
 class NotParitySorted(GradedetError):

@@ -11,7 +11,7 @@ endomorphism matrices (equal row and column degree vectors) share one
 precondition, _require_endo.
 """
 
-from .algebra import (AlgebraElement, INHOMOGENEOUS, invert_element,
+from .algebra import (AlgebraElement, INHOMOGENEOUS, _dot, invert_element,
                       left_regular_matrix, solve_linear, twist, unit_witness)
 from .errors import (DegreeMismatch, InhomogeneousScalar, InvalidParams,
                      MissingUnit, MixedAlgebras, NotSquare, Singular)
@@ -201,16 +201,15 @@ def matmul(x, y):
         raise DegreeMismatch(
             f"inner degree vectors differ: {list(x.col_degrees)} vs "
             f"{list(y.row_degrees)}")
+    alg = x.algebra
+    table = alg.table
+    cols = [[row[j].coeffs for row in y.entries] for j in range(y.ncols)]
     out = []
-    for i in range(x.nrows):
-        row = []
-        for j in range(y.ncols):
-            acc = x.algebra.zero()
-            for k in range(x.ncols):
-                acc = acc + x.entries[i][k] * y.entries[k][j]
-            row.append(acc)
-        out.append(row)
-    return GradedMatrix(x.algebra, x.row_degrees, y.col_degrees, out)
+    for xrow in x.entries:
+        xrow = [e.coeffs for e in xrow]
+        out.append([AlgebraElement(alg, _dot(table, xrow, col))
+                    for col in cols])
+    return GradedMatrix(alg, x.row_degrees, y.col_degrees, out)
 
 
 def scalar_action(a, x):

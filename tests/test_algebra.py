@@ -329,5 +329,5 @@ def test_table_product_interning_changes_only_speed():
         for _ in range(5):
             a = _random_element(rng, alg, 3)
             b = _random_element(rng, alg, 1)
-            assert (_table_product(fresh, a.coeffs, b.coeffs)
-                    == _table_product(alg.table, a.coeffs, b.coeffs))
+            assert (_table_product(fresh, a.coeffs, b.coeffs, {})
+                    == _table_product(alg.table, a.coeffs, b.coeffs, {}))
