@@ -313,17 +313,13 @@ def _normalize_structure(structure, dim):
 
 
 def _table_product(table, left, right, acc):
-    """Add the product of two sparse coefficient dicts, taken through the
-    structure table, into the dict acc, and return acc.  This is the one
-    multiply-accumulate kernel: element products, the associativity check,
-    matmul and the determinant all run on it, so a sum of products builds
-    no element per term.  acc may be left holding zero coefficients;
-    AlgebraElement drops them.  Empty cells are skipped before ci*cj is
-    formed.  A cell constant that is the shared ONE or MINUS_ONE (see
-    _cell_constant) adds or subtracts ci*cj without multiplying by it; any
-    other constant multiplies as usual.  Interning changes only the speed:
-    a table whose +-1 constants are other objects gives the same
-    products."""
+    """Add left*right, two sparse coefficient dicts multiplied through
+    the structure table, into the dict acc and return acc; acc may be left
+    holding zero coefficients, which AlgebraElement drops.  Empty cells are
+    skipped before ci*cj is formed.  A cell constant that is the shared ONE
+    or MINUS_ONE (see _cell_constant) adds or subtracts ci*cj without
+    multiplying by it; a table whose +-1 constants are other objects gives
+    the same products, only slower."""
     for i, ci in left.items():
         row = table[i]
         for j, cj in right.items():

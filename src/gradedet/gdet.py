@@ -5,17 +5,15 @@ classical determinant of the J_sigma transform over the twisted algebra
 with a fixed internal multiplier; its value is multiplier-independent.
 gdet0_leibniz is the independent explicit formula: a signed sum over
 permutations of entry products taken in an admissible order (cycles
-consecutive), entirely inside the base algebra; it costs n! products and
-refuses n above LEIBNIZ_MAX_N.  gdet_sigma extends det o J_sigma to
-homogeneous and inhomogeneous matrices whose component degrees and entry
-degrees are all even, where the twisted entries commute.
+consecutive), entirely inside the base algebra.  gdet_sigma extends
+det o J_sigma to homogeneous and inhomogeneous matrices whose component
+degrees and entry degrees are all even, where the twisted entries commute.
 gdet0_via_crossed is a third route through conjugation by invertible
 homogeneous units, adjoined from a crossed-product tensor factor when the
 algebra lacks them.
 
 Every classical determinant here, and the Berezinian's, is
-det_of_commuting: Berkowitz's division-free algorithm, O(n^4) ring
-products over a commutative ring that may have zero divisors.
+det_of_commuting (Berkowitz, division-free).
 
 Entry products of odd degree do not commute after twisting, so determinants
 over them would depend on expansion order; such inputs raise OddEntries
@@ -150,20 +148,12 @@ def _require_degree_zero(x, what):
 
 def det_of_commuting(entries, algebra):
     """Classical determinant by Berkowitz's division-free algorithm
-    (S. J. Berkowitz, IPL 18 (1984) 147-150): O(n^4) ring products, no
-    division, so it is sound over the zero divisors of a twisted algebra.
-    The caller guarantees that all entries pairwise commute, so the order
-    of the factors inside each product is immaterial.
-
-    The recurrence runs on -A, whose characteristic polynomial has the
-    coefficients e_k(A); after row r, p[k] is e_k of the leading
-    (r+1) x (r+1) block, and det A = e_n(A) needs no final sign.  Adding
-    row r, with M the leading r x r block, R its row to the left of the
-    diagonal and S its column above it, multiplies p by the Toeplitz
-    matrix whose first column is 1, a_rr, -RS, RMS, -RM^2S, ...  Each
-    R M^k S is negated once, p[0] = 1 is never multiplied, and the last
-    row forms only e_n.  Everything runs on coefficient dicts through the
-    multiply-accumulate kernel; one element is built at the end."""
+    (S. J. Berkowitz, IPL 18 (1984) 147-150), O(n^4) ring products.  It
+    never divides, so it is sound over the zero divisors of a twisted
+    algebra; the caller guarantees that all entries pairwise commute.
+    The recurrence runs on -A: p[k] is e_k of the leading block, det A =
+    p[n] needs no final sign, and each R M^k S of the Toeplitz column is
+    negated once."""
     n = len(entries)
     if n == 0:
         return algebra.one()
