@@ -382,10 +382,10 @@ def _validate_algebra(group, lam, labels, degrees, table, name):
         for j in range(dim):
             left_ij = dict(table[i][j])
             for k in range(dim):
-                # (e_i e_j) e_k - e_i (e_j e_k), accumulated in one dict
-                diff = _table_product(table, left_ij, {k: ONE}, {})
-                _table_product(table, {i: MINUS_ONE}, dict(table[j][k]), diff)
-                if any(diff.values()):
+                lhs = _table_product(table, left_ij, {k: ONE}, {})
+                rhs = _table_product(table, {i: ONE}, dict(table[j][k]), {})
+                if ({t: c for t, c in lhs.items() if c}
+                        != {t: c for t, c in rhs.items() if c}):
                     raise NotAssociative(
                         f"{name}: ({labels[i]}*{labels[j]})*{labels[k]} != "
                         f"{labels[i]}*({labels[j]}*{labels[k]})")
