@@ -18,9 +18,9 @@ from functools import lru_cache
 from . import scalars
 from .errors import (DegreeViolation, IncompatibleGroups, InvalidParams,
                      MixedAlgebras, NoUnit, NotAssociative, NotCrossedProduct,
-                     NotInvertible, NotLambdaCommutative, UnsupportedGroup)
+                     NotInvertible, NotLambdaCommutative)
 from .grading import (Bicharacter, GradingGroup, Multiplier, lambda_twist,
-                      parity, trivial_multiplier)
+                      ns_multiplier, parity, trivial_multiplier)
 from .scalars import MINUS_ONE, ONE, ZERO, as_scalar
 
 
@@ -512,32 +512,36 @@ def _residue_label(gamma):
     return "t" + "_".join(str(r) for r in gamma.residues)
 
 
-def _crossed(group, sigma, name, validate=True):
-    lam = lambda_twist(trivial_multiplier(group), sigma)
-    elems = list(group.elements())
+def _crossed(sigma, name, lam=None):
+    """The crossed product over the even degrees of lam: one basis vector
+    t_g per even g, with t_g t_h = sigma(g, h) t_(g+h).  It is
+    lam-commutative when sigma(g, h) sigma(h, g)^(-1) = lam(g, h) on even
+    degrees; lam defaults to the factor sigma induces, under which every
+    degree is even."""
+    if lam is None:
+        lam = lambda_twist(trivial_multiplier(sigma.group), sigma)
+    elems = [g for g in lam.group.elements() if not parity(lam, g)]
     index = {g.residues: i for i, g in enumerate(elems)}
     labels = [_residue_label(g) for g in elems]
     structure = {}
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
             structure[(i, j)] = {index[(a + b).residues]: sigma.value(a, b)}
-    alg = make_algebra(elems, structure, lam, labels, validate=validate,
-                       name=name, unit_index=index[group.zero().residues])
+    alg = make_algebra(elems, structure, lam, labels, name=name)
     alg._cp_index = index
     return alg
 
 
 def _group_algebra(group):
-    return _crossed(group, trivial_multiplier(group),
-                    name=f"group_algebra{list(group.moduli)}")
+    return _crossed(trivial_multiplier(group),
+                    f"group_algebra{list(group.moduli)}")
 
 
 def _crossed_product(group, sigma):
     if sigma.group != group:
         raise InvalidParams(
             f"multiplier lives on {sigma.group!r}, not {group!r}")
-    return _crossed(group, sigma,
-                    name=f"crossed_product{list(group.moduli)}")
+    return _crossed(sigma, f"crossed_product{list(group.moduli)}")
 
 
 def _clock_shift(n):
@@ -546,7 +550,7 @@ def _clock_shift(n):
     zeta_n^(b c) u_(g+h) for g=(a,b), h=(c,d)."""
     group = GradingGroup([n, n])
     sigma = Multiplier(group, n, [[0, 0], [1, 0]])
-    return _crossed(group, sigma, name=f"clock_shift({n})")
+    return _crossed(sigma, f"clock_shift({n})")
 
 
 def preset(name, *params):
@@ -656,12 +660,11 @@ def twist(algebra, sigma, validate=False):
     return out
 
 
-def graded_tensor(a, b, validate=False):
+def graded_tensor(a, b):
     """Graded tensor product over the shared (group, lambda):
     (a1 (x) b1)(a2 (x) b2) = lambda(deg b1, deg a2) (a1 a2) (x) (b1 b2).
-    This rule preserves associativity and lambda-commutativity, so
-    validation is off by default at large dimensions; tests re-validate
-    small instances."""
+    This rule preserves associativity and lambda-commutativity, so the
+    result is not validated."""
     if a.group != b.group or a.lam != b.lam:
         raise IncompatibleGroups(
             f"tensor factors must share group and commutation factor: "
@@ -698,7 +701,7 @@ def graded_tensor(a, b, validate=False):
                             acc[flat] = acc.get(flat, ZERO) + prod
                     structure[(left, right)] = acc
     unit = a.unit_index * dim_b + b.unit_index
-    out = make_algebra(degrees, structure, a.lam, labels, validate=validate,
+    out = make_algebra(degrees, structure, a.lam, labels, validate=False,
                        name=f"{a.name}(x){b.name}", unit_index=unit)
     out._tensor_factors = (a, b)
     a._tensor_cache[id(b)] = (b, out)
@@ -861,72 +864,14 @@ def unit_witness(alg, degree):
 
 @lru_cache(maxsize=None)
 def even_crossed_product(lam):
-    """A crossed product over the even subgroup of lam's parity splitting:
-    one invertible homogeneous basis vector t_h per even degree h, with
-    t_g t_h = sigma(g, h) t_(g+h) for a biadditive splitting sigma of lam
-    restricted to the even subgroup.
-
-    Supported when the parity vector vanishes (then the even subgroup is
-    the whole group and sigma takes the upper triangle of lam's exponents)
-    or when the group is 2-torsion (a basis of the parity kernel is built
-    over F_2).  Other mixed cases raise UnsupportedGroup.
-    """
-    group = lam.group
-    n = lam.root_order
-    parities = {x.residues: parity(lam, x) for x in group.elements()}
-    f = [parities[group.generator(i).residues] for i in range(group.rank)]
-    if not any(f):
-        k = group.rank
-        sigma_exp = [[lam.exponents[i][j] if i < j else 0 for j in range(k)]
-                     for i in range(k)]
-        sigma = Multiplier(group, n, sigma_exp)
-        alg = _crossed(group, sigma,
-                       name=f"even_crossed_product{list(group.moduli)}")
-        return alg
-    if any(m > 2 for m in group.moduli):
-        raise UnsupportedGroup(
-            "even crossed products with odd parities are only built over "
-            f"2-torsion groups, got moduli {group.moduli}")
-    # basis of the kernel of x -> sum f_i x_i mod 2
-    odd_pos = [i for i in range(group.rank) if f[i]]
-    even_pos = [i for i in range(group.rank)
-                if not f[i] and group.moduli[i] == 2]
-    basis = [group.generator(i) for i in even_pos]
-    pivot = odd_pos[0]
-    basis.extend(group.generator(pivot) + group.generator(i)
-                 for i in odd_pos[1:])
-
-    members = {}
-    for bits in itertools.product((0, 1), repeat=len(basis)):
-        g = group.zero()
-        for bit, h in zip(bits, basis):
-            if bit:
-                g = g + h
-        members.setdefault(g.residues, bits)
-    elems = [group.element(r) for r in sorted(members)]
-    index = {g.residues: i for i, g in enumerate(elems)}
-
-    def sigma_exp(g, h):
-        u, v = members[g.residues], members[h.residues]
-        total = 0
-        for a in range(len(basis)):
-            if not u[a]:
-                continue
-            for b in range(a + 1, len(basis)):
-                if v[b]:
-                    total += lam.exponent(basis[a], basis[b])
-        return total % n
-
-    labels = [_residue_label(g) for g in elems]
-    structure = {}
-    for i, g in enumerate(elems):
-        for j, h in enumerate(elems):
-            structure[(i, j)] = {
-                index[(g + h).residues]: scalars.cyclo(sigma_exp(g, h), n)}
-    alg = make_algebra(elems, structure, lam, labels,
-                       name=f"even_crossed_product{list(group.moduli)}")
-    alg._cp_index = index
-    return alg
+    """A crossed product over the even degrees of lam: one invertible
+    homogeneous basis vector t_h per even degree h, with
+    t_g t_h = tau(g, h) t_(g+h) for tau the inverse of an NS multiplier
+    sigma of lam.  lam^sigma is 1 on even degrees, so
+    tau(g, h) tau(h, g)^(-1) = lam(g, h): every grading with an NS
+    multiplier has one."""
+    return _crossed(ns_multiplier(lam).inverse(),
+                    f"even_crossed_product{list(lam.group.moduli)}", lam)
 
 
 def crossed_unit(alg, degree):
@@ -941,6 +886,20 @@ def crossed_unit(alg, degree):
     prod = t * alg.basis_element(tinv_idx)
     scale = prod.coeffs[alg.unit_index]
     return t, alg.basis_element(tinv_idx) / scale
+
+
+def adjoined_units(alg, degrees):
+    """A (x) C for C the even crossed product of A's commutation factor,
+    with the units 1 (x) t_d and their inverses for each even d in
+    degrees, as two dicts keyed by degree."""
+    cp = even_crossed_product(alg.lam)
+    big = graded_tensor(alg, cp)
+    ts, tinvs = {}, {}
+    for d in set(degrees):
+        t, tinv = crossed_unit(cp, d)
+        ts[d] = tensor_embed_right(big, t)
+        tinvs[d] = tensor_embed_right(big, tinv)
+    return big, ts, tinvs
 
 
 def transport(a, target):

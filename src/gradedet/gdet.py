@@ -23,14 +23,12 @@ instead of returning an arbitrary value.
 import itertools
 
 from .algebra import (INHOMOGENEOUS, AlgebraElement, _dot, _table_product,
-                      crossed_unit, even_crossed_product, graded_tensor,
-                      tensor_embed_left, tensor_embed_right,
-                      tensor_project_left, transport, unit_witness)
-from .errors import (InvalidOrdering, NoSolutionAtThisRootOrder,
-                     NotCrossedProduct, NotDegreeZero, OddEntries,
-                     TooLarge, UnsupportedGroup)
+                      adjoined_units, tensor_embed_left, tensor_project_left,
+                      transport, unit_witness)
+from .errors import (InvalidOrdering, NotCrossedProduct, NotDegreeZero,
+                     OddEntries, TooLarge, UnsupportedGroup)
 from .gmatrix import _require_endo, j_sigma, shift_degrees
-from .grading import enumerate_ns_multipliers, parity, solve_ns_multiplier
+from .grading import enumerate_ns_multipliers, ns_multiplier, parity
 
 # gdet0_leibniz sums n! terms: 40,320 at n = 8, ten times that at n = 9
 LEIBNIZ_MAX_N = 8
@@ -186,16 +184,6 @@ def det_of_commuting(entries, algebra):
 # ---------------------------------------------------------------------------
 # the sigma family and the fixed internal multiplier
 
-def ns_multiplier(lam):
-    """One multiplier whose twist is the super sign rule, retrying at a
-    doubled root order if the solver reports the current order cannot host
-    a solution."""
-    try:
-        return solve_ns_multiplier(lam)
-    except NoSolutionAtThisRootOrder:
-        return solve_ns_multiplier(lam.at_order(2 * lam.root_order))
-
-
 def all_ns_multipliers(lam):
     """The full solution set when enumerable (2-torsion groups), else the
     single solved multiplier."""
@@ -298,9 +286,9 @@ def gdet0_via_crossed(x):
     Units are taken from the algebra itself when every needed degree has
     one; a constant regrading (which changes no entry) is tried to move the
     degree vector onto unit degrees; otherwise the units are adjoined by
-    tensoring with a crossed product over the even subgroup and the result
-    is read off the t_0 component, which every determinant term lands in.
-    Raises NotCrossedProduct when no route exists.
+    tensoring with the even crossed product, and the result is read off
+    the t_0 component, which every determinant term lands in.  Raises
+    NotCrossedProduct when the degree vector mixes parities.
     """
     _require_endo(x, "gdet0_via_crossed")
     _require_degree_zero(x, "gdet0_via_crossed")
@@ -315,10 +303,6 @@ def gdet0_via_crossed(x):
         pairs = {d: unit_witness(alg, d) for d in set(shifted)}
         if all(p is not None for p in pairs.values()):
             return _conjugated_det(shift_degrees(x, shift), pairs)
-    try:
-        cp = even_crossed_product(alg.lam)
-    except UnsupportedGroup as exc:
-        raise NotCrossedProduct(str(exc)) from exc
     parities = {d: parity(alg.lam, d) for d in set(nu)}
     shift = zero
     if any(parities.values()):
@@ -328,17 +312,7 @@ def gdet0_via_crossed(x):
                 "invertible homogeneous elements to conjugate with")
         shift = -nu[0]
     shifted = [d + shift for d in nu]
-    big = graded_tensor(alg, cp)
-    ts = {}
-    tinvs = {}
-    for d in set(shifted):
-        try:
-            t, tinv = crossed_unit(cp, d)
-        except NotCrossedProduct as exc:
-            raise NotCrossedProduct(
-                f"no crossed-product unit of degree {d!r}") from exc
-        ts[d] = tensor_embed_right(big, t)
-        tinvs[d] = tensor_embed_right(big, tinv)
+    big, ts, tinvs = adjoined_units(alg, shifted)
     grid = []
     for i, row in enumerate(x.entries):
         ti = ts[shifted[i]]

@@ -270,13 +270,11 @@ def solve_ns_multiplier(lam):
     """A multiplier sigma with lambda^sigma equal to the super sign rule.
 
     Solves C - C^T = -B + (N/2) f f^T (mod N) greedily, where f is the
-    generator parity vector: C_ij = target_ij for i < j, C_ji = 0, zero
-    diagonal.  The target is skew with zero diagonal and inherits B's
-    torsion constraints, so the greedy choice is always well defined; the
-    repair pass below redistributes an entry across (i,j) and (j,i) if a
-    torsion constraint were ever violated, and failure raises
-    NoSolutionAtThisRootOrder (the caller may retry at a doubled root
-    order).
+    generator parity vector: C_ij = target_ij for i < j, zero elsewhere.
+    The target is skew with zero diagonal, and it inherits B's torsion
+    constraints (an odd generator has B_ii = N/2, so (N/2) m_i = 0 mod N),
+    so C is always a well-defined multiplier.  A result that fails the
+    final check raises NoSolutionAtThisRootOrder.
     """
     group = lam.group
     n = lam.root_order
@@ -287,34 +285,23 @@ def solve_ns_multiplier(lam):
             f"odd parities need -1 in the root-of-unity group, but the root "
             f"order is {n}; retry with root order {2 * n}")
     half = (n // 2) if n % 2 == 0 else 0
-    target = [[(-lam.exponents[i][j] + half * f[i] * f[j]) % n
-               for j in range(k)] for i in range(k)]
-    c = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            c[i][j] = target[i][j]
-
-    def torsion_ok(i, j, e):
-        return (e * group.moduli[i]) % n == 0 and (e * group.moduli[j]) % n == 0
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if torsion_ok(i, j, c[i][j]):
-                continue
-            for t in range(n):
-                u = (t - target[i][j]) % n
-                if torsion_ok(i, j, t) and torsion_ok(j, i, u):
-                    c[i][j], c[j][i] = t, u
-                    break
-            else:
-                raise NoSolutionAtThisRootOrder(
-                    f"no torsion-compatible split of the target at ({i},{j}) "
-                    f"at root order {n}")
+    c = [[(-lam.exponents[i][j] + half * f[i] * f[j]) % n if i < j else 0
+          for j in range(k)] for i in range(k)]
     sigma = Multiplier(group, n, c)
     if not is_ns_multiplier(lam, sigma):
         raise NoSolutionAtThisRootOrder(
             f"greedy solution fails verification at root order {n}")
     return sigma
+
+
+def ns_multiplier(lam):
+    """One multiplier whose twist is the super sign rule, retrying at a
+    doubled root order if the solver reports the current order cannot host
+    a solution."""
+    try:
+        return solve_ns_multiplier(lam)
+    except NoSolutionAtThisRootOrder:
+        return solve_ns_multiplier(lam.at_order(2 * lam.root_order))
 
 
 def enumerate_ns_multipliers(lam):

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import serialize
-from .algebra import (det_gauss, even_crossed_product, crossed_unit,
-                      graded_tensor, invert_element, make_algebra, preset,
-                      tensor_embed_left, tensor_embed_right,
+from .algebra import (adjoined_units, det_gauss, graded_tensor,
+                      invert_element, make_algebra, preset, tensor_embed_left,
                       tensor_project_left, transport, twist, unit_degrees)
 from .berezinian import ber_super_components, gber, gber0, \
     gber_via_ber_super, udl
@@ -206,13 +205,7 @@ def gdet_via_row_decomposition(x, sigma):
     lam = alg.lam
     nu = x.col_degrees
     n = x.nrows
-    cp = even_crossed_product(lam)
-    big = graded_tensor(alg, cp)
-    ts, tinvs = {}, {}
-    for d in set(nu):
-        t, tinv = crossed_unit(cp, d)
-        ts[d] = tensor_embed_right(big, t)
-        tinvs[d] = tensor_embed_right(big, tinv)
+    big, ts, tinvs = adjoined_units(alg, nu)
     row_parts = []
     for i in range(n):
         parts = {}

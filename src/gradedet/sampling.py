@@ -17,6 +17,14 @@ from .gmatrix import (GradedMatrix, block_matrix, identity, invert_matrix,
                       matmul, zero_matrix)
 from .grading import parity
 
+# rejection-sampling attempts before the constructive fallbacks
+INVERTIBLE_ATTEMPTS = 5
+PARITY_BLOCKS_ATTEMPTS = 4
+# the share of basis coefficients drawn in a random component, and in an
+# off-diagonal entry of a unitriangular fallback factor
+DENSITY = 0.75
+TRIANGULAR_DENSITY = 0.5
+
 
 def make_rng(seed=0):
     return random.Random(seed)
@@ -31,7 +39,7 @@ def rand_fraction(rng, nonzero=False):
         return Fraction(num, den)
 
 
-def rand_component(rng, algebra, degree, density=0.75, nonzero=False):
+def rand_component(rng, algebra, degree, density=DENSITY, nonzero=False):
     """A random element of the homogeneous component A^degree; the zero
     element when the component is empty (regardless of nonzero)."""
     idxs = algebra.component_indices(degree)
@@ -84,35 +92,36 @@ def rand_parity_sorted_degrees(rng, algebra, r0, r1):
             + tuple(rng.choice(odds) for _ in range(r1)))
 
 
-def rand_matrix(rng, algebra, nu, degree=None, mu=None, density=0.75):
+def rand_matrix(rng, algebra, nu, degree=None, mu=None):
     """A random homogeneous matrix of the given degree (default 0) with row
     degrees mu (default nu) and column degrees nu."""
     mu = nu if mu is None else mu
     x = algebra.group.zero() if degree is None else degree
-    grid = [[rand_component(rng, algebra, x - mi + nj, density)
+    grid = [[rand_component(rng, algebra, x - mi + nj)
              for nj in nu] for mi in mu]
     return GradedMatrix(algebra, mu, nu, grid)
 
 
-def _unitriangular(rng, algebra, nu, upper, density=0.5):
+def _unitriangular(rng, algebra, nu, upper):
     n = len(nu)
     grid = [[algebra.one() if i == j else algebra.zero() for j in range(n)]
             for i in range(n)]
     for i in range(n):
         rng_cols = range(i + 1, n) if upper else range(i)
         for j in rng_cols:
-            grid[i][j] = rand_component(rng, algebra, nu[j] - nu[i], density)
+            grid[i][j] = rand_component(rng, algebra, nu[j] - nu[i],
+                                        TRIANGULAR_DENSITY)
     return GradedMatrix(algebra, nu, nu, grid)
 
 
-def rand_invertible(rng, algebra, nu, degree=None, attempts=5, density=0.75):
+def rand_invertible(rng, algebra, nu, degree=None):
     """A random invertible homogeneous matrix of the given degree (default
     0).  Rejection sampling first; if every attempt is singular, build
     (I+U) D (I+L) with strictly triangular U, L and an invertible diagonal,
     which needs a unit of the requested degree in A."""
     x = algebra.group.zero() if degree is None else degree
-    for _ in range(attempts):
-        cand = rand_matrix(rng, algebra, nu, x, density=density)
+    for _ in range(INVERTIBLE_ATTEMPTS):
+        cand = rand_matrix(rng, algebra, nu, x)
         try:
             invert_matrix(cand)
             return cand
@@ -132,15 +141,14 @@ def rand_invertible(rng, algebra, nu, degree=None, attempts=5, density=0.75):
     return matmul(matmul(u, d), lo)
 
 
-def rand_invertible_parity_blocks(rng, algebra, nu, r1, degree=None,
-                                  attempts=4):
+def rand_invertible_parity_blocks(rng, algebra, nu, r1, degree=None):
     """A random invertible homogeneous even-degree matrix over parity-sorted
     nu whose odd-odd block is invertible too (the shape the Berezinian
     needs).  Fallback: block-unitriangular times block-diagonal."""
     x = algebra.group.zero() if degree is None else degree
     n = len(nu)
     r0 = n - r1
-    for _ in range(attempts):
+    for _ in range(PARITY_BLOCKS_ATTEMPTS):
         cand = rand_matrix(rng, algebra, nu, x)
         try:
             invert_matrix(cand)

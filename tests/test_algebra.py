@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from gradedet.algebra import (INHOMOGENEOUS, _table_product, crossed_unit,
-                              det_gauss, even_crossed_product, graded_tensor,
+from gradedet.algebra import (INHOMOGENEOUS, _table_product,
+                              _validate_algebra, crossed_unit, det_gauss, even_crossed_product, graded_tensor,
                               invert_element, left_regular_matrix,
                               make_algebra, preset, tensor_embed_left,
                               tensor_embed_right, tensor_factors,
@@ -18,7 +18,7 @@ from gradedet.errors import (DegreeViolation, InvalidParams, MixedAlgebras,
                              NoUnit, NotAssociative, NotInvertible,
                              NotLambdaCommutative)
 from gradedet.gdet import canonical_sigma
-from gradedet.grading import (GradingGroup, Multiplier, parity,
+from gradedet.grading import (Bicharacter, GradingGroup, Multiplier, parity,
                               solve_ns_multiplier, trivial_multiplier)
 from gradedet.oracles import printed_quaternion_multipliers
 from gradedet.scalars import MINUS_ONE, ONE, ZERO, CycloScalar, cyclo, rational
@@ -166,6 +166,9 @@ def test_unit_degrees_and_witnesses():
 def test_graded_tensor_product_rule():
     t = graded_tensor(Q, Q)
     assert t.dim == 16
+    # the tensor product is built unvalidated; validate this instance
+    assert _validate_algebra(t.group, t.lam, t.labels, t.degrees, t.table,
+                             t.name) == t.unit_index
     a, b = tensor_factors(t)
     assert a is Q and b is Q
     lhs = tensor_embed_right(t, I) * tensor_embed_left(t, J)
@@ -182,17 +185,28 @@ def test_graded_tensor_product_rule():
 
 
 def test_even_crossed_product():
-    for alg in (Q, preset("clifford", 1, 1), preset("dual_numbers", 2)):
-        cp = even_crossed_product(alg.lam)
+    z4_odd = Bicharacter(GradingGroup([4]), 2, [[1]])
+    lams = [preset(name, *params).lam for name, params in (
+        ("quaternions", ()), ("clifford", (1, 1)), ("dual_numbers", (2,)),
+        ("clock_shift", (3,)))]
+    for lam in lams + [z4_odd]:
+        cp = even_crossed_product(lam)
+        assert cp.lam == lam
         realized = {cp.basis_element(s).degree_of() for s in cp.labels}
-        assert all(parity(alg.lam, d) == 0 for d in realized)
+        assert all(parity(lam, d) == 0 for d in realized)
         # one invertible homogeneous unit per even degree
-        evens = {x for x in alg.group.elements() if not parity(alg.lam, x)}
+        evens = {x for x in lam.group.elements() if not parity(lam, x)}
         assert realized == evens
         for d in realized:
             t, tinv = crossed_unit(cp, d)
             assert t.degree_of() == d
             assert t * tinv == cp.one()
+    # with no odd degree the cocycle is the upper triangle of lam
+    for lam in (lams[0], lams[3]):
+        upper = Multiplier(lam.group, lam.root_order,
+                           [[0, lam.exponents[0][1]], [0, 0]])
+        assert even_crossed_product(lam).table == \
+            preset("crossed_product", lam.group, upper).table
 
 
 def test_twist_validates_and_commutes():

@@ -9,7 +9,7 @@ from gradedet.berezinian import (ber_super, ber_super_components, gber,
                                  gber0, gber_via_ber_super, parity_blocks,
                                  udl)
 from gradedet.errors import (InvalidParams, NotParitySorted, OddDegree,
-                             SingularOddBlock)
+                             Singular, SingularOddBlock)
 from gradedet.gdet import all_ns_multipliers, gdet0
 from gradedet.gmatrix import GradedMatrix, identity, matmul
 from gradedet.sampling import (make_rng, rand_invertible,
@@ -88,6 +88,15 @@ def test_gber_singular_odd_block():
     for sigma in all_ns_multipliers(DN.lam):
         with pytest.raises(SingularOddBlock):
             gber_via_ber_super(m, sigma)
+
+
+def test_gber_singular_schur_complement():
+    # X11 = 1 is invertible, the Schur complement is 0
+    m = GradedMatrix(DN, NU, NU, [[DN.zero(), DN.zero()],
+                                  [DN.zero(), DN.one()]])
+    with pytest.raises(Singular) as info:
+        gber0(m)
+    assert type(info.value) is Singular
 
 
 def test_gber_morphism():

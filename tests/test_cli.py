@@ -149,6 +149,14 @@ def test_mathematical_exit_code(capsys, tmp_path):
     assert code == 4
     assert doc["error"] == "SingularOddBlock"
     assert VerificationFailure("x").exit_code == 5
+    # an invertible X11 with a zero Schur complement
+    m = GradedMatrix(dn, nu, nu, [[dn.zero(), dn.zero()],
+                                  [dn.zero(), dn.one()]])
+    p.write_text(json.dumps(format_matrix(m)))
+    code, doc = run(capsys, "gber", "--algebra", "preset:dual_numbers:2",
+                    "--matrix", str(p))
+    assert code == 4
+    assert doc["error"] == "Singular"
 
 
 def test_twist_round_trip(capsys):

@@ -2,17 +2,17 @@
 
 import pytest
 
-from gradedet.algebra import preset
+from gradedet.algebra import make_algebra, preset
 from gradedet.errors import (InvalidOrdering, NotDegreeZero, NotSquare,
                              OddEntries)
 from gradedet.gdet import (all_ns_multipliers, canonical_ordering,
                            canonical_sigma, det_of_commuting, gdet0,
                            gdet0_leibniz, gdet0_via_crossed, gdet_sigma,
-                           is_valid_ordering, ns_multiplier,
-                           permutation_cycles, permutation_sign,
-                           random_ordering)
+                           is_valid_ordering, permutation_cycles,
+                           permutation_sign, random_ordering)
 from gradedet.gmatrix import GradedMatrix, diagonal, identity, matmul
-from gradedet.grading import is_ns_multiplier
+from gradedet.grading import (Bicharacter, GradingGroup, is_ns_multiplier,
+                              ns_multiplier)
 from gradedet.sampling import make_rng, rand_matrix
 from gradedet.scalars import rational
 
@@ -160,6 +160,18 @@ def test_crossed_route_without_homogeneous_units():
     assert x.degree_of() == zero
     assert gdet0_via_crossed(x) == gdet0(x)
     assert gdet0(x) == dn.one() * 2
+
+
+def test_crossed_route_over_z4_with_odd_generator():
+    # span{1, x} with deg x = 1 odd in Z4: degree 2 has no element, so the
+    # route adjoins t_2 from the even crossed product over {0, 2}
+    lam = Bicharacter(GradingGroup([4]), 2, [[1]])
+    alg = make_algebra([[0], [1]], {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                    (1, 0): {1: 1}}, lam, ("1", "x"))
+    nu = [lam.group.zero(), lam.group.element([2])]
+    x = diagonal(alg, nu, [alg.one() * 3, alg.one() * 5])
+    assert gdet0(x) == alg.one() * 15
+    assert gdet0_via_crossed(x) == gdet0(x)
 
 
 def test_det_of_commuting_small():

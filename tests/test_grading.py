@@ -1,7 +1,9 @@
 """Grading groups, commutation factors, parity, and multiplier solving."""
 
+from math import gcd, prod
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gradedet.algebra import preset
 from gradedet.errors import InvalidParams
@@ -100,6 +102,37 @@ def test_solve_ns_multiplier():
         lam = preset(name, *params).lam
         sigma = solve_ns_multiplier(lam)
         assert is_ns_multiplier(lam, sigma)
+
+
+@st.composite
+def commutation_factors(draw):
+    """lambda with exponent matrix B at root order N: B_ji = -B_ij, B_ii
+    in {0, N/2}, each entry a multiple of N / gcd(N, m_i, m_j) so that it
+    is well defined on the moduli."""
+    # the checks below are exhaustive over pairs, so keep |Gamma| <= 64
+    moduli = draw(st.lists(st.sampled_from((1, 2, 3, 4, 6, 8)),
+                           min_size=1, max_size=3).filter(
+                               lambda ms: prod(ms) <= 64))
+    n = draw(st.sampled_from((2, 4, 6, 8, 12)))
+    k = len(moduli)
+    b = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            step = n // gcd(n, moduli[i], moduli[j])
+            if i == j:
+                b[i][i] = (draw(st.sampled_from((0, n // 2)))
+                           if (n // 2) % step == 0 else 0)
+            else:
+                b[i][j] = step * draw(st.integers(0, n // step - 1))
+                b[j][i] = -b[i][j]
+    return Bicharacter(GradingGroup(moduli), n, b)
+
+
+@settings(deadline=None)
+@given(commutation_factors())
+def test_solver_needs_no_retry(lam):
+    assert is_commutation_factor(lam)
+    assert is_ns_multiplier(lam, solve_ns_multiplier(lam))
 
 
 def test_enumerate_counts():

@@ -11,8 +11,9 @@ from gradedet.oracles import (SUITES, SweepReport, complex_embedding,
                               dieudonne_norm_check, gdet_via_row_decomposition,
                               leibniz_det_commutative,
                               printed_quaternion_multipliers, quaternion_norm,
-                              run_property_sweeps, sweep_grading,
-                              sweep_matrix_identities, trace_via_twist)
+                              run_property_sweeps, sweep_crossed_route,
+                              sweep_grading, sweep_matrix_identities,
+                              sweep_row_decomposition, trace_via_twist)
 from gradedet.sampling import make_rng, rand_matrix
 from gradedet.scalars import cyclo, rational
 
@@ -60,6 +61,13 @@ def test_sweeps_outside_acceptance(sweep, instances):
     report = sweep(seed=0)
     assert report.instances == instances
     assert report.ok, report.failures[:3]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_crossed_product_sweeps_at_more_seeds(seed):
+    for sweep in (sweep_crossed_route, sweep_row_decomposition):
+        report = sweep(seed=seed)
+        assert report.ok, report.failures[:3]
 
 
 def test_trace_via_twist_matches():
