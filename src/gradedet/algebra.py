@@ -20,7 +20,7 @@ from .errors import (DegreeViolation, IncompatibleGroups, InvalidParams,
                      MixedAlgebras, NoUnit, NotAssociative, NotCrossedProduct,
                      NotInvertible, NotLambdaCommutative)
 from .grading import (Bicharacter, GradingGroup, Multiplier, lambda_twist,
-                      ns_multiplier, parity, trivial_multiplier)
+                      parity, solve_ns_multiplier, trivial_multiplier)
 from .scalars import MINUS_ONE, ONE, ZERO, as_scalar
 
 
@@ -296,16 +296,11 @@ def _cell_constant(c):
 
 
 def _normalize_structure(structure, dim):
-    """Accepts {(i,j): {k: c}} / {(i,j): [(k, c), ...]} or a dense nested
-    list c[i][j][k]; returns the sparse tuple-of-tuples table."""
+    """Accepts {(i,j): {k: c}} or {(i,j): [(k, c), ...]}; returns the
+    sparse tuple-of-tuples table."""
     table = [[() for _ in range(dim)] for _ in range(dim)]
-    if isinstance(structure, dict):
-        cells = {ij: cell.items() if isinstance(cell, dict) else cell
-                 for ij, cell in structure.items()}
-    else:
-        cells = {(i, j): enumerate(cell) for i, plane in enumerate(structure)
-                 for j, cell in enumerate(plane)}
-    for (i, j), items in cells.items():
+    for (i, j), cell in structure.items():
+        items = cell.items() if isinstance(cell, dict) else cell
         constants = [(int(k), as_scalar(c)) for k, c in items]
         table[i][j] = tuple((k, _cell_constant(c)) for k, c in constants
                             if c)
@@ -870,7 +865,7 @@ def even_crossed_product(lam):
     sigma of lam.  lam^sigma is 1 on even degrees, so
     tau(g, h) tau(h, g)^(-1) = lam(g, h): every grading with an NS
     multiplier has one."""
-    return _crossed(ns_multiplier(lam).inverse(),
+    return _crossed(solve_ns_multiplier(lam).inverse(),
                     f"even_crossed_product{list(lam.group.moduli)}", lam)
 
 

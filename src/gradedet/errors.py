@@ -55,10 +55,6 @@ class NoSolutionAtThisRootOrder(MathematicalError):
     pass
 
 
-class UnsupportedGroup(GradedetError):
-    pass
-
-
 class InvalidParams(GradedetError):
     pass
 

@@ -26,9 +26,9 @@ from .algebra import (INHOMOGENEOUS, AlgebraElement, _dot, _table_product,
                       adjoined_units, tensor_embed_left, tensor_project_left,
                       transport, unit_witness)
 from .errors import (InvalidOrdering, NotCrossedProduct, NotDegreeZero,
-                     OddEntries, TooLarge, UnsupportedGroup)
+                     OddEntries, TooLarge)
 from .gmatrix import _require_endo, j_sigma, shift_degrees
-from .grading import enumerate_ns_multipliers, ns_multiplier, parity
+from .grading import Multiplier, parity, solve_ns_multiplier
 
 # gdet0_leibniz sums n! terms: 40,320 at n = 8, ten times that at n = 9
 LEIBNIZ_MAX_N = 8
@@ -184,21 +184,45 @@ def det_of_commuting(entries, algebra):
 # ---------------------------------------------------------------------------
 # the sigma family and the fixed internal multiplier
 
+def _ns_family(lam):
+    """The first element of all_ns_multipliers(lam) and the exponent
+    positions it toggles: the upper triangle over the Z_2 factors when the
+    family is enumerated, none otherwise."""
+    base = solve_ns_multiplier(lam)
+    moduli = lam.group.moduli
+    if lam.root_order > 2 or any(m > 2 for m in moduli):
+        return base, []
+    k = len(moduli)
+    return base.at_order(2), [(i, j) for i in range(k) for j in range(i, k)
+                              if moduli[i] == moduli[j] == 2]
+
+
 def all_ns_multipliers(lam):
-    """The full solution set when enumerable (2-torsion groups), else the
-    single solved multiplier."""
-    try:
-        return enumerate_ns_multipliers(lam)
-    except UnsupportedGroup:
-        return [ns_multiplier(lam)]
+    """Every NS multiplier of lam at root order 2 when the group is
+    2-torsion and lam's root order is 1 or 2: the solver's output times
+    each symmetric 0/1 exponent matrix, toggled in row-major upper-triangle
+    order with the last position varying fastest, so the first element is
+    the solver's output.  Elsewhere the single solved multiplier, at lam's
+    root order."""
+    base, free = _ns_family(lam)
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(free)):
+        exps = [list(row) for row in base.exponents]
+        for (i, j), bit in zip(free, bits):
+            if bit:
+                exps[i][j] += 1
+                if i != j:
+                    exps[j][i] += 1
+        out.append(Multiplier(lam.group, base.root_order, exps))
+    return out
 
 
 def canonical_sigma(algebra):
-    """The fixed internal multiplier: the first enumerated solution (or the
-    solver's output when enumeration is unsupported).  No result of gdet0
-    depends on this choice; the test suite sweeps the alternatives."""
+    """The fixed internal multiplier: all_ns_multipliers(algebra.lam)[0],
+    computed without enumerating the family.  No result of gdet0 depends
+    on this choice; the test suite sweeps the alternatives."""
     if algebra._canonical_sigma is None:
-        algebra._canonical_sigma = all_ns_multipliers(algebra.lam)[0]
+        algebra._canonical_sigma = _ns_family(algebra.lam)[0]
     return algebra._canonical_sigma
 
 

@@ -242,7 +242,9 @@ def j_sigma(x, sigma):
     for nui, row in zip(nu, x.entries):
         out = []
         for nuj, e in zip(nu, row):
-            factors = {}    # basis degree g -> factor, as cyclo is uncached
+            # basis degree g -> factor: saves two sigma.exponent calls
+            # per coefficient
+            factors = {}
             coeffs = {}
             for k, c in e.coeffs.items():
                 g = degrees[k]

@@ -1,11 +1,12 @@
 """Finite abelian grading groups, commutation factors, parity splitting,
-multipliers, and the solver/enumerator for supercommutativity-inducing
-multipliers.
+multipliers, and the solver for supercommutativity-inducing multipliers.
 
 A grading group is a product of cyclic groups Z_m1 x ... x Z_mk.  All
 bicharacters and multipliers are represented by a single k x k exponent
 matrix B over Z_N, encoding f(x, y) = zeta_N^(x^T B y).  This covers every
 root-of-unity-valued factor; general field-valued factors are out of scope.
+Two such maps agree on all of Gamma x Gamma exactly when they agree on the
+k^2 generator pairs, so every check here compares exponent matrices.
 """
 
 import itertools
@@ -13,7 +14,7 @@ from math import gcd, lcm, prod
 
 from .errors import (IncompatibleGroups, IncompatibleRootOrders,
                      InvalidCommutationFactor, InvalidParams,
-                     NoSolutionAtThisRootOrder, UnsupportedGroup)
+                     NoSolutionAtThisRootOrder)
 from .scalars import cyclo
 
 
@@ -165,9 +166,7 @@ class Bicharacter:
             return NotImplemented
         if self.group != other.group:
             return False
-        n = lcm(self.root_order, other.root_order)
-        a = [[e * (n // self.root_order) for e in row] for row in self.exponents]
-        b = [[e * (n // other.root_order) for e in row] for row in other.exponents]
+        _, a, b = _common_order(self, other)
         return a == b
 
     def __hash__(self):
@@ -193,22 +192,17 @@ def trivial_multiplier(group):
 
 
 def _common_order(f, g):
+    """The least common root order and both exponent matrices at it."""
     n = lcm(f.root_order, g.root_order)
-    a = [[e * (n // f.root_order) for e in row] for row in f.exponents]
-    b = [[e * (n // g.root_order) for e in row] for row in g.exponents]
-    return n, a, b
+    return n, f.at_order(n).exponents, g.at_order(n).exponents
 
 
 def is_commutation_factor(f):
-    """Exhaustive skew check f(x,y) f(y,x) = 1 on Gamma x Gamma; biadditivity
-    holds by representation."""
-    n = f.root_order
-    elems = list(f.group.elements())
-    for x in elems:
-        for y in elems:
-            if (f.exponent(x, y) + f.exponent(y, x)) % n:
-                return False
-    return True
+    """The skew law f(x,y) f(y,x) = 1, decided on the generator pairs as
+    B + B^T = 0 (mod N); biadditivity holds by representation."""
+    b, n, k = f.exponents, f.root_order, f.group.rank
+    return all((b[i][j] + b[j][i]) % n == 0
+               for i in range(k) for j in range(k))
 
 
 def parity(lam, x):
@@ -247,95 +241,37 @@ def lambda_twist(lam, sigma):
 
 def is_ns_multiplier(lam, sigma):
     """True iff the twisted factor is the super sign rule through parity:
-    lambda^sigma(x,y) = (-1)^(parity(x) parity(y)) for all x, y."""
+    lambda^sigma(x,y) = (-1)^(parity(x) parity(y)) for all x, y.  Both
+    sides are biadditive, so this compares the exponent matrix of
+    lambda^sigma with (N/2) f f^T, f the generator parities."""
     if lam.group != sigma.group:
         return False
+    f = generator_parities(lam)
     tw = lambda_twist(lam, sigma)
-    n = tw.root_order
-    elems = list(lam.group.elements())
-    parities = {x.residues: parity(lam, x) for x in elems}
-    for x in elems:
-        for y in elems:
-            want = 0
-            if parities[x.residues] and parities[y.residues]:
-                if n % 2:
-                    return False
-                want = n // 2
-            if tw.exponent(x, y) != want:
-                return False
-    return True
+    half, k = tw.root_order // 2, lam.group.rank
+    return all(tw.exponents[i][j] == half * f[i] * f[j]
+               for i in range(k) for j in range(k))
 
 
 def solve_ns_multiplier(lam):
-    """A multiplier sigma with lambda^sigma equal to the super sign rule.
+    """A multiplier sigma at lam's root order with lambda^sigma equal to
+    the super sign rule.
 
     Solves C - C^T = -B + (N/2) f f^T (mod N) greedily, where f is the
     generator parity vector: C_ij = target_ij for i < j, zero elsewhere.
-    The target is skew with zero diagonal, and it inherits B's torsion
-    constraints (an odd generator has B_ii = N/2, so (N/2) m_i = 0 mod N),
-    so C is always a well-defined multiplier.  A result that fails the
-    final check raises NoSolutionAtThisRootOrder.
+    An odd generator has B_ii = N/2 (generator_parities raises otherwise,
+    at odd N included), so the target is skew with zero diagonal and
+    inherits B's torsion constraints ((N/2) m_i = 0 mod N): C is always a
+    well-defined multiplier, and it passes the final check exactly when
+    lam is skew.  A non-skew lam raises NoSolutionAtThisRootOrder.
     """
-    group = lam.group
     n = lam.root_order
-    k = group.rank
+    k = lam.group.rank
     f = generator_parities(lam)
-    if n % 2 and any(f):
-        raise NoSolutionAtThisRootOrder(
-            f"odd parities need -1 in the root-of-unity group, but the root "
-            f"order is {n}; retry with root order {2 * n}")
-    half = (n // 2) if n % 2 == 0 else 0
-    c = [[(-lam.exponents[i][j] + half * f[i] * f[j]) % n if i < j else 0
+    c = [[(-lam.exponents[i][j] + n // 2 * f[i] * f[j]) % n if i < j else 0
           for j in range(k)] for i in range(k)]
-    sigma = Multiplier(group, n, c)
+    sigma = Multiplier(lam.group, n, c)
     if not is_ns_multiplier(lam, sigma):
         raise NoSolutionAtThisRootOrder(
             f"greedy solution fails verification at root order {n}")
     return sigma
-
-
-def ns_multiplier(lam):
-    """One multiplier whose twist is the super sign rule, retrying at a
-    doubled root order if the solver reports the current order cannot host
-    a solution."""
-    try:
-        return solve_ns_multiplier(lam)
-    except NoSolutionAtThisRootOrder:
-        return solve_ns_multiplier(lam.at_order(2 * lam.root_order))
-
-
-def enumerate_ns_multipliers(lam):
-    """The full set of solutions, as the coset of the solved multiplier by
-    all symmetric biadditive maps.
-
-    Only supported over 2-torsion groups (all moduli <= 2) at root order 2,
-    where the symmetric maps are enumerable as symmetric 0/1 exponent
-    matrices.  The first element is the solver's output; the rest follow by
-    toggling the free upper-triangle positions (row-major order, last
-    position varying fastest).
-    """
-    group = lam.group
-    if any(m > 2 for m in group.moduli):
-        raise UnsupportedGroup(
-            f"enumeration needs 2-torsion moduli, got {group.moduli}; "
-            "use solve_ns_multiplier instead")
-    if lam.root_order not in (1, 2):
-        raise UnsupportedGroup(
-            f"enumeration needs root order 2, got {lam.root_order}")
-    base = solve_ns_multiplier(lam)
-    if base.root_order == 1:
-        base = Multiplier(group, 2, [[e * 2 for e in row]
-                                     for row in base.exponents])
-    k = group.rank
-    free = [(i, j) for i in range(k) for j in range(i, k)
-            if group.moduli[i] == 2 and group.moduli[j] == 2]
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(free)):
-        exps = [list(row) for row in base.exponents]
-        for (i, j), bit in zip(free, bits):
-            if bit:
-                exps[i][j] = (exps[i][j] + 1) % 2
-                if i != j:
-                    exps[j][i] = (exps[j][i] + 1) % 2
-        out.append(Multiplier(group, 2, exps))
-    return out

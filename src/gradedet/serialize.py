@@ -11,7 +11,7 @@ import hashlib
 import json
 from math import lcm
 
-from .algebra import make_algebra, preset
+from .algebra import INHOMOGENEOUS, make_algebra, preset
 from .errors import InvalidCommutationFactor, InvalidParams, ParseError
 from .gmatrix import GradedMatrix
 from .grading import (Bicharacter, GradingGroup, Multiplier,
@@ -124,8 +124,7 @@ def result_doc(e, inputs):
     """CLI output document for an element result."""
     order = _scalar_orders([e])
     deg = e.degree_of()
-    degree = "inhomogeneous" if deg is None or not hasattr(deg, "residues") \
-        else list(deg.residues)
+    degree = "inhomogeneous" if deg is INHOMOGENEOUS else list(deg.residues)
     return {"format": FORMAT, "root_order": order,
             "result": format_element(e, order), "degree": degree,
             "inputs": inputs}

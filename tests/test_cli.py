@@ -4,15 +4,16 @@ import json
 
 import pytest
 
-from gradedet.algebra import preset, twist
+from gradedet.algebra import make_algebra, preset, twist
 from gradedet.cli import main
 from gradedet.errors import VerificationFailure
-from gradedet.gdet import canonical_sigma
+from gradedet.gdet import all_ns_multipliers, canonical_sigma
 from gradedet.gmatrix import GradedMatrix, identity
+from gradedet.grading import Bicharacter, GradingGroup
 from gradedet.serialize import (digest_algebra, digest_matrix,
                                 digest_multiplier, format_algebra,
                                 format_matrix, format_multiplier,
-                                parse_algebra)
+                                parse_algebra, parse_preset)
 
 Q = preset("quaternions")
 J = Q.basis_element("j")
@@ -203,3 +204,59 @@ def test_algebra_from_file(capsys, tmp_path, xfile):
                     "--matrix", xfile)
     assert code == 0
     assert doc["result"] == [{"b": "1", "c": "2"}]
+
+
+def test_large_grading_group_is_never_enumerated(capsys, tmp_path,
+                                                monkeypatch):
+    # a one-dimensional algebra over Z_200 x Z_200 (|Gamma| = 40,000): every
+    # grading check must stay on the 2 x 2 exponent matrices
+    group = GradingGroup([200, 200])
+    lam = Bicharacter(group, 200, [[0, 1], [-1, 0]])
+    line = make_algebra([group.zero()], {(0, 0): {0: 1}}, lam,
+                        labels=("1",), name="line")
+    nu = [group.element([3, 5])]
+    x = GradedMatrix(line, nu, nu, [[line.from_scalar(5)]])
+    ap, xp = tmp_path / "alg.json", tmp_path / "x.json"
+    ap.write_text(json.dumps(format_algebra(line)))
+    xp.write_text(json.dumps(format_matrix(x)))
+
+    def refuse(self):
+        raise AssertionError(f"enumerated all of {self!r}")
+
+    monkeypatch.setattr(GradingGroup, "elements", refuse)
+    for argv in (("gdet0", "--matrix", str(xp)),
+                 ("trace", "--matrix", str(xp)),
+                 ("gdet", "--matrix", str(xp)),
+                 ("gber", "--matrix", str(xp)),
+                 ("twist",),
+                 ("solve-sigma",)):
+        code, doc = run(capsys, *argv, "--algebra", str(ap))
+        assert code == 0, (argv, doc)
+    assert doc["multiplier"] == {"format": 1, "moduli": [200, 200],
+                                 "root_order": 200,
+                                 "exponents": [[0, 199], [0, 0]]}
+
+
+@pytest.mark.parametrize("name, order, exponents, count", [
+    # lambda is trivial, at root order 1, yet the family lives at order 2
+    ("group_algebra:2,2", 2, [[0, 0], [0, 0]], 8),
+    ("clock_shift:3", 3, [[0, 1], [0, 0]], 1),
+])
+def test_solve_sigma_root_orders(capsys, name, order, exponents, count):
+    code, doc = run(capsys, "solve-sigma", "--algebra", f"preset:{name}")
+    assert code == 0
+    assert doc["multiplier"]["root_order"] == order
+    assert doc["multiplier"]["exponents"] == exponents
+    assert len(doc["all"]) == count
+
+
+@pytest.mark.parametrize("name", [
+    "quaternions", "clifford:1,1", "clifford:2,1", "dual_numbers:2",
+    "grassmann:3", "group_algebra:2,2", "group_algebra:3", "clock_shift:3",
+    "crossed_product:2,2"])
+def test_canonical_sigma_heads_the_family(name):
+    alg = parse_preset(f"preset:{name}")
+    first = all_ns_multipliers(alg.lam)[0]
+    sigma = canonical_sigma(alg)
+    assert (sigma.root_order, sigma.exponents) == \
+        (first.root_order, first.exponents)

@@ -12,7 +12,7 @@ from gradedet.gdet import (all_ns_multipliers, canonical_ordering,
                            permutation_sign, random_ordering)
 from gradedet.gmatrix import GradedMatrix, diagonal, identity, matmul
 from gradedet.grading import (Bicharacter, GradingGroup, is_ns_multiplier,
-                              ns_multiplier)
+                              solve_ns_multiplier)
 from gradedet.sampling import make_rng, rand_matrix
 from gradedet.scalars import rational
 
@@ -97,7 +97,7 @@ def test_gdet_sigma_rejects_odd():
     zero = dn.group.zero()
     m = GradedMatrix(dn, [zero], [zero], [[dn.basis_element("eps1")]])
     with pytest.raises(OddEntries):
-        gdet_sigma(m, ns_multiplier(dn.lam))
+        gdet_sigma(m, solve_ns_multiplier(dn.lam))
 
 
 def test_multiplicative_and_diagonal():
@@ -185,7 +185,7 @@ def test_det_of_commuting_small():
 
 
 def test_sigma_family():
-    assert is_ns_multiplier(Q.lam, ns_multiplier(Q.lam))
+    assert is_ns_multiplier(Q.lam, solve_ns_multiplier(Q.lam))
     assert canonical_sigma(Q) is canonical_sigma(Q)
     for sigma in all_ns_multipliers(Q.lam):
         assert is_ns_multiplier(Q.lam, sigma)

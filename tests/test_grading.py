@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedet.algebra import preset
-from gradedet.errors import InvalidParams
+from gradedet.errors import InvalidCommutationFactor, InvalidParams
+from gradedet.gdet import all_ns_multipliers
 from gradedet.grading import (Bicharacter, GradingGroup, Multiplier,
-                              enumerate_ns_multipliers, generator_parities,
+                              generator_parities,
                               is_commutation_factor, is_ns_multiplier,
                               lambda_twist, parity, solve_ns_multiplier,
                               trivial_multiplier)
@@ -104,28 +105,58 @@ def test_solve_ns_multiplier():
         assert is_ns_multiplier(lam, sigma)
 
 
+def _steps(moduli, n):
+    """An exponent at (i, j) is well defined on the moduli at root order n
+    exactly when it is a multiple of n / gcd(n, m_i, m_j)."""
+    return [[n // gcd(n, a, b) for b in moduli] for a in moduli]
+
+
+def _moduli(max_order=None):
+    lists = st.lists(st.sampled_from((1, 2, 3, 4, 6, 8)),
+                     min_size=1, max_size=3)
+    if max_order is None:
+        return lists
+    return lists.filter(lambda ms: prod(ms) <= max_order)
+
+
 @st.composite
-def commutation_factors(draw):
+def commutation_factors(draw, max_order=None):
     """lambda with exponent matrix B at root order N: B_ji = -B_ij, B_ii
-    in {0, N/2}, each entry a multiple of N / gcd(N, m_i, m_j) so that it
-    is well defined on the moduli."""
-    # the checks below are exhaustive over pairs, so keep |Gamma| <= 64
-    moduli = draw(st.lists(st.sampled_from((1, 2, 3, 4, 6, 8)),
-                           min_size=1, max_size=3).filter(
-                               lambda ms: prod(ms) <= 64))
+    in {0, N/2}, each entry well defined on the moduli."""
+    moduli = draw(_moduli(max_order))
     n = draw(st.sampled_from((2, 4, 6, 8, 12)))
     k = len(moduli)
+    step = _steps(moduli, n)
     b = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            step = n // gcd(n, moduli[i], moduli[j])
             if i == j:
                 b[i][i] = (draw(st.sampled_from((0, n // 2)))
-                           if (n // 2) % step == 0 else 0)
+                           if (n // 2) % step[i][i] == 0 else 0)
             else:
-                b[i][j] = step * draw(st.integers(0, n // step - 1))
+                b[i][j] = step[i][j] * draw(
+                    st.integers(0, n // step[i][j] - 1))
                 b[j][i] = -b[i][j]
     return Bicharacter(GradingGroup(moduli), n, b)
+
+
+def _exponent_map(draw, cls, group, n, symmetric=False):
+    """A random well-defined exponent matrix at root order n."""
+    k = group.rank
+    step = _steps(group.moduli, n)
+    b = [[step[i][j] * draw(st.integers(0, n // step[i][j] - 1))
+          for j in range(k)] for i in range(k)]
+    if symmetric:
+        b = [[b[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
+    return cls(group, n, b)
+
+
+@st.composite
+def bicharacters(draw, max_order):
+    """Any bicharacter, skew or not, at any root order."""
+    group = GradingGroup(draw(_moduli(max_order)))
+    n = draw(st.sampled_from((1, 2, 3, 4, 6, 8, 12)))
+    return _exponent_map(draw, Bicharacter, group, n)
 
 
 @settings(deadline=None)
@@ -135,15 +166,79 @@ def test_solver_needs_no_retry(lam):
     assert is_ns_multiplier(lam, solve_ns_multiplier(lam))
 
 
+# The definitions the generator-pair checks replace, exhaustive over all
+# pairs of group elements.
+
+def pointwise_is_commutation_factor(f):
+    elems = list(f.group.elements())
+    return all((f.exponent(x, y) + f.exponent(y, x)) % f.root_order == 0
+               for x in elems for y in elems)
+
+
+def pointwise_is_ns_multiplier(lam, sigma):
+    tw = lambda_twist(lam, sigma)
+    n = tw.root_order
+    elems = list(lam.group.elements())
+    parities = {x: parity(lam, x) for x in elems}
+    for x in elems:
+        for y in elems:
+            want = 0
+            if parities[x] and parities[y]:
+                if n % 2:
+                    return False
+                want = n // 2
+            if tw.exponent(x, y) != want:
+                return False
+    return True
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except InvalidCommutationFactor:
+        return "raises"
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(commutation_factors(max_order=64), bicharacters(64)),
+       st.sampled_from(("solved", "symmetric", "any", "random")),
+       st.data())
+def test_generator_checks_match_pointwise(lam, kind, data):
+    assert is_commutation_factor(lam) == pointwise_is_commutation_factor(lam)
+    group = lam.group
+    if kind == "random" or not is_commutation_factor(lam):
+        n = data.draw(st.sampled_from((1, 2, 3, 4, 6, 8, 12)))
+        sigma = _exponent_map(data.draw, Multiplier, group, n)
+    else:
+        # the solver's output times a symmetric map (which twists nothing,
+        # so the product is still an NS multiplier) or times any map
+        sigma = solve_ns_multiplier(lam)
+        if kind != "solved":
+            extra = _exponent_map(data.draw, Multiplier, group,
+                                  sigma.root_order,
+                                  symmetric=kind == "symmetric")
+            sigma = Multiplier(group, sigma.root_order,
+                               [[a + b for a, b in zip(r, t)] for r, t in
+                                zip(sigma.exponents, extra.exponents)])
+    want = _outcome(pointwise_is_ns_multiplier, lam, sigma)
+    got = _outcome(is_ns_multiplier, lam, sigma)
+    if want == "raises":
+        # lambda(x, x) is not +-1 somewhere, so lam is not skew and has no
+        # NS multiplier; only a generator with that defect raises here
+        assert got in ("raises", False)
+    else:
+        assert got == want
+
+
 def test_enumerate_counts():
-    assert len(enumerate_ns_multipliers(preset("quaternions").lam)) == 8
-    assert len(enumerate_ns_multipliers(preset("dual_numbers", 2).lam)) == 8
-    assert len(enumerate_ns_multipliers(preset("clifford", 1, 1).lam)) == 64
+    assert len(all_ns_multipliers(preset("quaternions").lam)) == 8
+    assert len(all_ns_multipliers(preset("dual_numbers", 2).lam)) == 8
+    assert len(all_ns_multipliers(preset("clifford", 1, 1).lam)) == 64
 
 
 def test_enumerate_is_exactly_the_solution_set():
     lam = preset("quaternions").lam
-    found = enumerate_ns_multipliers(lam)
+    found = all_ns_multipliers(lam)
     assert len(set((s.root_order, s.exponents) for s in found)) == len(found)
     for sigma in found:
         assert is_ns_multiplier(lam, sigma)
@@ -161,7 +256,7 @@ def test_enumerate_is_exactly_the_solution_set():
 
 def test_printed_multipliers_are_solutions():
     lam = preset("quaternions").lam
-    found = enumerate_ns_multipliers(lam)
+    found = all_ns_multipliers(lam)
     for sigma in printed_quaternion_multipliers():
         assert is_ns_multiplier(lam, sigma)
         assert any(sigma == s for s in found)
@@ -172,7 +267,7 @@ def test_lambda_twist_gives_super_rule():
                          ("clifford", (1, 1))):
         lam = preset(name, *params).lam
         for sigma in (solve_ns_multiplier(lam),
-                      *enumerate_ns_multipliers(lam)[:3]):
+                      *all_ns_multipliers(lam)[:3]):
             twisted = lambda_twist(lam, sigma)
             for x in lam.group.elements():
                 for y in lam.group.elements():
