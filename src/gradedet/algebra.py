@@ -207,7 +207,7 @@ class AlgebraElement:
 
 class GradedAlgebra:
     """Immutable after construction; carries memo caches for twists, unit
-    witnesses and tensor products."""
+    witnesses, tensor products and the determinant's integer tables."""
 
     def __init__(self, group, lam, labels, degrees, unit_index, table, name):
         self.group = group
@@ -227,6 +227,7 @@ class GradedAlgebra:
         self._unit_witnesses = None
         self._canonical_sigma = None
         self._cp_index = None  # residues -> basis index, for crossed products
+        self._int_tables = {}  # root order -> gdet._int_table's result
 
     @property
     def dim(self):
@@ -314,7 +315,8 @@ def _table_product(table, left, right, acc):
     skipped before ci*cj is formed.  A cell constant that is the shared ONE
     or MINUS_ONE (see _cell_constant) adds or subtracts ci*cj without
     multiplying by it; a table whose +-1 constants are other objects gives
-    the same products, only slower."""
+    the same products, only slower.  The determinant's integer tables
+    (gdet._int_table) run through here with int coefficients."""
     for i, ci in left.items():
         row = table[i]
         for j, cj in right.items():

@@ -21,17 +21,22 @@ instead of returning an arbitrary value.
 """
 
 import itertools
+from fractions import Fraction
+from math import lcm
 
-from .algebra import (INHOMOGENEOUS, AlgebraElement, _dot, _table_product,
-                      adjoined_units, tensor_embed_left, tensor_project_left,
-                      transport, unit_witness)
+from .algebra import (AlgebraElement, _dot, _table_product, adjoined_units,
+                      tensor_embed_left, tensor_project_left, transport,
+                      unit_witness)
 from .errors import (InvalidOrdering, NotCrossedProduct, NotDegreeZero,
                      OddEntries, TooLarge)
 from .gmatrix import _require_endo, j_sigma, shift_degrees
 from .grading import Multiplier, parity, solve_ns_multiplier
+from .scalars import CycloScalar, coerce_to, cyclo, euler_phi
 
 # gdet0_leibniz sums n! terms: 40,320 at n = 8, ten times that at n = 9
 LEIBNIZ_MAX_N = 8
+# all_ns_multipliers lists 2^bits multipliers: 32,768 over (Z_2)^5
+NS_FAMILY_MAX_BITS = 15
 
 
 # ---------------------------------------------------------------------------
@@ -114,35 +119,85 @@ def random_ordering(pi, rng):
 def _require_even(x, what):
     """Every entry component and every homogeneous component degree must
     have even parity; zero entries pass vacuously.  Entries are checked
-    first, so an odd entry is reported before an odd component."""
-    lam = x.algebra.lam
-    degrees = x.algebra.degrees
+    first, so an odd entry is reported before an odd component.  Parity
+    is additive, so once every entry component is even, a component of
+    entry (i,j) is odd exactly when mu_i and nu_j differ in parity."""
+    alg = x.algebra
+    lam = alg.lam
+    odd = {k for k, d in enumerate(alg.degrees) if parity(lam, d)}
     for i, row in enumerate(x.entries):
         for j, e in enumerate(row):
-            for k in e.coeffs:
-                if parity(lam, degrees[k]):
-                    raise OddEntries(
-                        f"{what}: entry ({i},{j}) has an odd-degree "
-                        f"component {x.algebra.labels[k]}; expansion order "
-                        "would matter")
+            if not odd.isdisjoint(e.coeffs):
+                k = next(k for k in e.coeffs if k in odd)
+                raise OddEntries(
+                    f"{what}: entry ({i},{j}) has an odd-degree "
+                    f"component {alg.labels[k]}; expansion order "
+                    "would matter")
+    col_parities = [parity(lam, nu) for nu in x.col_degrees]
     for mu, row in zip(x.row_degrees, x.entries):
-        for nu, e in zip(x.col_degrees, row):
-            for k in e.coeffs:
-                d = degrees[k] + mu - nu
-                if parity(lam, d):
-                    raise OddEntries(
-                        f"{what}: homogeneous component of odd degree {d!r}")
+        p_mu = parity(lam, mu)
+        for nu, p_nu, e in zip(x.col_degrees, col_parities, row):
+            if e.coeffs and p_mu != p_nu:
+                d = alg.degrees[next(iter(e.coeffs))] + mu - nu
+                raise OddEntries(
+                    f"{what}: homogeneous component of odd degree {d!r}")
 
 
 def _require_degree_zero(x, what):
-    d = x.degree_of()
-    if d is INHOMOGENEOUS or d:
+    if not x.is_homogeneous_of(x.algebra.group.zero()):
         raise NotDegreeZero(f"{what} needs a homogeneous matrix of degree 0, "
-                            f"got degree {d!r}")
+                            f"got degree {x.degree_of()!r}")
 
 
 # ---------------------------------------------------------------------------
 # commuting determinant
+
+def _int_table(algebra, order):
+    """(N, T, table): N is the lcm of order and the root orders of the
+    structure constants, and table is the structure table over Z[zeta_N]
+    scaled by T, the lcm of the constants' denominators.  Basis vector k
+    times zeta^a becomes index k*phi(N) + a, so cell (k*phi(N) + a,
+    l*phi(N) + b) is T times cell (k, l) times zeta^(a+b).  Equal cells
+    are stored once.  Cached on the algebra under order and N, which share
+    one table."""
+    tables = algebra._int_tables
+    if order not in tables:
+        consts = [c for row in algebra.table for cell in row for _, c in cell]
+        full = lcm(order, *(c.order for c in consts))
+        if full not in tables:
+            m = euler_phi(full)
+            t = lcm(*(f.denominator for c in consts for f in c.coeffs))
+            powers = [cyclo(s, full) for s in range(2 * m - 1)]
+            out, distinct = [], {}
+            for row in algebra.table:
+                for a in range(m):
+                    out_row = []
+                    for cell in row:
+                        for b in range(m):
+                            got = _int_cell(cell, powers[a + b], full, m, t)
+                            out_row.append(distinct.setdefault(got, got))
+                    out.append(tuple(out_row))
+            tables[full] = (full, t, tuple(out))
+        tables[order] = tables[full]
+    return tables[order]
+
+
+def _int_cell(cell, power, order, m, scale):
+    """scale * cell * power as integers, basis vector k times zeta^s at
+    index k*m + s."""
+    return tuple((k * m + s, x) for k, c in cell
+                 for s, x in enumerate(_int_residue(c * power, order, m,
+                                                    scale)) if x)
+
+
+def _int_residue(c, order, m, scale):
+    """scale * c as phi(order) integers, constant term first; scale clears
+    c's denominators."""
+    if c.order not in (1, order):
+        c = coerce_to(c, order)
+    out = [f.numerator * (scale // f.denominator) for f in c.coeffs]
+    return out + [0] * (m - len(out))
+
 
 def det_of_commuting(entries, algebra):
     """Classical determinant by Berkowitz's division-free algorithm
@@ -151,12 +206,25 @@ def det_of_commuting(entries, algebra):
     algebra; the caller guarantees that all entries pairwise commute.
     The recurrence runs on -A: p[k] is e_k of the leading block, det A =
     p[n] needs no final sign, and each R M^k S of the Toeplitz column is
-    negated once."""
+    negated once.
+
+    It runs on plain ints: every coefficient is put over one common
+    denominator D and written in the power basis of Z[zeta_N] (see
+    _int_table, whose table constants carry one more denominator T).
+    Each degree-i term of p[i] is a product of i scaled entries formed
+    with i - 1 table products, so det A is p[n] / (D^n T^(n-1)) exactly."""
     n = len(entries)
     if n == 0:
         return algebra.one()
-    table = algebra.table
-    a = [[e.coeffs for e in row] for row in entries]
+    values = [c for row in entries for e in row for c in e.coeffs.values()]
+    order, t_den, table = _int_table(algebra,
+                                     lcm(*{c.order for c in values}))
+    m = euler_phi(order)
+    d = lcm(*{f.denominator for c in values for f in c.coeffs})
+    a = [[{k * m + s: x
+           for k, c in e.coeffs.items()
+           for s, x in enumerate(_int_residue(c, order, m, d)) if x}
+          for e in row] for row in entries]
     p = [None]              # p[0] = 1 stays implicit
     for r in range(n):
         row = a[r]
@@ -178,7 +246,14 @@ def det_of_commuting(entries, algebra):
                     _table_product(table, col[i - j], p[j], acc)
             nxt.append(acc)
         p = nxt
-    return AlgebraElement(algebra, p[-1])
+    scale = d ** n * t_den ** (n - 1)
+    coeffs = {}
+    for idx, x in p[-1].items():
+        if x:
+            k, s = divmod(idx, m)
+            coeffs.setdefault(k, [0] * m)[s] = Fraction(x, scale)
+    return AlgebraElement(algebra, {k: CycloScalar(order, v)
+                                    for k, v in coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +278,13 @@ def all_ns_multipliers(lam):
     each symmetric 0/1 exponent matrix, toggled in row-major upper-triangle
     order with the last position varying fastest, so the first element is
     the solver's output.  Elsewhere the single solved multiplier, at lam's
-    root order."""
+    root order.  The family has 2^(k(k+1)/2) members over (Z_2)^k; more
+    than NS_FAMILY_MAX_BITS free exponents (k > 5) raise TooLarge."""
     base, free = _ns_family(lam)
+    if len(free) > NS_FAMILY_MAX_BITS:
+        raise TooLarge(f"the NS multiplier family has 2^{len(free)} members; "
+                       f"{len(free)} free exponents are above the limit "
+                       f"{NS_FAMILY_MAX_BITS}")
     out = []
     for bits in itertools.product((0, 1), repeat=len(free)):
         exps = [list(row) for row in base.exponents]

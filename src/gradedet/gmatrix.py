@@ -238,13 +238,16 @@ def j_sigma(x, sigma):
     degrees = x.algebra.degrees
     nu = x.col_degrees
     n_ord = sigma.root_order
+    # (nu_i, nu_j) -> {g: factor}: the factor depends on the entry only
+    # through these degrees, which repeat across the matrix
+    factor_cache = {}
     grid = []
     for nui, row in zip(nu, x.entries):
         out = []
         for nuj, e in zip(nu, row):
-            # basis degree g -> factor: saves two sigma.exponent calls
-            # per coefficient
-            factors = {}
+            factors = factor_cache.get((nui, nuj))
+            if factors is None:
+                factors = factor_cache[nui, nuj] = {}
             coeffs = {}
             for k, c in e.coeffs.items():
                 g = degrees[k]

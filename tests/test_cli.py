@@ -1,12 +1,13 @@
 """End-to-end command-line checks on golden documents and exit codes."""
 
 import json
+import time
 
 import pytest
 
 from gradedet.algebra import make_algebra, preset, twist
 from gradedet.cli import main
-from gradedet.errors import VerificationFailure
+from gradedet.errors import TooLarge, VerificationFailure
 from gradedet.gdet import all_ns_multipliers, canonical_sigma
 from gradedet.gmatrix import GradedMatrix, identity
 from gradedet.grading import Bicharacter, GradingGroup
@@ -248,6 +249,26 @@ def test_solve_sigma_root_orders(capsys, name, order, exponents, count):
     assert doc["multiplier"]["root_order"] == order
     assert doc["multiplier"]["exponents"] == exponents
     assert len(doc["all"]) == count
+
+
+def test_solve_sigma_refuses_a_huge_family(capsys, tmp_path):
+    # clifford:3,3's grading: (Z_2)^7 with lambda(e_a, e_b) = (-1)^[a = b],
+    # 2^28 NS multipliers.  A one-dimensional algebra carries it, so that
+    # the run times the refusal and not the dim^3 validation of the
+    # 64-dimensional preset.
+    group = GradingGroup([2] * 7)
+    lam = Bicharacter(group, 2, [[int(a == b) for b in range(7)]
+                                 for a in range(7)])
+    line = make_algebra([group.zero()], {(0, 0): {0: 1}}, lam,
+                        labels=("1",), name="line")
+    ap = tmp_path / "alg.json"
+    ap.write_text(json.dumps(format_algebra(line)))
+    start = time.perf_counter()
+    code, doc = run(capsys, "solve-sigma", "--algebra", str(ap))
+    assert time.perf_counter() - start < 1
+    assert code == TooLarge.exit_code == 3
+    assert doc["error"] == "TooLarge"
+    assert "2^28" in doc["message"]
 
 
 @pytest.mark.parametrize("name", [

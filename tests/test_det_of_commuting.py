@@ -1,26 +1,32 @@
-"""det_of_commuting against the Leibniz oracle, gdet0 at n = 12 and 20
-through the API and the CLI, and the size limit of gdet0_leibniz."""
+"""det_of_commuting against the Leibniz oracle and against the Fraction
+Berkowitz it replaced, gdet0 at n = 12 and 20 through the API and the CLI,
+and the size limit of gdet0_leibniz."""
 
 import json
 import random
 import time
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedet import gdet
-from gradedet.algebra import preset, twist
+from gradedet.algebra import (AlgebraElement, _dot, _table_product, preset,
+                              twist)
 from gradedet.berezinian import _schur, ber_super_components
 from gradedet.cli import main
 from gradedet.errors import GradedetError, TooLarge
-from gradedet.gdet import (LEIBNIZ_MAX_N, canonical_sigma, det_of_commuting,
-                           gdet0, gdet0_leibniz, gdet0_via_crossed)
+from gradedet.gdet import (LEIBNIZ_MAX_N, _int_residue, canonical_sigma,
+                           det_of_commuting, gdet0, gdet0_leibniz,
+                           gdet0_via_crossed)
 from gradedet.gmatrix import GradedMatrix, identity, j_sigma, matmul
-from gradedet.grading import parity
+from gradedet.grading import Multiplier, parity
 from gradedet.oracles import leibniz_det_commutative
 from gradedet.sampling import (make_rng, rand_invertible_parity_blocks,
                                rand_parity_sorted_degrees)
-from gradedet.scalars import rational
-from gradedet.serialize import format_matrix, result_doc
+from gradedet.scalars import CycloScalar, cyclo, euler_phi, rational
+from gradedet.serialize import format_matrix, parse_algebra, result_doc
 
 PRESETS = [("quaternions",), ("clifford", 2, 1), ("dual_numbers", 2),
            ("grassmann", 4), ("clock_shift", 3)]
@@ -199,3 +205,141 @@ def test_leibniz_refuses_large_n():
     # below the limit the sum is still formed
     small = identity(q, [q.group.zero()] * 3)
     assert gdet0_leibniz(small) == q.one()
+
+
+# The Berkowitz recurrence on the algebra's own table with CycloScalar
+# coefficients, which the integer kernel replaced; kept as its reference.
+
+def fraction_berkowitz(entries, algebra):
+    n = len(entries)
+    if n == 0:
+        return algebra.one()
+    table = algebra.table
+    a = [[e.coeffs for e in row] for row in entries]
+    p = [None]
+    for r in range(n):
+        row = a[r]
+        col = [None, row[r]]
+        v = [a[i][r] for i in range(r)]
+        for k in range(r):
+            if k:
+                v = [_dot(table, a[i], v) for i in range(r)]
+            rv = _dot(table, row, v)
+            col.append(rv if k % 2 else {t: -c for t, c in rv.items()})
+        nxt = [None]
+        for i in range(1 if r < n - 1 else r + 1, r + 2):
+            acc = dict(col[i])
+            if i <= r:
+                for t, c in p[i].items():
+                    acc[t] = acc[t] + c if t in acc else c
+            for j in range(1, i):
+                if col[i - j] and p[j]:
+                    _table_product(table, col[i - j], p[j], acc)
+            nxt.append(acc)
+        p = nxt
+    return AlgebraElement(algebra, p[-1])
+
+
+def _rational_quaternions():
+    """The quaternion algebra (1/2, -3) as a JSON document: i^2 = 1/2,
+    j^2 = -3, k = ij, so its table carries 1/2, -3, 3/2 and -1/2."""
+    lam = preset("quaternions").lam
+    a, b = Fraction(1, 2), Fraction(-3)
+    rows = {(1, 1): [(0, a)], (2, 2): [(0, b)], (3, 3): [(0, -a * b)],
+            (1, 2): [(3, 1)], (2, 1): [(3, -1)], (1, 3): [(2, a)],
+            (3, 1): [(2, -a)], (2, 3): [(1, -b)], (3, 2): [(1, b)]}
+    for k in range(4):
+        rows[0, k] = rows[k, 0] = [(k, 1)]
+    return parse_algebra({
+        "format": 1, "name": "quaternions(1/2,-3)",
+        "group": {"moduli": [2, 2]},
+        "lambda": {"root_order": lam.root_order,
+                   "exponents": [list(r) for r in lam.exponents]},
+        "root_order": 1,
+        "basis": [{"label": lab, "degree": d} for lab, d in
+                  zip("1ijk", ([0, 0], [1, 0], [0, 1], [1, 1]))],
+        "table": {f"{i},{j}": [{"k": k, "c": str(c)} for k, c in cell]
+                  for (i, j), cell in rows.items()}})
+
+
+KERNEL_SPECS = [("quaternions",), ("clifford", 2, 1), ("dual_numbers", 2),
+                ("grassmann", 4), ("clock_shift", 3), ("group_algebra", 3),
+                ("group_algebra", 4), ("rational_quaternions",)]
+ROOT_ORDERS = (1, 2, 3, 4, 6, 12)
+
+
+def _kernel_algebra(spec):
+    if spec == ("rational_quaternions",):
+        return _rational_quaternions()
+    return preset(*spec)
+
+
+def _random_multiplier(rng, group, order):
+    """A multiplier at root order `order`: exponent e at (i, j) is well
+    defined when e m_i = e m_j = 0 mod order."""
+    exps = []
+    for mi in group.moduli:
+        row = []
+        for mj in group.moduli:
+            g = gcd(order, mi, mj)
+            row.append(rng.randrange(g) * (order // g))
+        exps.append(row)
+    return Multiplier(group, order, exps)
+
+
+def _random_scalar(rng, order):
+    """A random element of Q(zeta_order), fractions included."""
+    return CycloScalar(order, [Fraction(rng.randint(-3, 3),
+                                        rng.choice((1, 1, 2, 3, 6)))
+                               for _ in range(euler_phi(order))])
+
+
+def _root_orders(entries, algebra):
+    orders = {c.order for row in entries for e in row
+              for c in e.coeffs.values()}
+    orders.update(c.order for row in algebra.table for cell in row
+                  for _, c in cell)
+    return orders - {1}
+
+
+@settings(deadline=None, max_examples=200)
+@given(spec=st.sampled_from(KERNEL_SPECS),
+       twist_order=st.sampled_from((None,) + ROOT_ORDERS),
+       entry_order=st.sampled_from(ROOT_ORDERS),
+       n=st.integers(0, 6), fill=st.sampled_from((0.15, 0.3, 0.6)),
+       seed=st.integers(0, 2 ** 32))
+def test_integer_kernel_matches_fraction_berkowitz(spec, twist_order,
+                                                   entry_order, n, fill,
+                                                   seed):
+    # The recurrence is the same sequence of table products in both
+    # kernels, so they agree on any entries, commuting or not.
+    rng = random.Random(seed)
+    alg = _kernel_algebra(spec)
+    if twist_order is not None:
+        alg = twist(alg, _random_multiplier(rng, alg.group, twist_order))
+    # grassmann:4 has 16 basis vectors: keep its entries sparse
+    fill = fill / 4 if alg.dim > 9 else fill
+    entries = [[alg.element({k: _random_scalar(rng, entry_order)
+                             for k in range(alg.dim) if rng.random() < fill})
+                for _ in range(n)] for _ in range(n)]
+    got = det_of_commuting(entries, alg)
+    want = fraction_berkowitz(entries, alg)
+    assert got == want
+    if len(_root_orders(entries, alg)) <= 1:
+        assert ({k: (c.order, c.coeffs) for k, c in got.coeffs.items()}
+                == {k: (c.order, c.coeffs) for k, c in want.coeffs.items()})
+
+
+def test_zeta_powers_match_sympy_remainder():
+    # the integer cells of the kernel's table are zeta powers reduced
+    # modulo Phi_N, as integer vectors of length phi(N)
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for order in range(1, 25):
+        m = euler_phi(order)
+        phi = sympy.cyclotomic_poly(order, x)
+        for e in range(2 * order + 1):
+            want = sympy.Poly(sympy.rem(x ** e, phi, x), x).all_coeffs()
+            want = [int(c) for c in reversed(want)]
+            want += [0] * (m - len(want))
+            assert _int_residue(cyclo(e, order), order, m, 1) == want

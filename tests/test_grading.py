@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedet.algebra import preset
-from gradedet.errors import InvalidCommutationFactor, InvalidParams
+from gradedet.errors import InvalidCommutationFactor, InvalidParams, TooLarge
 from gradedet.gdet import all_ns_multipliers
 from gradedet.grading import (Bicharacter, GradingGroup, Multiplier,
                               generator_parities,
@@ -234,6 +234,17 @@ def test_enumerate_counts():
     assert len(all_ns_multipliers(preset("quaternions").lam)) == 8
     assert len(all_ns_multipliers(preset("dual_numbers", 2).lam)) == 8
     assert len(all_ns_multipliers(preset("clifford", 1, 1).lam)) == 64
+
+
+def test_enumerate_size_limit():
+    # over (Z_2)^k the family has 2^(k(k+1)/2) members: k = 5 (clifford:2,2)
+    # is the largest accepted, k = 6 is refused before any is built
+    assert len(all_ns_multipliers(preset("clifford", 2, 2).lam)) == 2 ** 15
+    group = GradingGroup([2] * 6)
+    lam = Bicharacter(group, 2, [[int(a == b) for b in range(6)]
+                                 for a in range(6)])
+    with pytest.raises(TooLarge):
+        all_ns_multipliers(lam)
 
 
 def test_enumerate_is_exactly_the_solution_set():
