@@ -207,7 +207,8 @@ class AlgebraElement:
 
 class GradedAlgebra:
     """Immutable after construction; carries memo caches for twists, unit
-    witnesses, tensor products and the determinant's integer tables."""
+    witnesses, tensor products, the determinant's integer tables and the
+    document digest."""
 
     def __init__(self, group, lam, labels, degrees, unit_index, table, name):
         self.group = group
@@ -228,6 +229,7 @@ class GradedAlgebra:
         self._canonical_sigma = None
         self._cp_index = None  # residues -> basis index, for crossed products
         self._int_tables = {}  # root order -> gdet._int_table's result
+        self._digest = None  # serialize.digest_algebra, filled on first use
 
     @property
     def dim(self):
@@ -347,6 +349,9 @@ def _dot(table, row, col):
 
 def _validate_algebra(group, lam, labels, degrees, table, name):
     dim = len(labels)
+    # the table's cells and basis vectors as coefficient dicts, built once
+    cells = [[dict(cell) for cell in row] for row in table]
+    units = [{k: ONE} for k in range(dim)]
     # degree additivity
     for i in range(dim):
         for j in range(dim):
@@ -360,12 +365,7 @@ def _validate_algebra(group, lam, labels, degrees, table, name):
     # unit: a basis vector acting as identity on both sides
     unit_index = None
     for u in range(dim):
-        ok = True
-        for j in range(dim):
-            if dict(table[u][j]) != {j: ONE} or dict(table[j][u]) != {j: ONE}:
-                ok = False
-                break
-        if ok:
+        if all(cells[u][j] == units[j] == cells[j][u] for j in range(dim)):
             unit_index = u
             break
     if unit_index is None:
@@ -374,15 +374,16 @@ def _validate_algebra(group, lam, labels, degrees, table, name):
         raise NoUnit(
             f"{name}: unit {labels[unit_index]} has nonzero degree "
             f"{degrees[unit_index]!r}")
-    # associativity
+    # associativity; the zero-filtered comparison runs only when the raw
+    # dicts differ, since equal dicts stay equal after filtering
     for i in range(dim):
         for j in range(dim):
-            left_ij = dict(table[i][j])
+            left_ij = cells[i][j]
             for k in range(dim):
-                lhs = _table_product(table, left_ij, {k: ONE}, {})
-                rhs = _table_product(table, {i: ONE}, dict(table[j][k]), {})
-                if ({t: c for t, c in lhs.items() if c}
-                        != {t: c for t, c in rhs.items() if c}):
+                lhs = _table_product(table, left_ij, units[k], {})
+                rhs = _table_product(table, units[i], cells[j][k], {})
+                if lhs != rhs and ({t: c for t, c in lhs.items() if c}
+                                   != {t: c for t, c in rhs.items() if c}):
                     raise NotAssociative(
                         f"{name}: ({labels[i]}*{labels[j]})*{labels[k]} != "
                         f"{labels[i]}*({labels[j]}*{labels[k]})")
@@ -391,7 +392,7 @@ def _validate_algebra(group, lam, labels, degrees, table, name):
         for j in range(dim):
             factor = lam.value(degrees[i], degrees[j])
             flipped = {k: factor * c for k, c in table[j][i]}
-            if dict(table[i][j]) != {k: c for k, c in flipped.items() if c}:
+            if cells[i][j] != {k: c for k, c in flipped.items() if c}:
                 raise NotLambdaCommutative(
                     f"{name}: {labels[i]}*{labels[j]} != "
                     f"lambda({degrees[i]!r},{degrees[j]!r}) "

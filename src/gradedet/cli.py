@@ -5,24 +5,29 @@ string), the matrix and the multiplier, dispatch the computation, and
 print a JSON document.  Every result echoes the digests of its inputs so
 golden files can cross-reference them.  Errors print a JSON document with
 the exception name and exit with its code: 2 parse, 3 precondition, 4
-mathematical, 5 verification failure.
+mathematical, 5 verification failure.  main(argv) may be called any
+number of times in one process; the argument parser is built once.
 """
 
 import argparse
 import json
+import sys
+from functools import cache
+from time import perf_counter
 
 from .algebra import twist
 from .berezinian import gber
 from .errors import GradedetError, IncompatibleGroups, ParseError
 from .gdet import all_ns_multipliers, canonical_sigma, gdet0, gdet_sigma
 from .gmatrix import GradedMatrix, graded_trace
-from .oracles import SUITES, run_property_sweeps
+from .oracles import SUITES, iter_property_sweeps
 from .serialize import (FORMAT, digest_algebra, digest_matrix,
                         digest_multiplier, format_algebra, format_multiplier,
                         load_json, parse_algebra, parse_matrix,
                         parse_multiplier, parse_preset, result_doc)
 
 
+@cache
 def _parser():
     parser = argparse.ArgumentParser(
         prog="gradedet",
@@ -40,6 +45,8 @@ def _parser():
             p.add_argument("--degrees", default=None,
                            help="inline JSON degree override: a list for "
                                 "both vectors or {\"row\": ..., \"col\": ...}")
+            p.add_argument("--stats", action="store_true",
+                           help="append sizes and per-phase milliseconds")
         if sigma:
             p.add_argument("--sigma", default="auto",
                            help="multiplier JSON file, or auto for the "
@@ -61,6 +68,8 @@ def _parser():
     verify.add_argument("--suite", default=None, choices=sorted(SUITES),
                         help="run one suite instead of all")
     verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--timings", action="store_true",
+                        help="print each sweep's seconds on stderr")
     return parser
 
 
@@ -84,7 +93,7 @@ def _load_sigma(text, algebra):
 def _apply_degrees(x, text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or a number past the limit
         raise ParseError(f"--degrees: invalid JSON: {exc}") from exc
     if isinstance(doc, dict):
         rows = doc.get("row", [list(d.residues) for d in x.row_degrees])
@@ -108,10 +117,23 @@ def _apply_degrees(x, text):
     return GradedMatrix(x.algebra, mu, nu, x.entries)
 
 
-def _matrix_job(args, sigma_needed=False):
+def _compute(command, x, sigma):
+    if command == "trace":
+        return graded_trace(x)
+    if command == "gdet0":
+        return gdet0(x)
+    if command == "gdet":
+        return gdet_sigma(x, sigma)
+    return gber(x, sigma)
+
+
+def _matrix_job(args):
+    """trace, gdet0, gdet and gber: parse, compute, serialize, with the
+    milliseconds of each phase appended under --stats."""
+    start = perf_counter()
     sigma = None
     algebra = _load_algebra(args.algebra)
-    if sigma_needed:
+    if args.command in ("gdet", "gber"):
         sigma = _load_sigma(args.sigma, algebra)
     x = parse_matrix(load_json(args.matrix), algebra, where=args.matrix)
     if args.degrees:
@@ -120,22 +142,46 @@ def _matrix_job(args, sigma_needed=False):
               "matrix": digest_matrix(x)}
     if sigma is not None:
         inputs["sigma"] = digest_multiplier(sigma)
-    return algebra, x, sigma, inputs
+    parsed = perf_counter()
+    value = _compute(args.command, x, sigma)
+    computed = perf_counter()
+    doc = result_doc(value, inputs)
+    if args.stats:
+        done = perf_counter()
+        stats = {"command": args.command, "n": x.nrows, "dim": algebra.dim,
+                 "ms": {"parse": _ms(parsed - start),
+                        "compute": _ms(computed - parsed),
+                        "serialize": _ms(done - computed)}}
+        if sigma is not None:
+            stats["sigma"] = inputs["sigma"]
+        doc["stats"] = stats
+    return doc
+
+
+def _ms(seconds):
+    return round(seconds * 1000, 3)
+
+
+def _verify(args):
+    """The sweep reports; under --timings each sweep's seconds go to
+    stderr, so stdout stays the same document."""
+    suites = None if args.suite is None else [args.suite]
+    reports = []
+    start = perf_counter()
+    for report in iter_property_sweeps(seed=args.seed, suites=suites):
+        reports.append(report)
+        if args.timings:
+            now = perf_counter()
+            print(f"{report.name}: {now - start:.3f} s", file=sys.stderr)
+            start = now
+    doc = {"format": FORMAT, "seed": args.seed,
+           "reports": [r.to_doc() for r in reports]}
+    return doc, 0 if all(r.ok for r in reports) else 5
 
 
 def _dispatch(args):
-    if args.command == "trace":
-        _, x, _, inputs = _matrix_job(args)
-        return result_doc(graded_trace(x), inputs), 0
-    if args.command == "gdet0":
-        _, x, _, inputs = _matrix_job(args)
-        return result_doc(gdet0(x), inputs), 0
-    if args.command == "gdet":
-        _, x, sigma, inputs = _matrix_job(args, sigma_needed=True)
-        return result_doc(gdet_sigma(x, sigma), inputs), 0
-    if args.command == "gber":
-        _, x, sigma, inputs = _matrix_job(args, sigma_needed=True)
-        return result_doc(gber(x, sigma), inputs), 0
+    if args.command in ("trace", "gdet0", "gdet", "gber"):
+        return _matrix_job(args), 0
     if args.command == "twist":
         algebra = _load_algebra(args.algebra)
         sigma = _load_sigma(args.sigma, algebra)
@@ -150,13 +196,7 @@ def _dispatch(args):
                 "multiplier": format_multiplier(sigmas[0]),
                 "all": [format_multiplier(s) for s in sigmas],
                 "inputs": {"algebra": digest_algebra(algebra)}}, 0
-    # verify
-    suites = None if args.suite is None else [args.suite]
-    reports = run_property_sweeps(seed=args.seed, suites=suites)
-    doc = {"format": FORMAT, "seed": args.seed,
-           "reports": [r.to_doc() for r in reports]}
-    status = 0 if all(r.ok for r in reports) else 5
-    return doc, status
+    return _verify(args)
 
 
 def _dump(doc, layout):

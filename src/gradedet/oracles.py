@@ -878,15 +878,18 @@ SUITES = {
 }
 
 
-def run_property_sweeps(seed=0, suites=None):
-    """Runs the named suites (all by default) and returns their reports;
-    deterministic for a fixed seed."""
+def iter_property_sweeps(seed=0, suites=None):
+    """Runs the named suites (all by default), yielding each sweep's report
+    as soon as it finishes; deterministic for a fixed seed."""
     names = list(SUITES) if suites is None else list(suites)
-    reports = []
     for name in names:
         if name not in SUITES:
             raise InvalidParams(
                 f"unknown suite {name!r}; available: {sorted(SUITES)}")
         for fn in SUITES[name]:
-            reports.append(fn(seed))
-    return reports
+            yield fn(seed)
+
+
+def run_property_sweeps(seed=0, suites=None):
+    """The reports of iter_property_sweeps as a list."""
+    return list(iter_property_sweeps(seed, suites))

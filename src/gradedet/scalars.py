@@ -19,11 +19,13 @@ mutated after __init__.
 """
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import DivisionByZero, IncompatibleRootOrders, ParseError
+from .errors import (DivisionByZero, IncompatibleRootOrders, ParseError,
+                     TooLarge)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -373,15 +375,38 @@ def is_zero(a):
     return not any(a.coeffs)
 
 
+_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 _TERM_RE = re.compile(
     r"^(?P<coef>-?\d+(?:/\d+)?)?(?P<star>\*)?(?P<z>z(?:\^(?P<exp>-?\d+))?)?$")
+
+
+def _digit_limit(what):
+    """The message for a number past the interpreter's limit on int <-> str
+    conversion, the only ValueError that int() and str() raise here."""
+    return (f"{what} exceeds the limit of {sys.get_int_max_str_digits()} "
+            f"digits on integer string conversion")
 
 
 def parse_scalar(text, root_order=1):
     """Parse the textual scalar syntax: rationals as "p/q", cyclotomics as
     polynomials in z such as "1/2 + 3*z^2".  The root order comes from the
-    enclosing file and applies to every z."""
+    enclosing file and applies to every z; a text without z is a rational
+    at any root order."""
     s = text.replace(" ", "")
+    try:
+        if _RATIONAL_RE.fullmatch(s):
+            p, _, q = s.partition("/")
+            return _rational(Fraction(int(p), int(q) if q else 1))
+        return _parse_terms(text, s, root_order)
+    except ZeroDivisionError as exc:
+        raise ParseError(f"zero denominator in {text!r}") from exc
+    except ValueError as exc:
+        raise ParseError(_digit_limit(f"scalar {text[:20]!r}...")) from exc
+
+
+def _parse_terms(text, s, root_order):
+    """The general tokenizer behind parse_scalar, for s = text without
+    spaces."""
     if not s:
         raise ParseError("empty scalar")
     # "^-" is part of an exponent, not a term separator
@@ -399,10 +424,7 @@ def parse_scalar(text, root_order=1):
             raise ParseError(f"bad scalar term {tok!r} in {text!r}")
         if m.group("star") and m.group("z") is None:
             raise ParseError(f"bad scalar term {tok!r} in {text!r}")
-        try:
-            coef = Fraction(m.group("coef")) if m.group("coef") else _F1
-        except ZeroDivisionError as exc:
-            raise ParseError(f"zero denominator in {text!r}") from exc
+        coef = Fraction(m.group("coef")) if m.group("coef") else _F1
         k = 0
         if m.group("z"):
             k = int(m.group("exp")) if m.group("exp") else 1
@@ -417,6 +439,13 @@ def parse_scalar(text, root_order=1):
 def format_scalar(a):
     """Inverse of parse_scalar: "p/q" for rationals, a polynomial in z
     otherwise."""
+    try:
+        return _format_terms(a)
+    except ValueError as exc:
+        raise TooLarge(_digit_limit("a coefficient to write out")) from exc
+
+
+def _format_terms(a):
     if a.order == 1:
         return str(a.coeffs[0])
     parts = []

@@ -16,7 +16,7 @@ from .errors import InvalidCommutationFactor, InvalidParams, ParseError
 from .gmatrix import GradedMatrix
 from .grading import (Bicharacter, GradingGroup, Multiplier,
                       is_commutation_factor, trivial_multiplier)
-from .scalars import coerce_to, format_scalar, parse_scalar
+from .scalars import _digit_limit, coerce_to, format_scalar, parse_scalar
 
 FORMAT = 1
 
@@ -223,7 +223,12 @@ def parse_preset(text, sigma=None):
 
 
 def digest_algebra(a):
-    return digest(format_algebra(a))
+    """The digest of format_algebra(a), computed once per algebra object;
+    twist assigns its table after make_algebra, so the memo is filled here
+    and never at construction."""
+    if a._digest is None:
+        a._digest = digest(format_algebra(a))
+    return a._digest
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +283,7 @@ def load_json(path):
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    except ValueError as exc:  # a number past the digit limit
+        raise ParseError(_digit_limit(f"{path}: a number")) from exc

@@ -22,7 +22,7 @@ from gradedet.grading import (Bicharacter, GradingGroup, Multiplier, parity,
                               solve_ns_multiplier, trivial_multiplier)
 from gradedet.oracles import printed_quaternion_multipliers
 from gradedet.scalars import MINUS_ONE, ONE, ZERO, CycloScalar, cyclo, rational
-from gradedet.serialize import FORMAT, parse_algebra
+from gradedet.serialize import FORMAT, format_algebra, parse_algebra
 
 Q = preset("quaternions")
 I, J, K = (Q.basis_element(s) for s in "ijk")
@@ -93,6 +93,20 @@ def test_validation_not_associative():
     with pytest.raises(NotAssociative) as exc:
         make_algebra([[0], [0], [0]], structure, _z1(), labels=("1", "a", "b"))
     assert "a" in str(exc.value) and "b" in str(exc.value)
+
+
+def test_validation_ignores_cancelled_terms():
+    # Q[Z_3] in the basis 1, b = -1 - g^2, c = -1 - g + g^2: (b*b)*c sums
+    # to a c-coefficient of 0 that b*(b*c) never forms, so the two sides
+    # agree only once zeros are dropped
+    structure = {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
+                 (1, 0): {1: 1}, (2, 0): {2: 1},
+                 (1, 1): {0: -3, 1: -3, 2: -1}, (1, 2): {0: 2},
+                 (2, 1): {0: 2}, (2, 2): {0: -6, 1: -2, 2: -3}}
+    alg = make_algebra([[0]] * 3, structure, _z1(), labels=("1", "b", "c"))
+    lhs = _table_product(alg.table, dict(alg.table[1][1]), {2: ONE}, {})
+    rhs = _table_product(alg.table, {1: ONE}, dict(alg.table[1][2]), {})
+    assert lhs != rhs and lhs[2] == ZERO and 2 not in rhs
 
 
 def test_validation_degree_violation():
@@ -345,3 +359,65 @@ def test_table_product_interning_changes_only_speed():
             b = _random_element(rng, alg, 1)
             assert (_table_product(fresh, a.coeffs, b.coeffs, {})
                     == _table_product(alg.table, a.coeffs, b.coeffs, {}))
+
+
+# ---------------------------------------------------------------------------
+# validation against a brute-force reading of the table
+
+def _first_failure(alg_doc):
+    """(NotAssociative, the message's triple) for the first (i, j, k), in
+    loop order, with (e_i e_j) e_k != e_i (e_j e_k), multiplying basis
+    vectors straight from the document's cells; (None, None) when the
+    table is associative."""
+    dim = len(alg_doc["basis"])
+    labels = [b["label"] for b in alg_doc["basis"]]
+    cells = {(i, j): {} for i in range(dim) for j in range(dim)}
+    for key, cell in alg_doc["table"].items():
+        i, j = (int(v) for v in key.split(","))
+        for term in cell:
+            cells[i, j][term["k"]] = Fraction(term["c"])
+
+    def times(vec, k, left):
+        out = {}
+        for t, c in vec.items():
+            cell = cells[t, k] if left else cells[k, t]
+            for u, d in cell.items():
+                out[u] = out.get(u, 0) + c * d
+        return {u: c for u, c in out.items() if c}
+
+    for i, j, k in itertools.product(range(dim), repeat=3):
+        if times(cells[i, j], k, True) != times(cells[j, k], i, False):
+            return NotAssociative, (f"({labels[i]}*{labels[j]})*{labels[k]}"
+                                    f" != {labels[i]}*({labels[j]}*"
+                                    f"{labels[k]})")
+    return None, None
+
+
+def test_validation_names_the_first_failing_triple():
+    # every one-term corruption of a non-unit cell of grassmann:2, signs
+    # flipped included: flipping xi1*xi2 or xi2*xi1 keeps the table
+    # associative and breaks only lambda-commutativity
+    base = format_algebra(preset("grassmann", 2))
+    degrees = [b["degree"][0] for b in base["basis"]]
+    seen = set()
+    for i, j, t in itertools.product(range(1, 4), range(1, 4), range(4)):
+        if degrees[t] != (degrees[i] + degrees[j]) % 2:
+            continue
+        for c in ("1", "-1"):
+            doc = json.loads(json.dumps(base))
+            doc["table"][f"{i},{j}"] = [{"k": t, "c": c}]
+            if doc == base:
+                continue
+            error, message = _first_failure(doc)
+            with pytest.raises((NotAssociative, NotLambdaCommutative)) as exc:
+                parse_algebra(doc)
+            if error is None:
+                assert exc.type is NotLambdaCommutative
+            else:
+                assert exc.type is NotAssociative
+                assert str(exc.value) == f"grassmann(2): {message}"
+                seen.add(message)
+    # the corruptions reach triples late in the loop order too
+    assert "(xi2*xi1)*xi2 != xi2*(xi1*xi2)" in seen
+    # a table with non-integer constants (2 and -1/2) still validates
+    assert _quadratic_json().dim == 4

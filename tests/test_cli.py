@@ -1,12 +1,18 @@
 """End-to-end command-line checks on golden documents and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import gradedet
+
 from gradedet.algebra import make_algebra, preset, twist
-from gradedet.cli import main
+from gradedet.cli import _parser, main
 from gradedet.errors import TooLarge, VerificationFailure
 from gradedet.gdet import all_ns_multipliers, canonical_sigma
 from gradedet.gmatrix import GradedMatrix, identity
@@ -109,6 +115,10 @@ def test_parse_error_exit_codes(capsys, tmp_path, xfile):
     code, doc = run(capsys, "gdet0", "--algebra", "preset:unknown",
                     "--matrix", xfile)
     assert code == 3 and doc["error"] == "InvalidParams"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, doc = run(capsys, "gdet0", "--algebra", "preset:quaternions",
+                    "--matrix", str(bad))
+    assert code == 2 and "not UTF-8" in doc["message"]
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -281,3 +291,116 @@ def test_canonical_sigma_heads_the_family(name):
     sigma = canonical_sigma(alg)
     assert (sigma.root_order, sigma.exponents) == \
         (first.root_order, first.exponents)
+
+
+def _fresh(*argv):
+    """(exit code, stdout) of the same command in a new interpreter."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gradedet.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "gradedet.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          check=False, timeout=60)
+    return proc.returncode, proc.stdout
+
+
+def test_repeated_calls_match_fresh_runs(capsys, xfile, tmp_path):
+    # one parser serves every call; no option may leak into the next one
+    sp = tmp_path / "sigma.json"
+    sp.write_text(json.dumps(format_multiplier(all_ns_multipliers(Q.lam)[-1])))
+    jobs = [
+        ("gdet0", "--algebra", "preset:quaternions", "--matrix", xfile),
+        ("gber", "--algebra", "preset:quaternions", "--matrix", xfile,
+         "--sigma", str(sp)),
+        ("trace", "--algebra", "preset:quaternions", "--matrix", xfile,
+         "--format", "pretty"),
+        ("gdet0", "--algebra", "preset:quaternions", "--matrix", xfile,
+         "--degrees", json.dumps({"col": [[0, 0], [0, 1]]})),
+        ("gdet0", "--algebra", "preset:quaternions", "--matrix", xfile),
+    ]
+    _parser.cache_clear()
+    outputs = []
+    for argv in jobs[:3]:
+        outputs.append((main(list(argv)), capsys.readouterr().out))
+    with pytest.raises(SystemExit) as exc:
+        main(["gdet0", "--algebra", "preset:quaternions", "--matrix", xfile,
+              "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for argv in jobs[3:]:
+        outputs.append((main(list(argv)), capsys.readouterr().out))
+    assert _parser.cache_info().misses == 1
+    assert outputs == [_fresh(*argv) for argv in jobs]
+    assert "\n  " in outputs[2][1] and "\n" not in outputs[4][1].strip()
+
+
+def test_stats(capsys, xfile, tmp_path):
+    sigma = all_ns_multipliers(Q.lam)[-1]
+    sp = tmp_path / "sigma.json"
+    sp.write_text(json.dumps(format_multiplier(sigma)))
+    argv = ["gber", "--algebra", "preset:quaternions", "--matrix", xfile,
+            "--sigma", str(sp)]
+    code, plain = run(capsys, *argv)
+    assert code == 0 and "stats" not in plain
+    code, doc = run(capsys, *argv, "--stats")
+    assert code == 0
+    stats = doc.pop("stats")
+    assert doc == plain
+    ms = stats.pop("ms")
+    assert stats == {"command": "gber", "n": 2, "dim": 4,
+                     "sigma": digest_multiplier(sigma)}
+    assert set(ms) == {"parse", "compute", "serialize"}
+    assert all(isinstance(v, float) and v >= 0 for v in ms.values())
+    code, doc = run(capsys, "gdet0", "--algebra", "preset:quaternions",
+                    "--matrix", xfile, "--stats")
+    assert code == 0 and "sigma" not in doc["stats"]
+    assert doc["stats"]["command"] == "gdet0"
+
+
+def test_verify_timings_leave_stdout_alone(capsys):
+    argv = ["verify", "--suite", "gmatrix", "--seed", "1"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--timings"]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out and plain.err == ""
+    names = [r["name"] for r in json.loads(plain.out)["reports"]]
+    lines = timed.err.splitlines()
+    assert [line.split(": ")[0] for line in lines] == names
+    assert all(line.endswith(" s") for line in lines)
+
+
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not LIMIT, reason="this interpreter has no int/str digit limit")
+
+
+@needs_digit_limit
+def test_digit_limit_on_input_exits_2(capsys, tmp_path):
+    doc = format_matrix(X)
+    doc["entries"][0][0][0]["c"] = "7" * (LIMIT + 700)
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(doc))
+    code, out = run(capsys, "gdet0", "--algebra", "preset:quaternions",
+                    "--matrix", str(p))
+    assert code == 2 and out["error"] == "ParseError"
+    assert f"limit of {LIMIT} digits" in out["message"]
+    # a number past the limit in the JSON syntax itself
+    p.write_text(json.dumps(format_matrix(X)).replace(
+        '"root_order": 1', '"root_order": ' + "1" * (LIMIT + 1)))
+    code, out = run(capsys, "gdet0", "--algebra", "preset:quaternions",
+                    "--matrix", str(p))
+    assert code == 2 and f"limit of {LIMIT} digits" in out["message"]
+
+
+@needs_digit_limit
+def test_digit_limit_on_output_exits_3(capsys, tmp_path):
+    # each diagonal entry fits under the limit, their product does not
+    big = Q.from_scalar(10 ** (LIMIT * 7 // 10))
+    x = GradedMatrix(Q, [ZERO, ZERO], [ZERO, ZERO],
+                     [[big, Q.zero()], [Q.zero(), big]])
+    p = tmp_path / "diag.json"
+    p.write_text(json.dumps(format_matrix(x)))
+    code, out = run(capsys, "gdet0", "--algebra", "preset:quaternions",
+                    "--matrix", str(p))
+    assert code == 3 and out["error"] == "TooLarge"
+    assert f"limit of {LIMIT} digits" in out["message"]

@@ -1,5 +1,7 @@
 """Exact cyclotomic scalar arithmetic."""
 
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from gradedet import scalars as scalar_module
 from gradedet.errors import (DivisionByZero, IncompatibleRootOrders,
-                             ParseError)
+                             ParseError, TooLarge)
 from gradedet.scalars import (ONE, ZERO, CycloScalar, as_scalar, coerce_to,
                               cyclo, format_scalar, parse_scalar, rational)
 
@@ -149,6 +151,70 @@ def test_parse_scalar_syntax():
     for bad in ("", "z^", "1//2", "2**z", "q"):
         with pytest.raises(ParseError):
             parse_scalar(bad, 4)
+
+
+@st.composite
+def rational_texts(draw):
+    """p or p/q with an optional sign, leading zeros and stray spaces; some
+    fall outside the rational syntax (+3, --1, 3/-4) or divide by zero."""
+    text = (draw(st.sampled_from(["", "-", "+", "--"]))
+            + draw(st.from_regex(r"0{0,3}[0-9]{1,8}", fullmatch=True))
+            + draw(st.one_of(
+                st.just(""),
+                st.from_regex(r"/-?0{0,3}[0-9]{1,6}", fullmatch=True))))
+    for pos in sorted(draw(st.lists(st.integers(0, len(text)), max_size=3)),
+                      reverse=True):
+        text = text[:pos] + " " + text[pos:]
+    return text
+
+
+def _outcome(text, order):
+    try:
+        a = parse_scalar(text, order)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+    return a.order, a.coeffs
+
+
+def _tokenizer_outcome(text, order):
+    """parse_scalar with its rational fast path switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalar_module, "_RATIONAL_RE", re.compile(r"(?!)"))
+        return _outcome(text, order)
+
+
+@pytest.mark.parametrize("order", [1, 4, 12])
+@given(text=rational_texts())
+def test_rational_fast_path_matches_tokenizer(order, text):
+    assert _outcome(text, order) == _tokenizer_outcome(text, order)
+
+
+@pytest.mark.parametrize("order", [1, 4, 12])
+def test_rational_fast_path_error_texts(order):
+    for text in ("1/0", "3/-4", "--1", "", "+3", " 1 / 0"):
+        assert _outcome(text, order) == _tokenizer_outcome(text, order)
+    assert _outcome("1/0", order) == ("ParseError",
+                                      "zero denominator in '1/0'")
+    assert _outcome("3/-4", order) == (
+        "ParseError", "bad scalar term '3/' in '3/-4'")
+
+
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not LIMIT, reason="this interpreter has no int/str digit limit")
+
+
+@needs_digit_limit
+def test_digit_limit_is_a_named_error():
+    for text in ("7" * (LIMIT + 1), "1/" + "3" * (LIMIT + 1),
+                 f"{'2' * (LIMIT + 1)}*z", "z^" + "1" * (LIMIT + 1)):
+        with pytest.raises(ParseError, match=f"limit of {LIMIT} digits"):
+            parse_scalar(text, 4)
+    big = rational(10) ** LIMIT
+    with pytest.raises(TooLarge, match=f"limit of {LIMIT} digits"):
+        format_scalar(big)
+    with pytest.raises(TooLarge):
+        format_scalar(big * cyclo(1, 3))
 
 
 def test_repr_and_str():

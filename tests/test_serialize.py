@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gradedet.algebra import preset, twist
+from gradedet.algebra import graded_tensor, preset, twist
 from gradedet.errors import (InvalidCommutationFactor, InvalidParams,
                              ParseError)
 from gradedet.gdet import canonical_sigma
@@ -145,3 +145,21 @@ def test_load_json(tmp_path):
 def test_digest_is_canonical():
     assert digest({"b": 1, "a": 2}) == digest({"a": 2, "b": 1})
     assert len(digest({})) == 12
+
+
+def test_digest_algebra_is_the_digest_of_the_document():
+    # digest_algebra memoizes on the algebra object; a twist is built
+    # before its table is assigned, so a memo filled at construction would
+    # carry the untwisted table
+    cs = preset("clock_shift", 3)
+    algebras = [parse_preset(f"preset:{name}") for name in (
+        "quaternions", "clifford:2,1", "dual_numbers:2", "grassmann:3",
+        "group_algebra:2,3", "crossed_product:2,2", "clock_shift:3")]
+    algebras += [twist(cs, canonical_sigma(cs)),
+                 graded_tensor(Q, Q),
+                 parse_algebra(json.loads(json.dumps(format_algebra(Q))))]
+    for alg in algebras:
+        want = digest(format_algebra(alg))
+        assert digest_algebra(alg) == want
+        assert digest_algebra(alg) == want  # the memoized value
+    assert digest_algebra(algebras[-3]) != digest_algebra(cs)
