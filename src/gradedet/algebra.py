@@ -5,15 +5,18 @@ An algebra is a basis with degrees, a distinguished unit basis vector, and a
 sparse table e_i e_j = sum_k c_ij^k e_k over exact scalars.  Construction
 validates degree additivity, associativity, the unit law and
 lambda-commutativity exhaustively (the basis is finite), naming the
-offending triple on failure.  Presets cover the standard examples; the
-multiplier twist and the graded tensor product build new algebras from old
-ones.  Element inversion goes through the left-regular representation and
-exact Gaussian elimination, so singularity is detected by exact rank.
+offending triple on failure; associativity is checked on the integer
+structure table, which stays cached for the determinant.  Presets cover
+the standard examples; the multiplier twist and the graded tensor product
+build new algebras from old ones.  Element inversion goes through the
+left-regular representation and exact Gaussian elimination, so singularity
+is detected by exact rank.
 """
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import scalars
 from .errors import (DegreeViolation, IncompatibleGroups, InvalidParams,
@@ -21,7 +24,8 @@ from .errors import (DegreeViolation, IncompatibleGroups, InvalidParams,
                      NotInvertible, NotLambdaCommutative)
 from .grading import (Bicharacter, GradingGroup, Multiplier, lambda_twist,
                       parity, solve_ns_multiplier, trivial_multiplier)
-from .scalars import MINUS_ONE, ONE, ZERO, as_scalar
+from .scalars import (MINUS_ONE, ONE, ZERO, as_scalar, coerce_to, cyclo,
+                      euler_phi)
 
 
 class _Inhomogeneous:
@@ -190,7 +194,7 @@ class AlgebraElement:
         parts = []
         for k in sorted(self.coeffs):
             c = self.coeffs[k]
-            text = scalars.format_scalar(c)
+            text = scalars._display(c)
             if labels[k] == "1":
                 parts.append(text)
             elif text == "1":
@@ -228,7 +232,7 @@ class GradedAlgebra:
         self._unit_witnesses = None
         self._canonical_sigma = None
         self._cp_index = None  # residues -> basis index, for crossed products
-        self._int_tables = {}  # root order -> gdet._int_table's result
+        self._int_tables = {}  # root order -> _int_table's result
         self._digest = None  # serialize.digest_algebra, filled on first use
 
     @property
@@ -317,8 +321,8 @@ def _table_product(table, left, right, acc):
     skipped before ci*cj is formed.  A cell constant that is the shared ONE
     or MINUS_ONE (see _cell_constant) adds or subtracts ci*cj without
     multiplying by it; a table whose +-1 constants are other objects gives
-    the same products, only slower.  The determinant's integer tables
-    (gdet._int_table) run through here with int coefficients."""
+    the same products, only slower.  The integer tables (_int_table) run
+    through here with int coefficients."""
     for i, ci in left.items():
         row = table[i]
         for j, cj in right.items():
@@ -347,7 +351,58 @@ def _dot(table, row, col):
     return acc
 
 
-def _validate_algebra(group, lam, labels, degrees, table, name):
+def _int_table(algebra, order):
+    """(N, T, table): N is the lcm of order and the root orders of the
+    structure constants, and table is the structure table over Z[zeta_N]
+    scaled by T, the lcm of the constants' denominators.  Basis vector k
+    times zeta^a becomes index k*phi(N) + a, so cell (k*phi(N) + a,
+    l*phi(N) + b) is T times cell (k, l) times zeta^(a+b).  Equal cells
+    are stored once.  Cached on the algebra under order and N, which share
+    one table."""
+    tables = algebra._int_tables
+    if order not in tables:
+        consts = [c for row in algebra.table for cell in row for _, c in cell]
+        full = lcm(order, *(c.order for c in consts))
+        if full not in tables:
+            m = euler_phi(full)
+            t = lcm(*(f.denominator for c in consts for f in c.coeffs))
+            powers = [cyclo(s, full) for s in range(2 * m - 1)]
+            out, distinct = [], {}
+            for row in algebra.table:
+                # cell (k, l) times zeta^(a+b) depends on a + b only
+                shifted = [[distinct.setdefault(got, got) for got in (
+                    _int_cell(cell, p, full, m, t) for p in powers)]
+                    for cell in row]
+                for a in range(m):
+                    out.append(tuple(cells[a + b] for cells in shifted
+                                     for b in range(m)))
+            tables[full] = (full, t, tuple(out))
+        tables[order] = tables[full]
+    return tables[order]
+
+
+def _int_cell(cell, power, order, m, scale):
+    """scale * cell * power as integers, basis vector k times zeta^s at
+    index k*m + s."""
+    return tuple((k * m + s, x) for k, c in cell
+                 for s, x in enumerate(_int_residue(c * power, order, m,
+                                                    scale)) if x)
+
+
+def _int_residue(c, order, m, scale):
+    """scale * c as phi(order) integers, constant term first; scale clears
+    c's denominators."""
+    if c.order not in (1, order):
+        c = coerce_to(c, order)
+    out = [f.numerator * (scale // f.denominator) for f in c.coeffs]
+    return out + [0] * (m - len(out))
+
+
+def _validate_algebra(alg):
+    """alg's unit index, after checking every pair or triple of basis
+    vectors; the first failure raises.  Associativity is checked on the
+    integer table, rebuilt from alg.table and left cached on alg."""
+    labels, degrees, table, name = alg.labels, alg.degrees, alg.table, alg.name
     dim = len(labels)
     # the table's cells and basis vectors as coefficient dicts, built once
     cells = [[dict(cell) for cell in row] for row in table]
@@ -370,18 +425,26 @@ def _validate_algebra(group, lam, labels, degrees, table, name):
             break
     if unit_index is None:
         raise NoUnit(f"{name}: no basis vector acts as a two-sided unit")
-    if degrees[unit_index] != group.zero():
+    if degrees[unit_index] != alg.group.zero():
         raise NoUnit(
             f"{name}: unit {labels[unit_index]} has nonzero degree "
             f"{degrees[unit_index]!r}")
-    # associativity; the zero-filtered comparison runs only when the raw
-    # dicts differ, since equal dicts stay equal after filtering
+    # associativity on ints: e_i is index i*phi(N), and both sides carry
+    # T^2.  The zero-filtered comparison runs only when the raw dicts
+    # differ, since equal dicts stay equal after filtering.
+    alg._int_tables.clear()
+    order, _, itab = _int_table(alg, 1)
+    m = euler_phi(order)
+    icells = [[dict(row[j * m]) for j in range(dim)] for row in itab[::m]]
+    ivecs = [{k * m: 1} for k in range(dim)]
     for i in range(dim):
         for j in range(dim):
-            left_ij = cells[i][j]
+            left_ij = icells[i][j]
             for k in range(dim):
-                lhs = _table_product(table, left_ij, units[k], {})
-                rhs = _table_product(table, units[i], cells[j][k], {})
+                if not left_ij and not icells[j][k]:
+                    continue  # both sides are zero
+                lhs = _table_product(itab, left_ij, ivecs[k], {})
+                rhs = _table_product(itab, ivecs[i], icells[j][k], {})
                 if lhs != rhs and ({t: c for t, c in lhs.items() if c}
                                    != {t: c for t, c in rhs.items() if c}):
                     raise NotAssociative(
@@ -390,7 +453,7 @@ def _validate_algebra(group, lam, labels, degrees, table, name):
     # lambda-commutativity
     for i in range(dim):
         for j in range(dim):
-            factor = lam.value(degrees[i], degrees[j])
+            factor = alg.lam.value(degrees[i], degrees[j])
             flipped = {k: factor * c for k, c in table[j][i]}
             if cells[i][j] != {k: c for k, c in flipped.items() if c}:
                 raise NotLambdaCommutative(
@@ -412,12 +475,13 @@ def make_algebra(degrees, structure, lam, labels=None, validate=True,
     if len(labels) != dim or len(set(labels)) != dim:
         raise InvalidParams(f"{name}: labels must be {dim} distinct strings")
     table = _normalize_structure(structure, dim)
-    if validate:
-        unit_index = _validate_algebra(group, lam, labels, degrees, table, name)
-    elif unit_index is None:
+    if not validate and unit_index is None:
         raise InvalidParams(f"{name}: unit_index is required when validation "
                             "is skipped")
-    return GradedAlgebra(group, lam, labels, degrees, unit_index, table, name)
+    out = GradedAlgebra(group, lam, labels, degrees, unit_index, table, name)
+    if validate:
+        out.unit_index = _validate_algebra(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +717,7 @@ def twist(algebra, sigma, validate=False):
     # a cached twist is validated too; validation must see the twisted
     # table, which make_algebra above never received
     if validate:
-        _validate_algebra(out.group, out.lam, out.labels, out.degrees,
-                          out.table, out.name)
+        _validate_algebra(out)
     return out
 
 
@@ -770,15 +833,24 @@ def left_regular_matrix(a):
 def invert_element(a):
     """Two-sided inverse via the left-regular representation; a right
     inverse from exact solving is automatically two-sided in a
-    finite-dimensional unital algebra."""
+    finite-dimensional unital algebra.  The inverse of a homogeneous
+    element of degree g lies in A^(-g), so only x |-> a*x from A^(-g) to
+    A^0 is solved; it is square whenever a is invertible."""
     alg = a.algebra
-    d = alg.dim
-    m = left_regular_matrix(a)
-    rhs = [[ONE] if k == alg.unit_index else [ZERO] for k in range(d)]
-    sol = solve_linear(m, rhs)
+    deg = a.degree_of()
+    if deg is INHOMOGENEOUS:
+        rows = cols = range(alg.dim)
+    else:
+        rows = alg.component_indices(alg.group.zero())
+        cols = alg.component_indices(-deg)
+    sol = None
+    if len(rows) == len(cols):
+        m = left_regular_matrix(a)
+        rhs = [[ONE] if k == alg.unit_index else [ZERO] for k in rows]
+        sol = solve_linear([[m[r][c] for c in cols] for r in rows], rhs)
     if sol is None:
         raise NotInvertible(f"{a!r} is not invertible in {alg.name}")
-    return AlgebraElement(alg, {k: row[0] for k, row in enumerate(sol)})
+    return AlgebraElement(alg, {c: row[0] for c, row in zip(cols, sol)})
 
 
 def _try_invert(a):

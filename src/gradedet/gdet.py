@@ -24,14 +24,14 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .algebra import (AlgebraElement, _dot, _table_product, adjoined_units,
-                      tensor_embed_left, tensor_project_left, transport,
-                      unit_witness)
+from .algebra import (AlgebraElement, _dot, _int_residue, _int_table,
+                      _table_product, adjoined_units, tensor_embed_left,
+                      tensor_project_left, transport, unit_witness)
 from .errors import (InvalidOrdering, NotCrossedProduct, NotDegreeZero,
                      OddEntries, TooLarge)
 from .gmatrix import _require_endo, j_sigma, shift_degrees
 from .grading import Multiplier, parity, solve_ns_multiplier
-from .scalars import CycloScalar, coerce_to, cyclo, euler_phi
+from .scalars import CycloScalar, euler_phi
 
 # gdet0_leibniz sums n! terms: 40,320 at n = 8, ten times that at n = 9
 LEIBNIZ_MAX_N = 8
@@ -151,53 +151,6 @@ def _require_degree_zero(x, what):
 
 # ---------------------------------------------------------------------------
 # commuting determinant
-
-def _int_table(algebra, order):
-    """(N, T, table): N is the lcm of order and the root orders of the
-    structure constants, and table is the structure table over Z[zeta_N]
-    scaled by T, the lcm of the constants' denominators.  Basis vector k
-    times zeta^a becomes index k*phi(N) + a, so cell (k*phi(N) + a,
-    l*phi(N) + b) is T times cell (k, l) times zeta^(a+b).  Equal cells
-    are stored once.  Cached on the algebra under order and N, which share
-    one table."""
-    tables = algebra._int_tables
-    if order not in tables:
-        consts = [c for row in algebra.table for cell in row for _, c in cell]
-        full = lcm(order, *(c.order for c in consts))
-        if full not in tables:
-            m = euler_phi(full)
-            t = lcm(*(f.denominator for c in consts for f in c.coeffs))
-            powers = [cyclo(s, full) for s in range(2 * m - 1)]
-            out, distinct = [], {}
-            for row in algebra.table:
-                for a in range(m):
-                    out_row = []
-                    for cell in row:
-                        for b in range(m):
-                            got = _int_cell(cell, powers[a + b], full, m, t)
-                            out_row.append(distinct.setdefault(got, got))
-                    out.append(tuple(out_row))
-            tables[full] = (full, t, tuple(out))
-        tables[order] = tables[full]
-    return tables[order]
-
-
-def _int_cell(cell, power, order, m, scale):
-    """scale * cell * power as integers, basis vector k times zeta^s at
-    index k*m + s."""
-    return tuple((k * m + s, x) for k, c in cell
-                 for s, x in enumerate(_int_residue(c * power, order, m,
-                                                    scale)) if x)
-
-
-def _int_residue(c, order, m, scale):
-    """scale * c as phi(order) integers, constant term first; scale clears
-    c's denominators."""
-    if c.order not in (1, order):
-        c = coerce_to(c, order)
-    out = [f.numerator * (scale // f.denominator) for f in c.coeffs]
-    return out + [0] * (m - len(out))
-
 
 def det_of_commuting(entries, algebra):
     """Classical determinant by Berkowitz's division-free algorithm

@@ -207,10 +207,10 @@ class CycloScalar:
         return any(self.coeffs)
 
     def __repr__(self):
-        return f"CycloScalar({format_scalar(self)!r}, order={self.order})"
+        return f"CycloScalar({_display(self)!r}, order={self.order})"
 
     def __str__(self):
-        return format_scalar(self)
+        return _display(self)
 
 
 ZERO = CycloScalar(1, (_F0,))
@@ -443,6 +443,27 @@ def format_scalar(a):
         return _format_terms(a)
     except ValueError as exc:
         raise TooLarge(_digit_limit("a coefficient to write out")) from exc
+
+
+def _display(a):
+    """format_scalar(a) for repr and str, which must not raise: a value
+    past the digit limit shows as the digit count of its longest number."""
+    try:
+        return _format_terms(a)
+    except ValueError:
+        digits = max(_digit_count(n) for f in a.coeffs
+                     for n in (f.numerator, f.denominator))
+        return f"<{digits}-digit number>"
+
+
+def _digit_count(n):
+    """The number of decimal digits of n, counted without str(); the
+    first guess is a lower bound, as 0.30102 < log10(2)."""
+    n = abs(n)
+    d = max(1, (n.bit_length() - 1) * 30102 // 100000)
+    while 10 ** d <= n:
+        d += 1
+    return d
 
 
 def _format_terms(a):

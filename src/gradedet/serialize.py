@@ -9,6 +9,8 @@ JSON encoding; they let reports and CLI output cross-reference inputs.
 
 import hashlib
 import json
+import threading
+from collections import OrderedDict
 from math import lcm
 
 from .algebra import INHOMOGENEOUS, make_algebra, preset
@@ -19,6 +21,8 @@ from .grading import (Bicharacter, GradingGroup, Multiplier,
 from .scalars import _digit_limit, coerce_to, format_scalar, parse_scalar
 
 FORMAT = 1
+# parse_algebra keeps the algebras of this many distinct documents
+PARSED_ALGEBRAS = 8
 
 
 def canonical_json(doc):
@@ -156,7 +160,36 @@ def format_algebra(a):
             "table": table}
 
 
+_parsed = OrderedDict()  # canonical text -> (json.loads(text), algebra)
+_parsed_lock = threading.Lock()
+
+
 def parse_algebra(doc, where="algebra"):
+    """The validated algebra of an algebra document.  A document equal to
+    one of the last PARSED_ALGEBRAS distinct documents parsed in this
+    process returns the same (immutable) algebra, so it is validated once
+    and keeps its memo caches.  Only successes are kept."""
+    try:
+        key = canonical_json(doc)
+    except (TypeError, ValueError):  # not JSON data, or a huge int
+        return _parse_algebra(doc, where)
+    with _parsed_lock:
+        hit = _parsed.get(key)
+        # equal text is not enough: a tuple dumps like a list, an int key
+        # like a str key
+        if hit is not None and hit[0] == doc:
+            _parsed.move_to_end(key)
+            return hit[1]
+    algebra = _parse_algebra(doc, where)
+    with _parsed_lock:
+        _parsed[key] = (json.loads(key), algebra)
+        _parsed.move_to_end(key)
+        if len(_parsed) > PARSED_ALGEBRAS:
+            _parsed.popitem(last=False)
+    return algebra
+
+
+def _parse_algebra(doc, where):
     _check_format(doc, where)
     group = parse_group(_field(doc, "group", where, dict), where)
     lamdoc = _field(doc, "lambda", where, dict)

@@ -3,20 +3,23 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from gradedet.algebra import (INHOMOGENEOUS, _table_product,
-                              _validate_algebra, crossed_unit, det_gauss, even_crossed_product, graded_tensor,
-                              invert_element, left_regular_matrix,
-                              make_algebra, preset, tensor_embed_left,
+from gradedet.algebra import (INHOMOGENEOUS, _normalize_structure,
+                              _table_product, _validate_algebra,
+                              crossed_unit, det_gauss, even_crossed_product,
+                              graded_tensor, invert_element,
+                              left_regular_matrix, make_algebra, preset,
+                              solve_linear, tensor_embed_left,
                               tensor_embed_right, tensor_factors,
                               tensor_project_left, transport, twist,
                               unit_degrees, unit_witness)
-from gradedet.errors import (DegreeViolation, InvalidParams, MixedAlgebras,
-                             NoUnit, NotAssociative, NotInvertible,
-                             NotLambdaCommutative)
+from gradedet.errors import (DegreeViolation, GradedetError, InvalidParams,
+                             MixedAlgebras, NoUnit, NotAssociative,
+                             NotInvertible, NotLambdaCommutative)
 from gradedet.gdet import canonical_sigma
 from gradedet.grading import (Bicharacter, GradingGroup, Multiplier, parity,
                               solve_ns_multiplier, trivial_multiplier)
@@ -181,8 +184,7 @@ def test_graded_tensor_product_rule():
     t = graded_tensor(Q, Q)
     assert t.dim == 16
     # the tensor product is built unvalidated; validate this instance
-    assert _validate_algebra(t.group, t.lam, t.labels, t.degrees, t.table,
-                             t.name) == t.unit_index
+    assert _validate_algebra(t) == t.unit_index
     a, b = tensor_factors(t)
     assert a is Q and b is Q
     lhs = tensor_embed_right(t, I) * tensor_embed_left(t, J)
@@ -421,3 +423,148 @@ def test_validation_names_the_first_failing_triple():
     assert "(xi2*xi1)*xi2 != xi2*(xi1*xi2)" in seen
     # a table with non-integer constants (2 and -1/2) still validates
     assert _quadratic_json().dim == 4
+
+
+def _dict_validate(alg, table):
+    """The dict-based validation that ran before the integer table, kept
+    as the reference: every check on table, in the same order, over the
+    scalar cells."""
+    labels, degrees, name, dim = alg.labels, alg.degrees, alg.name, alg.dim
+    cells = [[dict(cell) for cell in row] for row in table]
+    units = [{k: ONE} for k in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            want = degrees[i] + degrees[j]
+            for k, c in table[i][j]:
+                if degrees[k] != want:
+                    raise DegreeViolation(
+                        f"{name}: product {labels[i]}*{labels[j]} hits "
+                        f"{labels[k]} of degree {degrees[k]!r}, expected "
+                        f"{want!r}")
+    unit_index = None
+    for u in range(dim):
+        if all(cells[u][j] == units[j] == cells[j][u] for j in range(dim)):
+            unit_index = u
+            break
+    if unit_index is None:
+        raise NoUnit(f"{name}: no basis vector acts as a two-sided unit")
+    if degrees[unit_index] != alg.group.zero():
+        raise NoUnit(
+            f"{name}: unit {labels[unit_index]} has nonzero degree "
+            f"{degrees[unit_index]!r}")
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                lhs = _table_product(table, cells[i][j], units[k], {})
+                rhs = _table_product(table, units[i], cells[j][k], {})
+                if ({t: c for t, c in lhs.items() if c}
+                        != {t: c for t, c in rhs.items() if c}):
+                    raise NotAssociative(
+                        f"{name}: ({labels[i]}*{labels[j]})*{labels[k]} != "
+                        f"{labels[i]}*({labels[j]}*{labels[k]})")
+    for i in range(dim):
+        for j in range(dim):
+            factor = alg.lam.value(degrees[i], degrees[j])
+            flipped = {k: factor * c for k, c in table[j][i]}
+            if cells[i][j] != {k: c for k, c in flipped.items() if c}:
+                raise NotLambdaCommutative(
+                    f"{name}: {labels[i]}*{labels[j]} != "
+                    f"lambda({degrees[i]!r},{degrees[j]!r}) "
+                    f"{labels[j]}*{labels[i]}")
+    return unit_index
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except GradedetError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _corruptions(alg, i, j):
+    """One cell of alg's table, (i, j), with its sign flipped, its targets
+    moved, its constants multiplied by zeta_4, and emptied."""
+    cell = alg.table[i][j] or ((alg.unit_index, ONE),)
+    zeta = cyclo(1, 4)
+    return [[(k, -c) for k, c in cell],
+            [((k + 1) % alg.dim, c) for k, c in cell],
+            [(k, c * zeta) for k, c in cell],
+            []]
+
+
+def test_integer_validation_matches_the_dict_reference():
+    # every preset kind, a JSON algebra with denominators, and a twist by
+    # a multiplier of root order 3
+    cs = preset("clock_shift", 3)
+    algebras = [Q, preset("clifford", 1, 1), preset("clifford", 2, 1),
+                preset("dual_numbers", 2), preset("grassmann", 3),
+                preset("group_algebra", 2, 3),
+                preset("crossed_product", GradingGroup([2, 2]),
+                       Multiplier(GradingGroup([2, 2]), 2,
+                                  [[1, 1], [0, 1]])),
+                cs, _quadratic_json(), twist(cs, canonical_sigma(cs))]
+    rng = random.Random("corrupt")
+    seen = Counter()
+    for alg in algebras:
+        pairs = list(itertools.product(range(alg.dim), repeat=2))
+        if alg.dim > 6:
+            pairs = rng.sample(pairs, 8)
+        structure = {(i, j): list(alg.table[i][j])
+                     for i, j in itertools.product(range(alg.dim), repeat=2)}
+        assert _outcome(lambda: _validate_algebra(alg)) == \
+            ("ok", alg.unit_index) == _outcome(
+                lambda: _dict_validate(alg, alg.table))
+        for i, j in pairs:
+            for cell in _corruptions(alg, i, j):
+                bad = dict(structure)
+                bad[i, j] = cell
+                got = _outcome(lambda: make_algebra(
+                    alg.degrees, bad, alg.lam, alg.labels,
+                    name=alg.name).unit_index)
+                want = _outcome(lambda: _dict_validate(
+                    alg, _normalize_structure(bad, alg.dim)))
+                assert got == want
+                seen[got[0]] += 1
+    assert min(seen[kind] for kind in (
+        "ok", "DegreeViolation", "NoUnit", "NotAssociative",
+        "NotLambdaCommutative")) > 0
+
+
+def _full_inverse(a):
+    """The inverse from the whole left-regular system, or None."""
+    alg = a.algebra
+    rhs = [[ONE] if k == alg.unit_index else [ZERO] for k in range(alg.dim)]
+    sol = solve_linear(left_regular_matrix(a), rhs)
+    if sol is None:
+        return None
+    return alg.element({k: row[0] for k, row in enumerate(sol)})
+
+
+def test_invert_element_matches_the_full_solve():
+    rng = random.Random("invert")
+    seen = Counter()
+    for alg in _product_algebras() + [preset("grassmann", 4)]:
+        order = 3 if "clock_shift" in alg.name else 1
+        samples = [alg.zero(), alg.one() + alg.one()]
+        samples += [alg.basis_element(k) for k in range(alg.dim)]
+        for indices in alg._components.values():
+            for _ in range(3):
+                samples.append(alg.element({
+                    k: rational(rng.randint(-2, 2)) + cyclo(1, order)
+                    for k in indices if rng.random() < 0.7}))
+        for _ in range(6):
+            samples.append(_random_element(rng, alg, order))
+        # 1 plus one more basis vector: a zero divisor in a group algebra
+        # over an element of order 2, invertible plus nilpotent otherwise
+        samples += [alg.one() + alg.basis_element(k)
+                    for k in range(alg.dim) if k != alg.unit_index]
+        for a in samples:
+            want = _full_inverse(a)
+            homogeneous = a.degree_of() is not INHOMOGENEOUS
+            if want is None:
+                with pytest.raises(NotInvertible):
+                    invert_element(a)
+            else:
+                assert invert_element(a) == want
+            seen[homogeneous, want is not None] += 1
+    assert min(seen[h, ok] for h in (True, False) for ok in (True, False)) > 0

@@ -12,14 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedet import gdet
-from gradedet.algebra import (AlgebraElement, _dot, _table_product, preset,
-                              twist)
+from gradedet.algebra import (AlgebraElement, _dot, _int_residue,
+                              _table_product, preset, twist)
 from gradedet.berezinian import _schur, ber_super_components
 from gradedet.cli import main
 from gradedet.errors import GradedetError, TooLarge
-from gradedet.gdet import (LEIBNIZ_MAX_N, _int_residue, canonical_sigma,
-                           det_of_commuting, gdet0, gdet0_leibniz,
-                           gdet0_via_crossed)
+from gradedet.gdet import (LEIBNIZ_MAX_N, canonical_sigma, det_of_commuting,
+                           gdet0, gdet0_leibniz, gdet0_via_crossed)
 from gradedet.gmatrix import GradedMatrix, identity, j_sigma, matmul
 from gradedet.grading import Multiplier, parity
 from gradedet.oracles import leibniz_det_commutative

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradedet import scalars as scalar_module
+from gradedet.algebra import preset
 from gradedet.errors import (DivisionByZero, IncompatibleRootOrders,
                              ParseError, TooLarge)
+from gradedet.oracles import SweepReport
 from gradedet.scalars import (ONE, ZERO, CycloScalar, as_scalar, coerce_to,
                               cyclo, format_scalar, parse_scalar, rational)
 
@@ -222,3 +224,22 @@ def test_repr_and_str():
     assert str(cyclo(1, 4)) == "z"
     assert str(ZERO) == "0"
     assert "CycloScalar" in repr(cyclo(1, 3))
+
+
+@needs_digit_limit
+def test_repr_past_the_digit_limit():
+    big = rational(10) ** LIMIT
+    shown = f"<{LIMIT + 1}-digit number>"
+    assert str(big) == shown
+    assert repr(big * cyclo(1, 3)) == f"CycloScalar({shown!r}, order=3)"
+    q = preset("quaternions")
+    assert repr(q.basis_element("i") * big + q.one()) == f"1 + ({shown})*i"
+    # a sweep comparing such values records the failure
+    report = SweepReport("digits")
+    report.compare("tag", big, big + 1)
+    assert report.failures == [
+        ("tag", f"CycloScalar({shown!r}, order=1)",
+         f"CycloScalar({shown!r}, order=1)")]
+    # the digit count is exact on both sides of a power of ten
+    assert [scalar_module._digit_count(n) for n in
+            (0, 9, -10, 10 ** 5000 - 1, 10 ** 5000)] == [1, 1, 2, 5000, 5001]

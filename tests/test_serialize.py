@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from gradedet import serialize
 from gradedet.algebra import graded_tensor, preset, twist
-from gradedet.errors import (InvalidCommutationFactor, InvalidParams,
-                             ParseError)
+from gradedet.errors import (GradedetError, InvalidCommutationFactor,
+                             InvalidParams, ParseError)
 from gradedet.gdet import canonical_sigma
 from gradedet.gmatrix import GradedMatrix
 from gradedet.sampling import make_rng, rand_matrix
@@ -106,6 +107,56 @@ def test_parse_algebra_rejects_non_skew_lambda():
     doc["lambda"] = {"root_order": 2, "exponents": [[0, 1], [0, 0]]}
     with pytest.raises(InvalidCommutationFactor):
         parse_algebra(doc)
+
+
+def _fresh(doc):
+    return json.loads(json.dumps(doc))
+
+
+def test_parse_algebra_returns_one_object_per_document():
+    doc = format_algebra(preset("clifford", 1, 1))
+    first = parse_algebra(_fresh(doc))
+    assert parse_algebra(_fresh(doc), where="other.json") is first
+    assert first._int_tables  # left by validation, kept for the determinant
+    # a changed name is another document
+    renamed = parse_algebra(dict(_fresh(doc), name="renamed"))
+    assert renamed is not first and renamed.name == "renamed"
+    assert renamed.table == first.table
+    # one corrupted cell: validated on its own, although the valid
+    # document is cached, and raising again since failures are not kept
+    bad = _fresh(doc)
+    bad["table"]["1,2"][0]["c"] = "-1"
+    messages = []
+    for _ in range(2):
+        with pytest.raises(GradedetError) as exc:
+            parse_algebra(bad)
+        messages.append((exc.type, str(exc.value)))
+    assert messages[0] == messages[1]
+    assert canonical_json(bad) not in serialize._parsed
+    # parse errors name each caller's where
+    del bad["table"]
+    for where in ("a.json", "b.json"):
+        with pytest.raises(ParseError, match=f"^{where}: missing field"):
+            parse_algebra(bad, where=where)
+    # equal JSON text is not enough: a tuple is not a list
+    tupled = _fresh(doc)
+    tupled["basis"] = tuple(tupled["basis"])
+    with pytest.raises(ParseError, match="'basis' has the wrong type"):
+        parse_algebra(tupled)
+    assert parse_algebra(_fresh(doc)) is first
+
+
+def test_parse_algebra_memo_is_a_bounded_lru():
+    doc = format_algebra(preset("dual_numbers", 1))
+    docs = [dict(_fresh(doc), name=f"lru{i}")
+            for i in range(serialize.PARSED_ALGEBRAS + 1)]
+    algebras = [parse_algebra(d) for d in docs[:-1]]
+    assert parse_algebra(_fresh(docs[0])) is algebras[0]  # now most recent
+    parse_algebra(docs[-1])  # evicts docs[1], the least recently used
+    assert len(serialize._parsed) <= serialize.PARSED_ALGEBRAS
+    assert parse_algebra(_fresh(docs[0])) is algebras[0]
+    again = parse_algebra(_fresh(docs[1]))
+    assert again is not algebras[1] and _same_algebra(again, algebras[1])
 
 
 def test_parse_matrix_errors():
