@@ -8,9 +8,10 @@ lambda-commutativity exhaustively (the basis is finite), naming the
 offending triple on failure; associativity is checked on the integer
 structure table, which stays cached for the determinant.  Presets cover
 the standard examples; the multiplier twist and the graded tensor product
-build new algebras from old ones.  Element inversion goes through the
-left-regular representation and exact Gaussian elimination, so singularity
-is detected by exact rank.
+build new algebras from old ones.  Elements and matrices over the algebra
+are inverted by one exact linear solve, restricted to the graded pieces
+the inverse can occupy (solve_inverse), so singularity is detected by
+exact rank.
 """
 
 import itertools
@@ -820,37 +821,66 @@ def tensor_project_left(t, elem):
 def left_regular_matrix(a):
     """The matrix of x |-> a*x on the basis, as scalar rows."""
     alg = a.algebra
-    d = alg.dim
-    m = [[ZERO] * d for _ in range(d)]
-    for i, ci in a.coeffs.items():
-        row = alg.table[i]
-        for j in range(d):
-            for k, c in row[j]:
-                m[k][j] = m[k][j] + ci * c
-    return m
+    cols = [_table_product(alg.table, a.coeffs, {j: ONE}, {})
+            for j in range(alg.dim)]
+    return [[col.get(k, ZERO) for col in cols] for k in range(alg.dim)]
+
+
+def solve_inverse(alg, entries, mu, nu, degree):
+    """The grid Y with X Y = I for the square grid X of elements of alg
+    with row degrees mu and column degrees nu, or None when X is singular;
+    a right inverse is two-sided in a finite-dimensional algebra.  For X
+    homogeneous of degree d, Y is homogeneous of degree -d: the unknowns
+    of column j are the coefficients of Y^k_j in A^(mu_j - nu_k - d), and
+    the equations are the coefficients of (X Y)^i_j in A^(mu_j - mu_i).
+    Columns with equal mu_j share one system, square whenever X is
+    invertible.  An inhomogeneous X (degree INHOMOGENEOUS) solves one
+    system over every basis vector."""
+    n, table = len(entries), alg.table
+    grid = [[None] * n for _ in range(n)]
+    for col_degree in (dict.fromkeys(mu) if degree is not INHOMOGENEOUS
+                       else (None,)):
+        if col_degree is None:
+            js = range(n)
+            unknowns = pieces = [range(alg.dim)] * n
+        else:
+            js = [j for j in range(n) if mu[j] == col_degree]
+            unknowns = [alg.component_indices(col_degree - nuk - degree)
+                        for nuk in nu]
+            pieces = [alg.component_indices(col_degree - mui) for mui in mu]
+        eqs = [(i, r) for i, piece in enumerate(pieces) for r in piece]
+        cols = [(k, b) for k, piece in enumerate(unknowns) for b in piece]
+        if len(cols) != len(eqs):
+            return None
+        where = {e: t for t, e in enumerate(eqs)}
+        # column (k, b) of the system is X^i_k e_b for every i
+        m = [[ZERO] * len(cols) for _ in eqs]
+        for c, (k, b) in enumerate(cols):
+            for i, row in enumerate(entries):
+                for r, v in _table_product(table, row[k].coeffs, {b: ONE},
+                                           {}).items():
+                    m[where[i, r]][c] = v
+        rhs = [[ONE if e == (j, alg.unit_index) else ZERO for j in js]
+               for e in eqs]
+        sol = solve_linear(m, rhs)
+        if sol is None:
+            return None
+        coeffs = {(k, j): {} for k in range(n) for j in js}
+        for (k, b), values in zip(cols, sol):
+            for j, v in zip(js, values):
+                coeffs[k, j][b] = v
+        for (k, j), found in coeffs.items():
+            grid[k][j] = AlgebraElement(alg, found)
+    return grid
 
 
 def invert_element(a):
-    """Two-sided inverse via the left-regular representation; a right
-    inverse from exact solving is automatically two-sided in a
-    finite-dimensional unital algebra.  The inverse of a homogeneous
-    element of degree g lies in A^(-g), so only x |-> a*x from A^(-g) to
-    A^0 is solved; it is square whenever a is invertible."""
-    alg = a.algebra
-    deg = a.degree_of()
-    if deg is INHOMOGENEOUS:
-        rows = cols = range(alg.dim)
-    else:
-        rows = alg.component_indices(alg.group.zero())
-        cols = alg.component_indices(-deg)
-    sol = None
-    if len(rows) == len(cols):
-        m = left_regular_matrix(a)
-        rhs = [[ONE] if k == alg.unit_index else [ZERO] for k in rows]
-        sol = solve_linear([[m[r][c] for c in cols] for r in rows], rhs)
-    if sol is None:
-        raise NotInvertible(f"{a!r} is not invertible in {alg.name}")
-    return AlgebraElement(alg, {c: row[0] for c, row in zip(cols, sol)})
+    """The two-sided inverse of a: the 1x1 case of solve_inverse."""
+    zero = (a.algebra.group.zero(),)
+    grid = solve_inverse(a.algebra, [[a]], zero, zero, a.degree_of())
+    if grid is None:
+        raise NotInvertible(f"{a!r} is not invertible in {a.algebra.name}")
+    return grid[0][0]
 
 
 def _try_invert(a):

@@ -5,18 +5,19 @@ entries in the algebra; it is homogeneous of degree x when entry (i,j)
 is homogeneous of degree x - mu_i + nu_j.  This module provides the
 homogeneity bookkeeping, products, the left module action, the J_sigma
 transform into the twisted algebra (a root-of-unity rescaling of each
-stored coefficient), the graded trace, exact inversion, permutation
-matrices built from homogeneous units, and base change.  Operations on
-endomorphism matrices (equal row and column degree vectors) share one
-precondition, _require_endo.
+stored coefficient), the graded trace, inversion through the graded
+solve of algebra.solve_inverse, permutation matrices built from
+homogeneous units, and base change.  Operations on endomorphism matrices
+(equal row and column degree vectors) share one precondition,
+_require_endo.
 """
 
 from .algebra import (AlgebraElement, INHOMOGENEOUS, _dot, invert_element,
-                      left_regular_matrix, solve_linear, twist, unit_witness)
+                      solve_inverse, twist, unit_witness)
 from .errors import (DegreeMismatch, InhomogeneousScalar, InvalidParams,
                      MissingUnit, MixedAlgebras, NotSquare, Singular)
 from .grading import parity
-from .scalars import ONE, ZERO, cyclo
+from .scalars import cyclo
 
 
 def superrank(lam, degrees):
@@ -275,43 +276,16 @@ def graded_trace(x):
 
 
 def invert_matrix(x):
-    """Two-sided inverse by exact linear solving: the equations X Y = I
-    over the algebra become a scalar block system through the left-regular
-    representation of each entry.  A right inverse is two-sided here, and
-    the inverse of a homogeneous matrix of degree d is homogeneous of
-    degree -d."""
+    """The two-sided inverse of a square matrix, from the graded solve of
+    X Y = I (algebra.solve_inverse); the inverse of a homogeneous matrix
+    of degree d is homogeneous of degree -d."""
     if x.nrows != x.ncols:
         raise NotSquare("only square matrices can be inverted")
     alg = x.algebra
-    n = x.nrows
-    dim = alg.dim
-    blocks = [[left_regular_matrix(x.entries[i][k]) for k in range(n)]
-              for i in range(n)]
-    size = n * dim
-    m = [[ZERO] * size for _ in range(size)]
-    for i in range(n):
-        for k in range(n):
-            block = blocks[i][k]
-            for r in range(dim):
-                row = m[i * dim + r]
-                brow = block[r]
-                for c in range(dim):
-                    if brow[c]:
-                        row[k * dim + c] = brow[c]
-    rhs = [[ZERO] * n for _ in range(size)]
-    for j in range(n):
-        rhs[j * dim + alg.unit_index][j] = ONE
-    sol = solve_linear(m, rhs)
-    if sol is None:
+    grid = solve_inverse(alg, x.entries, x.row_degrees, x.col_degrees,
+                         x.degree_of())
+    if grid is None:
         raise Singular(f"matrix is not invertible over {alg.name}")
-    grid = []
-    for k in range(n):
-        row = []
-        for j in range(n):
-            coeffs = {r: sol[k * dim + r][j] for r in range(dim)
-                      if sol[k * dim + r][j]}
-            row.append(AlgebraElement(alg, coeffs))
-        grid.append(row)
     return GradedMatrix(alg, x.col_degrees, x.row_degrees, grid)
 
 

@@ -1,18 +1,25 @@
 """Graded matrices: degrees, products, trace, J, inversion, permutations."""
 
+from collections import Counter
+
 import pytest
 
-from gradedet.algebra import INHOMOGENEOUS, invert_element, preset, transport, twist
+from gradedet import algebra, scalars
+from gradedet.algebra import (INHOMOGENEOUS, invert_element,
+                              left_regular_matrix, preset, solve_linear,
+                              transport, twist)
 from gradedet.errors import (DegreeMismatch, InhomogeneousScalar,
                              InvalidParams, MissingUnit, MixedAlgebras,
                              NotSquare, Singular)
 from gradedet.gdet import canonical_sigma
+from gradedet.grading import GradingGroup, Multiplier
 from gradedet.gmatrix import (GradedMatrix, change_basis, diagonal,
                               graded_trace, identity, invert_matrix, j_sigma,
                               matmul, permutation_matrix, scalar_action,
                               shift_degrees, superrank, zero_matrix)
-from gradedet.sampling import (make_rng, rand_degrees, rand_matrix,
-                               sorted_degrees)
+from gradedet.oracles import _odd_line_tensor
+from gradedet.sampling import (make_rng, rand_degrees, rand_invertible,
+                               rand_matrix, sorted_degrees)
 from gradedet.scalars import rational
 
 Q = preset("quaternions")
@@ -215,3 +222,79 @@ def test_shift_degrees():
     assert shifted.entries == X.entries
     assert shifted.degree_of() == X.degree_of()
     assert shift_degrees(shifted, it).row_degrees == (ZERO, JT)
+
+
+def _full_system_inverse(x):
+    """X^(-1) from the whole n*dim scalar system of X Y = I, whose (i, k)
+    block is the left-regular matrix of X^i_k, or None if it is
+    singular."""
+    alg, n, dim = x.algebra, x.nrows, x.algebra.dim
+    blocks = [[left_regular_matrix(e) for e in row] for row in x.entries]
+    m = [[blocks[i][k][r][c] for k in range(n) for c in range(dim)]
+         for i in range(n) for r in range(dim)]
+    rhs = [[scalars.ONE if (i, r) == (j, alg.unit_index) else scalars.ZERO
+            for j in range(n)] for i in range(n) for r in range(dim)]
+    sol = solve_linear(m, rhs)
+    if sol is None:
+        return None
+    return GradedMatrix(alg, x.col_degrees, x.row_degrees, [
+        [alg.element({c: sol[k * dim + c][j] for c in range(dim)})
+         for j in range(n)] for k in range(n)])
+
+
+def _inversion_algebras():
+    return [Q, preset("clifford", 2, 1), preset("dual_numbers", 2),
+            preset("grassmann", 3), preset("grassmann", 4),
+            preset("group_algebra", 2, 3),
+            preset("crossed_product", GradingGroup([2, 2]),
+                   Multiplier(GradingGroup([2, 2]), 2, [[1, 1], [0, 1]])),
+            preset("clock_shift", 3), _odd_line_tensor()]
+
+
+@pytest.mark.parametrize("alg", _inversion_algebras(), ids=lambda a: a.name)
+def test_invert_matrix_matches_the_full_system(alg):
+    rng = make_rng(f"invert:{alg.name}")
+    pool = sorted_degrees(alg)
+    samples = []
+    for n in (1, 2, 3) if alg.dim <= 9 else (1, 2):
+        nu = rand_degrees(rng, alg, n)
+        mu = rand_degrees(rng, alg, n)
+        x = rand_invertible(rng, alg, nu)
+        d = rng.choice(pool)
+        # 2 + b is invertible for b squaring to a scalar or of finite order
+        b = alg.basis_element(rng.choice(
+            [k for k in range(alg.dim) if k != alg.unit_index]))
+        samples += [
+            matmul(x, diagonal(alg, nu, [alg.from_scalar(2) + b] * n)),
+            x, rand_matrix(rng, alg, nu, d), rand_matrix(rng, alg, nu, d, mu),
+            x + rand_matrix(rng, alg, nu, rng.choice(pool)),
+            # the last column times zero: singular, of x's degree
+            matmul(x, diagonal(alg, nu, [alg.one()] * (n - 1)
+                               + [alg.zero()])),
+            zero_matrix(alg, mu, nu)]
+    seen = Counter()
+    for x in samples:
+        want = _full_system_inverse(x)
+        if want is None:
+            with pytest.raises(Singular):
+                invert_matrix(x)
+        else:
+            assert invert_matrix(x) == want
+        deg = x.degree_of()
+        seen[deg is INHOMOGENEOUS, want is not None] += 1
+    assert seen[False, True] and seen[False, False] and seen[True, True]
+
+
+def test_homogeneous_inverse_solves_one_piece_per_column(monkeypatch):
+    nu = [ZERO, JT, I.degree_of()]
+    x = rand_invertible(make_rng("pieces"), Q, nu)
+    sizes = []
+
+    def recording(matrix, rhs):
+        sizes.append(len(matrix))
+        return solve_linear(matrix, rhs)
+
+    monkeypatch.setattr(algebra, "solve_linear", recording)
+    assert matmul(x, invert_matrix(x)) == identity(Q, nu)
+    # one 3x3 system per distinct column degree, never the 12x12 system
+    assert sizes == [3, 3, 3]
