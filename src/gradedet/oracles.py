@@ -35,7 +35,8 @@ from .sampling import (make_rng, parity_split, rand_component, rand_degrees,
                        rand_fraction, rand_invertible,
                        rand_invertible_parity_blocks, rand_matrix,
                        rand_parity_constant_degrees,
-                       rand_parity_sorted_degrees, sorted_degrees)
+                       rand_parity_sorted_degrees, rand_unitriangular,
+                       sorted_degrees)
 from .scalars import cyclo, rational
 
 
@@ -759,15 +760,7 @@ def sweep_berezinian(seed=0):
                               zero_matrix(alg, nu[r0:], nu[:r0]), x11)
             report.compare(_tag(bd), gdet0(x00)
                            * invert_element(gdet0(x11)), gber0(bd))
-            tri = [list(row) for row in identity(alg, nu).entries]
-            upper = rng.random() < 0.5
-            for i in range(r0):
-                for j in range(r0, r0 + r1):
-                    if upper:
-                        tri[i][j] = rand_component(rng, alg, nu[j] - nu[i])
-                    else:
-                        tri[j][i] = rand_component(rng, alg, nu[i] - nu[j])
-            tm = GradedMatrix(alg, nu, nu, tri)
+            tm = rand_unitriangular(rng, alg, nu, r0, rng.random() < 0.5)
             report.compare(_tag(tm), alg.one(), gber0(tm))
     # purely even degree vectors reduce to gdet0
     quat = preset("quaternions")
@@ -857,11 +850,7 @@ def sweep_matrix_identities(seed=0):
             bd = block_matrix(b1, zero_matrix(alg, nu1, nu2),
                               zero_matrix(alg, nu2, nu1), b2)
             report.compare(_tag(bd), gdet0(b1) * gdet0(b2), gdet0(bd))
-            tri = [list(row) for row in identity(alg, nu).entries]
-            for i in range(n1):
-                for j in range(n1, n):
-                    tri[i][j] = rand_component(rng, alg, nu[j] - nu[i])
-            tm = GradedMatrix(alg, nu, nu, tri)
+            tm = rand_unitriangular(rng, alg, nu, n1)
             report.compare(_tag(tm), alg.one(), gdet0(tm))
     return report
 

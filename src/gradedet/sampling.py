@@ -13,17 +13,15 @@ from fractions import Fraction
 
 from .algebra import unit_witness
 from .errors import MissingUnit, Singular
-from .gmatrix import (GradedMatrix, block_matrix, identity, invert_matrix,
-                      matmul, zero_matrix)
+from .gmatrix import (GradedMatrix, block_matrix, diagonal, identity,
+                      invert_matrix, matmul, zero_matrix)
 from .grading import parity
 
 # rejection-sampling attempts before the constructive fallbacks
 INVERTIBLE_ATTEMPTS = 5
 PARITY_BLOCKS_ATTEMPTS = 4
-# the share of basis coefficients drawn in a random component, and in an
-# off-diagonal entry of a unitriangular fallback factor
+# the share of basis coefficients drawn in a random component
 DENSITY = 0.75
-TRIANGULAR_DENSITY = 0.5
 
 
 def make_rng(seed=0):
@@ -102,23 +100,24 @@ def rand_matrix(rng, algebra, nu, degree=None, mu=None):
     return GradedMatrix(algebra, mu, nu, grid)
 
 
-def _unitriangular(rng, algebra, nu, upper):
-    n = len(nu)
-    grid = [[algebra.one() if i == j else algebra.zero() for j in range(n)]
-            for i in range(n)]
-    for i in range(n):
-        rng_cols = range(i + 1, n) if upper else range(i)
-        for j in rng_cols:
-            grid[i][j] = rand_component(rng, algebra, nu[j] - nu[i],
-                                        TRIANGULAR_DENSITY)
-    return GradedMatrix(algebra, nu, nu, grid)
+def rand_unitriangular(rng, algebra, nu, r0, upper=True):
+    """The degree-0 block matrix [[I, B], [0, I]] (upper) or
+    [[I, 0], [B, I]] over nu split after r0 entries, with B random."""
+    nu0, nu1 = nu[:r0], nu[r0:]
+    i0, i1 = identity(algebra, nu0), identity(algebra, nu1)
+    if upper:
+        return block_matrix(i0, rand_matrix(rng, algebra, nu1, mu=nu0),
+                            zero_matrix(algebra, nu1, nu0), i1)
+    return block_matrix(i0, zero_matrix(algebra, nu0, nu1),
+                        rand_matrix(rng, algebra, nu0, mu=nu1), i1)
 
 
 def rand_invertible(rng, algebra, nu, degree=None):
     """A random invertible homogeneous matrix of the given degree (default
     0).  Rejection sampling first; if every attempt is singular, build
-    (I+U) D (I+L) with strictly triangular U, L and an invertible diagonal,
-    which needs a unit of the requested degree in A."""
+    U D L with U, L block-unitriangular (split in the middle) and D an
+    invertible diagonal, which needs a unit of the requested degree in
+    A."""
     x = algebra.group.zero() if degree is None else degree
     for _ in range(INVERTIBLE_ATTEMPTS):
         cand = rand_matrix(rng, algebra, nu, x)
@@ -132,12 +131,10 @@ def rand_invertible(rng, algebra, nu, degree=None):
         raise MissingUnit(
             f"cannot build an invertible degree-{x.residues} matrix: "
             f"{algebra.name} has no invertible element of that degree")
-    n = len(nu)
-    diag = [[(w[0] * rand_fraction(rng, nonzero=True)) if i == j
-             else algebra.zero() for j in range(n)] for i in range(n)]
-    d = GradedMatrix(algebra, nu, nu, diag)
-    u = _unitriangular(rng, algebra, nu, upper=True)
-    lo = _unitriangular(rng, algebra, nu, upper=False)
+    d = diagonal(algebra, nu, [w[0] * rand_fraction(rng, nonzero=True)
+                               for _ in nu])
+    u = rand_unitriangular(rng, algebra, nu, len(nu) // 2)
+    lo = rand_unitriangular(rng, algebra, nu, len(nu) // 2, upper=False)
     return matmul(matmul(u, d), lo)
 
 
@@ -165,12 +162,6 @@ def rand_invertible_parity_blocks(rng, algebra, nu, r1, degree=None):
     d1 = rand_invertible(rng, algebra, nu[r0:], x)
     d = block_matrix(d0, zero_matrix(algebra, nu[:r0], nu[r0:]),
                      zero_matrix(algebra, nu[r0:], nu[:r0]), d1)
-    ug = [list(row) for row in identity(algebra, nu).entries]
-    lg = [list(row) for row in identity(algebra, nu).entries]
-    for i in range(r0):
-        for j in range(r0, n):
-            ug[i][j] = rand_component(rng, algebra, nu[j] - nu[i])
-            lg[j][i] = rand_component(rng, algebra, nu[i] - nu[j])
-    u = GradedMatrix(algebra, nu, nu, ug)
-    lo = GradedMatrix(algebra, nu, nu, lg)
+    u = rand_unitriangular(rng, algebra, nu, r0)
+    lo = rand_unitriangular(rng, algebra, nu, r0, upper=False)
     return matmul(matmul(u, d), lo)
