@@ -14,13 +14,17 @@ from collections import OrderedDict
 from math import lcm
 
 from .algebra import INHOMOGENEOUS, make_algebra, preset
-from .errors import InvalidCommutationFactor, InvalidParams, ParseError
+from .errors import (InvalidCommutationFactor, InvalidParams, ParseError,
+                     TooLarge)
 from .gmatrix import GradedMatrix
 from .grading import (Bicharacter, GradingGroup, Multiplier,
                       is_commutation_factor, trivial_multiplier)
 from .scalars import _digit_limit, coerce_to, format_scalar, parse_scalar
 
 FORMAT = 1
+# the largest root order a document may declare: a product of two dense
+# scalars of order N costs about phi(N)^2 rational operations
+MAX_ROOT_ORDER = 256
 # parse_algebra keeps the algebras of this many distinct documents
 PARSED_ALGEBRAS = 8
 
@@ -47,13 +51,17 @@ def _check_format(doc, where):
         raise ParseError(f"{where}: unsupported format {doc['format']!r}")
 
 
-def _root_order(doc, where):
-    """The document's optional "root_order" (default 1), a positive
-    integer."""
-    order = doc.get("root_order", 1)
+def _root_order(doc, where, required=False):
+    """The document's "root_order" (default 1 unless required), a positive
+    integer; one above MAX_ROOT_ORDER raises TooLarge."""
+    order = (_field(doc, "root_order", where) if required
+             else doc.get("root_order", 1))
     if not isinstance(order, int) or order < 1:
         raise ParseError(f"{where}: root_order must be a positive integer, "
                          f"got {order!r}")
+    if order > MAX_ROOT_ORDER:
+        raise TooLarge(f"{where}: root_order {order} is above the limit "
+                       f"{MAX_ROOT_ORDER}")
     return order
 
 
@@ -80,8 +88,8 @@ def format_multiplier(m):
 
 def parse_multiplier(doc, where="sigma"):
     _check_format(doc, where)
+    order = _root_order(doc, where, required=True)
     group = parse_group(doc, where)
-    order = _field(doc, "root_order", where, int)
     exps = _field(doc, "exponents", where, list)
     try:
         return Multiplier(group, order, exps)
@@ -191,17 +199,18 @@ def parse_algebra(doc, where="algebra"):
 
 def _parse_algebra(doc, where):
     _check_format(doc, where)
+    order = _root_order(doc, where)
+    name = _field(doc, "name", where, str) if "name" in doc else "algebra"
     group = parse_group(_field(doc, "group", where, dict), where)
     lamdoc = _field(doc, "lambda", where, dict)
     try:
-        lam = Bicharacter(group, _field(lamdoc, "root_order", where, int),
+        lam = Bicharacter(group, _root_order(lamdoc, where, required=True),
                           _field(lamdoc, "exponents", where, list))
     except (TypeError, ValueError, InvalidParams) as exc:
         raise ParseError(f"{where}: bad commutation factor: {exc}") from exc
     if not is_commutation_factor(lam):
         raise InvalidCommutationFactor(
             f"{where}: the declared map is not skew-symmetric")
-    order = _root_order(doc, where)
     basis = _field(doc, "basis", where, list)
     labels, degrees = [], []
     for item in basis:
@@ -216,6 +225,8 @@ def _parse_algebra(doc, where):
             raise ParseError(f"{where}: bad table key {key!r}") from exc
         if not (0 <= i < dim and 0 <= j < dim):
             raise ParseError(f"{where}: table key {key!r} out of range")
+        if not isinstance(cell, list):
+            raise ParseError(f"{where}: table cell {key!r} must be a list")
         row = []
         for term in cell:
             k = _field(term, "k", where, int)
@@ -229,7 +240,7 @@ def _parse_algebra(doc, where):
     except (TypeError, ValueError, InvalidParams) as exc:
         raise ParseError(f"{where}: bad basis degree: {exc}") from exc
     return make_algebra(grp_degrees, structure, lam, labels, validate=True,
-                        name=doc.get("name", "algebra"))
+                        name=name)
 
 
 def parse_preset(text, sigma=None):

@@ -17,10 +17,11 @@ from gradedet.errors import TooLarge, VerificationFailure
 from gradedet.gdet import all_ns_multipliers, canonical_sigma
 from gradedet.gmatrix import GradedMatrix, identity
 from gradedet.grading import Bicharacter, GradingGroup
-from gradedet.serialize import (digest_algebra, digest_matrix,
-                                digest_multiplier, format_algebra,
-                                format_matrix, format_multiplier,
-                                parse_algebra, parse_preset)
+from gradedet.serialize import (MAX_ROOT_ORDER, digest_algebra,
+                                digest_matrix, digest_multiplier,
+                                format_algebra, format_matrix,
+                                format_multiplier, parse_algebra,
+                                parse_preset)
 
 Q = preset("quaternions")
 J = Q.basis_element("j")
@@ -134,6 +135,43 @@ def test_parse_boundary_errors(capsys, tmp_path, corrupt):
     code, out = run(capsys, "gdet0", "--algebra", "preset:quaternions",
                     "--matrix", str(p))
     assert code == 2 and out["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc["table"].update({"0,0": 5}),
+    lambda doc: doc["table"].update({"0,0": None}),
+    lambda doc: doc.update(name=["x"]),
+], ids=["table_cell_5", "table_cell_null", "name_list"])
+def test_algebra_document_errors(capsys, tmp_path, corrupt):
+    doc = format_algebra(Q)
+    corrupt(doc)
+    p = tmp_path / "hostile.json"
+    p.write_text(json.dumps(doc))
+    code, out = run(capsys, "solve-sigma", "--algebra", str(p))
+    assert code == 2 and out["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("where", ["matrix", "algebra", "lambda", "sigma"])
+def test_root_order_past_the_limit_exits_3(capsys, tmp_path, where):
+    huge = 10007
+    docs = {"matrix": format_matrix(X), "algebra": format_algebra(Q),
+            "sigma": format_multiplier(canonical_sigma(Q))}
+    if where == "matrix":
+        docs["matrix"]["entries"][0][0][0]["c"] = "z"
+    target = docs["algebra"]["lambda"] if where == "lambda" else docs[where]
+    target["root_order"] = huge
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out = run(capsys, "gdet", "--algebra", str(paths["algebra"]),
+                    "--matrix", str(paths["matrix"]),
+                    "--sigma", str(paths["sigma"]))
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out["error"] == "TooLarge"
+    assert f"root_order {huge} is above the limit {MAX_ROOT_ORDER}" \
+        in out["message"]
 
 
 def test_precondition_exit_code(capsys, tmp_path):
