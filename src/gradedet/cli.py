@@ -21,10 +21,11 @@ from .errors import GradedetError, IncompatibleGroups, ParseError
 from .gdet import all_ns_multipliers, canonical_sigma, gdet0, gdet_sigma
 from .gmatrix import GradedMatrix, graded_trace
 from .oracles import SUITES, iter_property_sweeps
-from .serialize import (FORMAT, digest_algebra, digest_matrix,
-                        digest_multiplier, format_algebra, format_multiplier,
-                        load_json, parse_algebra, parse_matrix,
-                        parse_multiplier, parse_preset, result_doc)
+from .serialize import (FORMAT, check_root_orders, digest_algebra,
+                        digest_matrix, digest_multiplier, format_algebra,
+                        format_multiplier, load_json, parse_algebra,
+                        parse_matrix, parse_multiplier, parse_preset,
+                        result_doc)
 
 
 @cache
@@ -138,6 +139,7 @@ def _matrix_job(args):
     x = parse_matrix(load_json(args.matrix), algebra, where=args.matrix)
     if args.degrees:
         x = _apply_degrees(x, args.degrees)
+    check_root_orders(x, sigma)
     inputs = {"algebra": digest_algebra(algebra),
               "matrix": digest_matrix(x)}
     if sigma is not None:

@@ -26,12 +26,12 @@ from math import lcm
 
 from .algebra import (AlgebraElement, _dot, _int_residue, _int_table,
                       _table_product, adjoined_units, tensor_embed_left,
-                      tensor_project_left, transport, unit_witness)
+                      tensor_project_left, transport, twist, unit_witness)
 from .errors import (InvalidOrdering, NotCrossedProduct, NotDegreeZero,
                      OddEntries, TooLarge)
-from .gmatrix import _require_endo, j_sigma, shift_degrees
+from .gmatrix import _require_endo, j_sigma_exponents, shift_degrees
 from .grading import Multiplier, parity, solve_ns_multiplier
-from .scalars import CycloScalar, euler_phi
+from .scalars import CycloScalar, cyclo, euler_phi
 
 # gdet0_leibniz sums n! terms: 40,320 at n = 8, ten times that at n = 9
 LEIBNIZ_MAX_N = 8
@@ -119,9 +119,9 @@ def random_ordering(pi, rng):
 def _require_even(x, what):
     """Every entry component and every homogeneous component degree must
     have even parity; zero entries pass vacuously.  Entries are checked
-    first, so an odd entry is reported before an odd component.  Parity
-    is additive, so once every entry component is even, a component of
-    entry (i,j) is odd exactly when mu_i and nu_j differ in parity."""
+    first, so an odd entry is reported before an odd component.  Parity is
+    additive, so once every entry component is even, a component of entry
+    (i,j) is odd exactly when mu_i and nu_j (each tested once) differ."""
     alg = x.algebra
     lam = alg.lam
     odd = {k for k, d in enumerate(alg.degrees) if parity(lam, d)}
@@ -133,11 +133,11 @@ def _require_even(x, what):
                     f"{what}: entry ({i},{j}) has an odd-degree "
                     f"component {alg.labels[k]}; expansion order "
                     "would matter")
-    col_parities = [parity(lam, nu) for nu in x.col_degrees]
+    par = {d: parity(lam, d) for d in {*x.row_degrees, *x.col_degrees}}
+    col_parities = [par[nu] for nu in x.col_degrees]
     for mu, row in zip(x.row_degrees, x.entries):
-        p_mu = parity(lam, mu)
         for nu, p_nu, e in zip(x.col_degrees, col_parities, row):
-            if e.coeffs and p_mu != p_nu:
+            if e.coeffs and par[mu] != p_nu:
                 d = alg.degrees[next(iter(e.coeffs))] + mu - nu
                 raise OddEntries(
                     f"{what}: homogeneous component of odd degree {d!r}")
@@ -166,18 +166,25 @@ def det_of_commuting(entries, algebra):
     _int_table, whose table constants carry one more denominator T).
     Each degree-i term of p[i] is a product of i scaled entries formed
     with i - 1 table products, so det A is p[n] / (D^n T^(n-1)) exactly."""
-    n = len(entries)
+    return _det_terms([[[(k, c, False) for k, c in e.coeffs.items()]
+                        for e in row] for row in entries], algebra)
+
+
+def _det_terms(terms, algebra):
+    """det_of_commuting's conversion to ints, then its Berkowitz core, on
+    terms[i][j], the (k, c, negate) of entry (i,j) = sum of +-c e_k."""
+    n = len(terms)
     if n == 0:
         return algebra.one()
-    values = [c for row in entries for e in row for c in e.coeffs.values()]
+    values = [c for row in terms for cell in row for _, c, _ in cell]
     order, t_den, table = _int_table(algebra,
                                      lcm(*{c.order for c in values}))
     m = euler_phi(order)
     d = lcm(*{f.denominator for c in values for f in c.coeffs})
-    a = [[{k * m + s: x
-           for k, c in e.coeffs.items()
+    a = [[{k * m + s: -x if neg else x
+           for k, c, neg in cell
            for s, x in enumerate(_int_residue(c, order, m, d)) if x}
-          for e in row] for row in entries]
+          for cell in row] for row in terms]
     p = [None]              # p[0] = 1 stays implicit
     for r in range(n):
         row = a[r]
@@ -264,10 +271,18 @@ def canonical_sigma(algebra):
 
 def _det_sigma(x, sigma):
     """det(J_sigma(X)) over the twisted algebra, read back in the base
-    algebra (the twist shares the underlying space).  Unchecked: the caller
-    guarantees a square matrix whose entries and components are even."""
-    y = j_sigma(x, sigma)
-    return transport(det_of_commuting(y.entries, y.algebra), x.algebra)
+    algebra, without building J_sigma(X): the kernel reads each coefficient
+    of X times zeta_N^e, e = sigma(g, nu_j) - sigma(nu_i, g) + sigma(nu_i,
+    nu_j) - sigma(nu_j, nu_j) (gmatrix.j_sigma_exponents).  e = 0 keeps it,
+    zeta_N^e = -1 negates its integers, any other e multiplies it by
+    cyclo(e, N) as j_sigma does.  Unchecked: a square, even X."""
+    n = sigma.root_order
+    grid = j_sigma_exponents(x.algebra.degrees, x.col_degrees, sigma)
+    terms = [[[(k, c if 2 * ex[k] in (0, n) else cyclo(ex[k], n) * c,
+                2 * ex[k] == n) for k, c in entry.coeffs.items()]
+              for entry, ex in zip(row, erow)]
+             for row, erow in zip(x.entries, grid)]
+    return transport(_det_terms(terms, twist(x.algebra, sigma)), x.algebra)
 
 
 def gdet_sigma(x, sigma):

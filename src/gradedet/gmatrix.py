@@ -75,26 +75,26 @@ class GradedMatrix:
     def degree_of(self):
         """The homogeneous degree, INHOMOGENEOUS, or the group zero for the
         zero matrix (homogeneous of every degree)."""
-        degs = set()
-        for i, mu in enumerate(self.row_degrees):
-            for j, nu in enumerate(self.col_degrees):
-                for k in self.entries[i][j].coeffs:
-                    degs.add(self.algebra.degrees[k] + mu - nu)
-        if not degs:
-            return self.algebra.group.zero()
-        if len(degs) == 1:
-            return next(iter(degs))
-        return INHOMOGENEOUS
+        pairs, grid = _degree_pairs(self.row_degrees, self.col_degrees)
+        found = [set() for _ in pairs]
+        for row, prow in zip(self.entries, grid):
+            for e, p in zip(row, prow):
+                found[p].update(e.coeffs)
+        degrees = self.algebra.degrees
+        degs = {g + (mu - nu) for (mu, nu), ks in zip(pairs, found)
+                for g in {degrees[k] for k in ks}}
+        degs = degs or {self.algebra.group.zero()}
+        return next(iter(degs)) if len(degs) == 1 else INHOMOGENEOUS
 
     def is_homogeneous_of(self, x):
-        for i, mu in enumerate(self.row_degrees):
-            want_shift = x - mu
-            for j, nu in enumerate(self.col_degrees):
-                want = want_shift + nu
-                for k in self.entries[i][j].coeffs:
-                    if self.algebra.degrees[k] != want:
-                        return False
-        return True
+        """Each x - mu_i + nu_j is formed once per distinct pair."""
+        comps = self.algebra.component_indices
+        pairs, grid = _degree_pairs(self.row_degrees, self.col_degrees)
+        shifted = {mu: x - mu for mu in dict.fromkeys(self.row_degrees)}
+        allowed = [set(comps(shifted[mu] + nu)) for mu, nu in pairs]
+        return all(e.coeffs.keys() <= allowed[p]
+                   for row, prow in zip(self.entries, grid)
+                   for e, p in zip(row, prow))
 
     def map_entries(self, fn):
         return GradedMatrix(self.algebra, self.row_degrees, self.col_degrees,
@@ -151,6 +151,17 @@ class GradedMatrix:
         rows = "; ".join(", ".join(repr(e) for e in row)
                          for row in self.entries)
         return f"[{rows}]"
+
+
+def _degree_pairs(mu, nu):
+    """(pairs, grid): the distinct (mu_i, nu_j), each distinct mu with
+    each distinct nu, and grid[i][j], the index of (mu_i, nu_j) in pairs."""
+    rows = {a: s for s, a in enumerate(dict.fromkeys(mu))}
+    cols = {b: t for t, b in enumerate(dict.fromkeys(nu))}
+    pairs = [(a, b) for a in rows for b in cols]
+    col_index = [cols[b] for b in nu]
+    return pairs, [[s + t for t in col_index]
+                   for s in [rows[a] * len(cols) for a in mu]]
 
 
 def _require_endo(x, what):
@@ -228,38 +239,37 @@ def scalar_action(a, x):
     return GradedMatrix(x.algebra, x.row_degrees, x.col_degrees, out)
 
 
+def j_sigma_exponents(degrees, nu, sigma):
+    """grid[i][j][k] = e: J_sigma multiplies the coefficient of basis
+    vector k, of degree g = degrees[k], in entry (i,j) of a matrix with
+    degree vector nu by zeta_N^e, N = sigma.root_order.  Biadditivity
+    splits e into a column vector, a row vector and a pair scalar,
+      sigma(g + nu_i - nu_j, nu_j) - sigma(nu_i, g) = sigma(g, nu_j)
+        - sigma(nu_i, g) + sigma(nu_i, nu_j) - sigma(nu_j, nu_j) (mod N),
+    so no degree is added and entries of equal (nu_i, nu_j) share a list."""
+    ex, n = sigma.exponent, sigma.root_order
+    rows = {d: [ex(d, g) for g in degrees] for d in dict.fromkeys(nu)}
+    cols = {d: [ex(g, d) for g in degrees] for d in rows}
+    pairs, grid = _degree_pairs(nu, nu)
+    exps = [[(s + c - r) % n for r, c in zip(rows[a], cols[b])]
+            for a, b in pairs for s in [ex(a, b) - ex(b, b)]]
+    return [[exps[p] for p in prow] for prow in grid]
+
+
 def j_sigma(x, sigma):
     """The twist transform, valued over twist(A, sigma): the coefficient
     of a basis vector e of degree g in X^i_j is multiplied by
     sigma(d, nu_j) sigma(nu_i, g)^(-1), where d = g + nu_i - nu_j is the
     degree of the homogeneous component it belongs to; inhomogeneous input
-    thus transforms componentwise."""
+    thus transforms componentwise: cyclo(e, N), e from j_sigma_exponents."""
     _require_endo(x, "J_sigma")
     twisted = twist(x.algebra, sigma)
-    degrees = x.algebra.degrees
-    nu = x.col_degrees
-    n_ord = sigma.root_order
-    # (nu_i, nu_j) -> {g: factor}: the factor depends on the entry only
-    # through these degrees, which repeat across the matrix
-    factor_cache = {}
-    grid = []
-    for nui, row in zip(nu, x.entries):
-        out = []
-        for nuj, e in zip(nu, row):
-            factors = factor_cache.get((nui, nuj))
-            if factors is None:
-                factors = factor_cache[nui, nuj] = {}
-            coeffs = {}
-            for k, c in e.coeffs.items():
-                g = degrees[k]
-                f = factors.get(g)
-                if f is None:
-                    exp = (sigma.exponent(g + nui - nuj, nuj)
-                           - sigma.exponent(nui, g)) % n_ord
-                    f = factors[g] = cyclo(exp, n_ord)
-                coeffs[k] = f * c
-            out.append(AlgebraElement(twisted, coeffs))
-        grid.append(out)
+    nu, n_ord = x.col_degrees, sigma.root_order
+    grid = [[AlgebraElement(twisted, {k: cyclo(exps[k], n_ord) * c
+                                      for k, c in e.coeffs.items()})
+             for e, exps in zip(row, erow)]
+            for row, erow in zip(x.entries, j_sigma_exponents(
+                x.algebra.degrees, nu, sigma))]
     return GradedMatrix(twisted, nu, nu, grid)
 
 

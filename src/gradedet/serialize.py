@@ -65,6 +65,18 @@ def _root_order(doc, where, required=False):
     return order
 
 
+def check_root_orders(x, sigma=None):
+    """TooLarge unless the lcm of the root orders of the matrix, the
+    algebra's constants and lambda, and sigma is at most MAX_ROOT_ORDER."""
+    alg = x.algebra
+    orders = [c.order for row in alg.table for cell in row for _, c in cell]
+    order = lcm(_scalar_orders(e for row in x.entries for e in row),
+                alg.lam.root_order, sigma.root_order if sigma else 1, *orders)
+    if order > MAX_ROOT_ORDER:
+        raise TooLarge(f"the inputs' root orders combine to {order}, above "
+                       f"the limit {MAX_ROOT_ORDER}")
+
+
 # ---------------------------------------------------------------------------
 # groups and multipliers
 

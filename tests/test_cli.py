@@ -151,27 +151,42 @@ def test_algebra_document_errors(capsys, tmp_path, corrupt):
     assert code == 2 and out["error"] == "ParseError"
 
 
-@pytest.mark.parametrize("where", ["matrix", "algebra", "lambda", "sigma"])
+@pytest.mark.parametrize("where", ["matrix", "algebra", "lambda", "sigma",
+                                   "combined"])
 def test_root_order_past_the_limit_exits_3(capsys, tmp_path, where):
     huge = 10007
     docs = {"matrix": format_matrix(X), "algebra": format_algebra(Q),
             "sigma": format_multiplier(canonical_sigma(Q))}
-    if where == "matrix":
-        docs["matrix"]["entries"][0][0][0]["c"] = "z"
-    target = docs["algebra"]["lambda"] if where == "lambda" else docs[where]
-    target["root_order"] = huge
+    commands = ["gdet"]
+    message = f"root_order {huge} is above the limit {MAX_ROOT_ORDER}"
+    if where == "combined":
+        # 255 is within the limit, but lambda and sigma have order 2, so
+        # the scalars would meet at order 510
+        docs["matrix"]["root_order"] = 255
+        docs["matrix"]["entries"][0][0][0]["c"] = "z+2"
+        commands = ["gdet", "gdet0", "gber", "trace"]
+        message = ("the inputs' root orders combine to 510, above the "
+                   f"limit {MAX_ROOT_ORDER}")
+    else:
+        if where == "matrix":
+            docs["matrix"]["entries"][0][0][0]["c"] = "z"
+        target = (docs["algebra"]["lambda"] if where == "lambda"
+                  else docs[where])
+        target["root_order"] = huge
     paths = {}
     for name, doc in docs.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
-    start = time.perf_counter()
-    code, out = run(capsys, "gdet", "--algebra", str(paths["algebra"]),
-                    "--matrix", str(paths["matrix"]),
-                    "--sigma", str(paths["sigma"]))
-    assert time.perf_counter() - start < 1
-    assert code == 3 and out["error"] == "TooLarge"
-    assert f"root_order {huge} is above the limit {MAX_ROOT_ORDER}" \
-        in out["message"]
+    for command in commands:
+        argv = [command, "--algebra", str(paths["algebra"]),
+                "--matrix", str(paths["matrix"])]
+        if command in ("gdet", "gber"):
+            argv += ["--sigma", str(paths["sigma"])]
+        start = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out["error"] == "TooLarge"
+        assert message in out["message"]
 
 
 def test_precondition_exit_code(capsys, tmp_path):

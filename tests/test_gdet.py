@@ -2,7 +2,7 @@
 
 import pytest
 
-from gradedet.algebra import make_algebra, preset
+from gradedet.algebra import make_algebra, preset, transport, twist
 from gradedet.errors import (InvalidOrdering, NotDegreeZero, NotSquare,
                              OddEntries)
 from gradedet.gdet import (all_ns_multipliers, canonical_ordering,
@@ -10,10 +10,14 @@ from gradedet.gdet import (all_ns_multipliers, canonical_ordering,
                            gdet0_leibniz, gdet0_via_crossed, gdet_sigma,
                            is_valid_ordering, permutation_cycles,
                            permutation_sign, random_ordering)
-from gradedet.gmatrix import GradedMatrix, diagonal, identity, matmul
-from gradedet.grading import (Bicharacter, GradingGroup, is_ns_multiplier,
+from gradedet.gmatrix import (GradedMatrix, diagonal, identity, j_sigma,
+                              j_sigma_exponents, matmul)
+from gradedet.grading import (Bicharacter, GradingGroup, GroupElement,
+                              Multiplier, is_ns_multiplier,
                               solve_ns_multiplier)
-from gradedet.sampling import make_rng, rand_matrix
+from gradedet.oracles import _odd_line_tensor
+from gradedet.sampling import (make_rng, parity_split,
+                               rand_parity_constant_degrees, rand_matrix)
 from gradedet.scalars import rational
 
 Q = preset("quaternions")
@@ -86,18 +90,46 @@ def test_gdet0_requires_degree_zero():
     with pytest.raises(NotSquare):
         gdet0(m)
     sq = GradedMatrix(Q, [ZERO], [ZERO], [[J]])
-    with pytest.raises(NotDegreeZero):
+    with pytest.raises(NotDegreeZero) as exc:
         gdet0(sq)
-    with pytest.raises(NotDegreeZero):
+    assert str(exc.value) == ("gdet0 needs a homogeneous matrix of degree "
+                              "0, got degree <0,1>")
+    with pytest.raises(NotDegreeZero) as exc:
         gdet0_leibniz(sq)
+    assert str(exc.value) == ("gdet0_leibniz needs a homogeneous matrix of "
+                              "degree 0, got degree <0,1>")
+    mixed = GradedMatrix(Q, [ZERO, ZERO], [ZERO, ZERO], X.entries)
+    with pytest.raises(NotDegreeZero) as exc:
+        gdet0(mixed)
+    assert str(exc.value).endswith("got degree Inhomogeneous")
 
 
 def test_gdet_sigma_rejects_odd():
     dn = preset("dual_numbers", 2)
+    sigma = solve_ns_multiplier(dn.lam)
     zero = dn.group.zero()
-    m = GradedMatrix(dn, [zero], [zero], [[dn.basis_element("eps1")]])
-    with pytest.raises(OddEntries):
-        gdet_sigma(m, solve_ns_multiplier(dn.lam))
+    e1 = dn.basis_element("eps1")
+    e12 = e1 * dn.basis_element("eps2")
+    odd = e1.degree_of()
+    m = GradedMatrix(dn, [zero], [zero], [[e1]])
+    with pytest.raises(OddEntries) as exc:
+        gdet_sigma(m, sigma)
+    assert str(exc.value) == ("gdet_sigma: entry (0,0) has an odd-degree "
+                              "component eps1; expansion order would matter")
+    # even entries, odd components at (0,1) and (1,0) of different degrees:
+    # the first in row-major order is reported
+    nu = [zero, odd]
+    m = GradedMatrix(dn, nu, nu, [[dn.one(), e12], [dn.one(), dn.one()]])
+    with pytest.raises(OddEntries) as exc:
+        gdet_sigma(m, sigma)
+    assert str(exc.value) == ("gdet_sigma: homogeneous component of odd "
+                              "degree <0,1>")
+    # an odd entry is reported before any odd component
+    m = GradedMatrix(dn, nu, nu, [[dn.one(), e12], [dn.one(), e1]])
+    with pytest.raises(OddEntries) as exc:
+        gdet_sigma(m, sigma)
+    assert str(exc.value) == ("gdet_sigma: entry (1,1) has an odd-degree "
+                              "component eps1; expansion order would matter")
 
 
 def test_multiplicative_and_diagonal():
@@ -189,3 +221,60 @@ def test_sigma_family():
     assert canonical_sigma(Q) is canonical_sigma(Q)
     for sigma in all_ns_multipliers(Q.lam):
         assert is_ns_multiplier(Q.lam, sigma)
+
+
+def _route_algebras():
+    z22 = GradingGroup([2, 2])
+    return [Q, preset("clifford", 1, 1), preset("dual_numbers", 2),
+            preset("grassmann", 4), preset("group_algebra", 2, 3),
+            preset("crossed_product", z22,
+                   Multiplier(z22, 2, [[1, 1], [0, 1]])),
+            preset("clock_shift", 3), _odd_line_tensor()]
+
+
+@pytest.mark.parametrize("alg", _route_algebras(), ids=lambda a: a.name)
+def test_det_sigma_matches_det_of_j_sigma(alg):
+    """gdet_sigma feeds the kernel from X; the reference builds J_sigma(X)
+    over the twisted algebra and takes its determinant."""
+    rng = make_rng(f"route:{alg.name}")
+    evens, _ = parity_split(alg)
+    nonzero = [d for d in evens if d] or evens
+    samples = []
+    for n in (1, 2, 3):
+        nu = rand_parity_constant_degrees(rng, alg, n)
+        samples += [rand_matrix(rng, alg, nu),
+                    rand_matrix(rng, alg, nu, rng.choice(nonzero)),
+                    rand_matrix(rng, alg, nu, rng.choice(evens))
+                    + rand_matrix(rng, alg, nu, rng.choice(nonzero))]
+    beyond_sign = False
+    for sigma in all_ns_multipliers(alg.lam):
+        n_ord = sigma.root_order
+        for x in samples:
+            want = transport(det_of_commuting(j_sigma(x, sigma).entries,
+                                              twist(alg, sigma)), alg)
+            got = gdet_sigma(x, sigma)
+            assert got == want and repr(got) == repr(want)
+            exps = j_sigma_exponents(alg.degrees, x.col_degrees, sigma)
+            beyond_sign |= any(2 * ex[k] not in (0, n_ord)
+                               for row, erow in zip(x.entries, exps)
+                               for e, ex in zip(row, erow) for k in e.coeffs)
+    # only clock_shift(3)'s order-3 multiplier has factors other than +-1
+    assert beyond_sign == (alg.name == "clock_shift(3)")
+
+
+def test_gdet0_forms_degrees_once_per_degree_pair(monkeypatch):
+    nu = [ZERO, JT] * 5
+    x = rand_matrix(make_rng("degree-pairs"), Q, nu)
+    want = gdet0(x)  # fills the multiplier and twisted-table caches
+    built = []
+    init = GroupElement.__init__
+
+    def counting(self, group, residues):
+        built.append(residues)
+        init(self, group, residues)
+
+    monkeypatch.setattr(GroupElement, "__init__", counting)
+    assert gdet0(x) == want
+    # 2 distinct degrees make 4 (mu_i, nu_j) pairs; a degree formed per
+    # entry would be 100 elements at least
+    assert len(built) <= 3 * 4

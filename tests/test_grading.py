@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gradedet.algebra import preset
 from gradedet.errors import InvalidCommutationFactor, InvalidParams, TooLarge
 from gradedet.gdet import all_ns_multipliers
+from gradedet.gmatrix import j_sigma_exponents
 from gradedet.grading import (Bicharacter, GradingGroup, Multiplier,
                               generator_parities,
                               is_commutation_factor, is_ns_multiplier,
@@ -164,6 +165,25 @@ def bicharacters(draw, max_order):
 def test_solver_needs_no_retry(lam):
     assert is_commutation_factor(lam)
     assert is_ns_multiplier(lam, solve_ns_multiplier(lam))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_moduli(max_order=64), st.sampled_from((1, 2, 3, 4, 6, 8, 12)),
+       st.data())
+def test_j_sigma_exponents_split_biadditively(moduli, n, data):
+    """The row/column/pair split equals the exponent of the J_sigma factor
+    sigma(g + a - b, b) sigma(a, g)^(-1) for every degree pair (a, b)."""
+    group = GradingGroup(moduli)
+    sigma = _exponent_map(data.draw, Multiplier, group, n)
+    degree = st.builds(group.element, st.tuples(
+        *(st.integers(0, m - 1) for m in moduli)))
+    degrees = data.draw(st.lists(degree, min_size=1, max_size=6))
+    nu = data.draw(st.lists(degree, min_size=1, max_size=4))
+    grid = j_sigma_exponents(degrees, nu, sigma)
+    for a, row in zip(nu, grid):
+        for b, exps in zip(nu, row):
+            assert exps == [(sigma.exponent(g + a - b, b)
+                             - sigma.exponent(a, g)) % n for g in degrees]
 
 
 # The definitions the generator-pair checks replace, exhaustive over all
