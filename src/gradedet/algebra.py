@@ -25,8 +25,7 @@ from .errors import (DegreeViolation, IncompatibleGroups, InvalidParams,
                      NotInvertible, NotLambdaCommutative)
 from .grading import (Bicharacter, GradingGroup, Multiplier, lambda_twist,
                       parity, solve_ns_multiplier, trivial_multiplier)
-from .scalars import (MINUS_ONE, ONE, ZERO, as_scalar, coerce_to, cyclo,
-                      euler_phi)
+from .scalars import MINUS_ONE, ONE, ZERO, as_scalar, coerce_to, euler_phi
 
 
 class _Inhomogeneous:
@@ -367,27 +366,28 @@ def _int_table(algebra, order):
         if full not in tables:
             m = euler_phi(full)
             t = lcm(*(f.denominator for c in consts for f in c.coeffs))
-            powers = [cyclo(s, full) for s in range(2 * m - 1)]
             out, distinct = [], {}
             for row in algebra.table:
+                # cell (k, l) times zeta^s for s < 2m - 1: one residue per
+                # constant, then a shift modulo Phi_N per power of zeta
+                shifted = []
+                for cell in row:
+                    res, powers = [(k, _int_residue(c, full, m, t))
+                                   for k, c in cell], []
+                    for _ in range(2 * m - 1):
+                        got = tuple((k * m + u, x) for k, r in res
+                                    for u, x in enumerate(r) if x)
+                        powers.append(distinct.setdefault(got, got))
+                        res = [(k, scalars._reduce([0] + r, full))
+                               for k, r in res]
+                    shifted.append(powers)
                 # cell (k, l) times zeta^(a+b) depends on a + b only
-                shifted = [[distinct.setdefault(got, got) for got in (
-                    _int_cell(cell, p, full, m, t) for p in powers)]
-                    for cell in row]
                 for a in range(m):
                     out.append(tuple(cells[a + b] for cells in shifted
                                      for b in range(m)))
             tables[full] = (full, t, tuple(out))
         tables[order] = tables[full]
     return tables[order]
-
-
-def _int_cell(cell, power, order, m, scale):
-    """scale * cell * power as integers, basis vector k times zeta^s at
-    index k*m + s."""
-    return tuple((k * m + s, x) for k, c in cell
-                 for s, x in enumerate(_int_residue(c * power, order, m,
-                                                    scale)) if x)
 
 
 def _int_residue(c, order, m, scale):
@@ -401,13 +401,10 @@ def _int_residue(c, order, m, scale):
 
 def _validate_algebra(alg):
     """alg's unit index, after checking every pair or triple of basis
-    vectors; the first failure raises.  Associativity is checked on the
-    integer table, rebuilt from alg.table and left cached on alg."""
+    vectors; the first failure raises.  The checks after degree
+    additivity run on the integer table, left cached on alg."""
     labels, degrees, table, name = alg.labels, alg.degrees, alg.table, alg.name
     dim = len(labels)
-    # the table's cells and basis vectors as coefficient dicts, built once
-    cells = [[dict(cell) for cell in row] for row in table]
-    units = [{k: ONE} for k in range(dim)]
     # degree additivity
     for i in range(dim):
         for j in range(dim):
@@ -418,26 +415,28 @@ def _validate_algebra(alg):
                         f"{name}: product {labels[i]}*{labels[j]} hits "
                         f"{labels[k]} of degree {degrees[k]!r}, expected "
                         f"{want!r}")
+    # the integer table at the lambda values' root order: e_i is index
+    # i*phi(N), and every cell carries the scale that clears denominators
+    factors = [[alg.lam.value(a, b) for b in degrees] for a in degrees]
+    alg._int_tables.clear()
+    order, scale, itab = _int_table(alg, lcm(*(f.order for row in factors
+                                               for f in row)))
+    m = euler_phi(order)
+    icells = [[dict(row[j * m]) for j in range(dim)] for row in itab[::m]]
+    ivecs = [{k * m: 1} for k in range(dim)]
     # unit: a basis vector acting as identity on both sides
-    unit_index = None
-    for u in range(dim):
-        if all(cells[u][j] == units[j] == cells[j][u] for j in range(dim)):
-            unit_index = u
-            break
+    unit_index = next((u for u in range(dim) if all(
+        icells[u][j] == {j * m: scale} == icells[j][u]
+        for j in range(dim))), None)
     if unit_index is None:
         raise NoUnit(f"{name}: no basis vector acts as a two-sided unit")
     if degrees[unit_index] != alg.group.zero():
         raise NoUnit(
             f"{name}: unit {labels[unit_index]} has nonzero degree "
             f"{degrees[unit_index]!r}")
-    # associativity on ints: e_i is index i*phi(N), and both sides carry
-    # T^2.  The zero-filtered comparison runs only when the raw dicts
-    # differ, since equal dicts stay equal after filtering.
-    alg._int_tables.clear()
-    order, _, itab = _int_table(alg, 1)
-    m = euler_phi(order)
-    icells = [[dict(row[j * m]) for j in range(dim)] for row in itab[::m]]
-    ivecs = [{k * m: 1} for k in range(dim)]
+    # associativity: both sides carry scale^2.  The zero-filtered comparison
+    # runs only when the raw dicts differ, since equal dicts stay equal
+    # after filtering.
     for i in range(dim):
         for j in range(dim):
             left_ij = icells[i][j]
@@ -451,12 +450,13 @@ def _validate_algebra(alg):
                     raise NotAssociative(
                         f"{name}: ({labels[i]}*{labels[j]})*{labels[k]} != "
                         f"{labels[i]}*({labels[j]}*{labels[k]})")
-    # lambda-commutativity
+    # lambda-commutativity: e_i e_j against e_j (lambda e_i), both scaled
     for i in range(dim):
         for j in range(dim):
-            factor = alg.lam.value(degrees[i], degrees[j])
-            flipped = {k: factor * c for k, c in table[j][i]}
-            if cells[i][j] != {k: c for k, c in flipped.items() if c}:
+            lam_i = {i * m + s: x for s, x in enumerate(
+                _int_residue(factors[i][j], order, m, 1)) if x}
+            flipped = _table_product(itab, ivecs[j], lam_i, {})
+            if icells[i][j] != {k: c for k, c in flipped.items() if c}:
                 raise NotLambdaCommutative(
                     f"{name}: {labels[i]}*{labels[j]} != "
                     f"lambda({degrees[i]!r},{degrees[j]!r}) "

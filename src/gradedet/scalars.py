@@ -93,38 +93,24 @@ def cyclotomic_poly(n):
     return tuple(int(c) for c in p)
 
 
-@lru_cache(maxsize=None)
-def _reduction_rows(n):
-    """Residues of z^k mod Phi_n in the power basis, for k = m .. 2m-2 where
-    m = phi(n).  These cover every overflow degree a single multiplication of
-    reduced residues can produce."""
+def _reduce(p, n):
+    """The polynomial p in z modulo Phi_n, as phi(n) coefficients, constant
+    term first.  Each coefficient c of z^k with k >= phi(n), from the top
+    down, is folded away by subtracting c z^(k - phi(n)) Phi_n; Phi_n is
+    monic over Z, so this is exact on ints and on Fractions.  A shorter p
+    is padded with Fraction zeros."""
     phi = cyclotomic_poly(n)
     m = len(phi) - 1
-    rows = []
-    if m < 2:
-        return tuple(rows)
-    cur = [Fraction(-c) for c in phi[:m]]
-    rows.append(tuple(cur))
-    for _ in range(m - 2):
-        top = cur[m - 1]
-        cur = [_F0] + cur[: m - 1]
-        if top:
-            for i in range(m):
-                cur[i] -= top * phi[i]
-        rows.append(tuple(cur))
-    return tuple(rows)
-
-
-def _residue(coeffs, n):
-    """Reduce an arbitrary polynomial in z to its residue mod Phi_n, folding
-    exponents mod n first (z^n = 1 in the quotient)."""
-    folded = [_F0] * n
-    for k, c in enumerate(coeffs):
+    p = list(p)
+    p += [_F0] * (m - len(p))
+    for k in range(len(p) - 1, m - 1, -1):
+        c = p[k]
         if c:
-            folded[k % n] += c
-    _, rem = _poly_divmod(folded, [Fraction(c) for c in cyclotomic_poly(n)])
-    m = euler_phi(n)
-    return tuple(rem) + (_F0,) * (m - len(rem))
+            for i, f in enumerate(phi, k - m):
+                if f:
+                    p[i] -= c * f
+    del p[m:]
+    return p
 
 
 class CycloScalar:
@@ -255,7 +241,7 @@ def cyclo(n, N):
 
 @lru_cache(maxsize=1024)
 def _cyclo(k, N):
-    return CycloScalar(N, _residue([_F0] * k + [_F1], N))
+    return CycloScalar(N, _reduce([_F0] * k + [_F1], N))
 
 
 def coerce_to(a, order):
@@ -269,7 +255,7 @@ def coerce_to(a, order):
     poly = [_F0] * ((len(a.coeffs) - 1) * step + 1) if a.coeffs else []
     for k, c in enumerate(a.coeffs):
         poly[k * step] = c
-    return CycloScalar(order, _residue(poly, order))
+    return CycloScalar(order, _reduce(poly, order))
 
 
 def _aligned(a, b):
@@ -320,15 +306,7 @@ def mul(a, b):
             for j, y in enumerate(pb):
                 if y:
                     conv[i + j] += x * y
-    rows = _reduction_rows(n)
-    out = conv[:m]
-    for k in range(m, 2 * m - 1):
-        c = conv[k]
-        if c:
-            row = rows[k - m]
-            for i in range(m):
-                out[i] += c * row[i]
-    return CycloScalar(n, tuple(out))
+    return CycloScalar(n, _reduce(conv, n))
 
 
 def inv(a):
@@ -348,7 +326,7 @@ def inv(a):
     assert len(r0) == 1
     g = r0[0]
     u = [c / g for c in s0]
-    return CycloScalar(a.order, _residue(u, a.order))
+    return CycloScalar(a.order, _reduce(u, a.order))
 
 
 def div(a, b):
@@ -433,7 +411,7 @@ def _parse_terms(text, s, root_order):
     poly = [_F0] * (max(exponents) + 1)
     for k, v in exponents.items():
         poly[k] += v
-    return CycloScalar(root_order, _residue(poly, root_order))
+    return CycloScalar(root_order, _reduce(poly, root_order))
 
 
 def format_scalar(a):

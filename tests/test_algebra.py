@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from gradedet.algebra import (INHOMOGENEOUS, _normalize_structure,
+from gradedet import scalars
+from gradedet.algebra import (INHOMOGENEOUS, _int_table, _normalize_structure,
                               _table_product, _validate_algebra,
                               crossed_unit, det_gauss, even_crossed_product,
                               graded_tensor, invert_element,
@@ -528,6 +529,33 @@ def test_integer_validation_matches_the_dict_reference():
     assert min(seen[kind] for kind in (
         "ok", "DegreeViolation", "NoUnit", "NotAssociative",
         "NotLambdaCommutative")) > 0
+
+
+def _fresh_copy(alg):
+    return make_algebra(alg.degrees, {(i, j): list(alg.table[i][j])
+                                      for i in range(alg.dim)
+                                      for j in range(alg.dim)},
+                        alg.lam, alg.labels, name=alg.name)
+
+
+def test_integer_tables_form_no_scalar_products(monkeypatch):
+    # powers of zeta are shifts reduced modulo Phi_N on ints, so neither
+    # a table at phi(256) = 128 nor validating clock_shift(5), whose
+    # constants and lambda values are fifth roots of unity, multiplies
+    # two scalars
+    quaternions, cs = _fresh_copy(Q), preset("clock_shift", 5)
+    calls = Counter()
+    mul = scalars.mul
+
+    def counted(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(scalars, "mul", counted)
+    order, scale, table = _int_table(quaternions, 256)
+    assert (order, scale, len(table)) == (256, 1, 4 * 128)
+    assert _fresh_copy(cs).unit_index == cs.unit_index
+    assert calls["mul"] == 0
 
 
 def _full_inverse(a):

@@ -189,6 +189,33 @@ def test_root_order_past_the_limit_exits_3(capsys, tmp_path, where):
         assert message in out["message"]
 
 
+def _cli_docs(tmp_path, docs):
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    return paths
+
+
+def test_gdet_at_the_root_order_limit_golden(capsys, tmp_path):
+    # the README matrix at root order 256 with one z + 2 coefficient and
+    # an order-2 sigma: the determinant's integer table has phi(256) = 128
+    # powers of zeta per basis vector
+    matrix = format_matrix(X)
+    matrix["root_order"] = 256
+    matrix["entries"][0][0][0]["c"] = "z+2"
+    paths = _cli_docs(tmp_path, {
+        "matrix": matrix, "sigma": format_multiplier(canonical_sigma(Q))})
+    code = main(["gdet", "--algebra", "preset:quaternions",
+                 "--matrix", str(paths["matrix"]),
+                 "--sigma", str(paths["sigma"])])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{"degree":[0,0],"format":1,"inputs":{"algebra":"978e0f0f0d2c",'
+        '"matrix":"2cbe7d065397","sigma":"e8c338d0c53e"},'
+        '"result":[{"b":"1","c":"3 + z"}],"root_order":256}\n')
+
+
 def test_precondition_exit_code(capsys, tmp_path):
     dn = preset("dual_numbers", 2)
     odd = dn.group.element([1, 0])

@@ -12,8 +12,10 @@ from gradedet.algebra import preset
 from gradedet.errors import (DivisionByZero, IncompatibleRootOrders,
                              ParseError, TooLarge)
 from gradedet.oracles import SweepReport
-from gradedet.scalars import (ONE, ZERO, CycloScalar, as_scalar, coerce_to,
-                              cyclo, format_scalar, parse_scalar, rational)
+from gradedet.scalars import (ONE, ZERO, CycloScalar, _poly_divmod, _reduce,
+                              as_scalar, coerce_to, cyclo, cyclotomic_poly,
+                              euler_phi, format_scalar, parse_scalar,
+                              rational)
 
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
 
@@ -25,6 +27,21 @@ def cyclos(order):
 
 
 scalars = st.one_of(rationals.map(as_scalar), cyclos(3), cyclos(4), cyclos(6))
+
+
+@given(st.data())
+def test_reduce_is_the_remainder_mod_phi(data):
+    # _poly_divmod is the reference; degrees below 2n cover every caller
+    n = data.draw(st.one_of(st.integers(1, 64), st.just(256)))
+    ints = data.draw(st.booleans())
+    p = data.draw(st.lists(st.integers(-50, 50) if ints else rationals,
+                           max_size=2 * n - 1))
+    m = euler_phi(n)
+    _, rem = _poly_divmod(p, [Fraction(c) for c in cyclotomic_poly(n)])
+    got = _reduce(p, n)
+    assert got == rem + [0] * (m - len(rem))
+    if ints and len(p) >= m:  # the integer table's case stays on ints
+        assert all(type(c) is int for c in got)
 
 
 def test_rational_basics():
