@@ -351,21 +351,26 @@ def _dot(table, row, col):
     return acc
 
 
+def table_root_order(algebra):
+    """The lcm of the root orders of algebra's structure constants."""
+    return lcm(*(c.order for row in algebra.table for cell in row
+                 for _, c in cell))
+
+
 def _int_table(algebra, order):
-    """(N, T, table): N is the lcm of order and the root orders of the
-    structure constants, and table is the structure table over Z[zeta_N]
-    scaled by T, the lcm of the constants' denominators.  Basis vector k
-    times zeta^a becomes index k*phi(N) + a, so cell (k*phi(N) + a,
-    l*phi(N) + b) is T times cell (k, l) times zeta^(a+b).  Equal cells
-    are stored once.  Cached on the algebra under order and N, which share
-    one table."""
+    """(N, T, table): N is the lcm of order and table_root_order(algebra),
+    and table is the structure table over Z[zeta_N] scaled by T, the lcm
+    of the constants' denominators.  Basis vector k times zeta^a becomes
+    index k*phi(N) + a, so cell (k*phi(N) + a, l*phi(N) + b) is T times
+    cell (k, l) times zeta^(a+b).  Equal cells are stored once.  Cached on
+    the algebra under order and N, which share one table."""
     tables = algebra._int_tables
     if order not in tables:
-        consts = [c for row in algebra.table for cell in row for _, c in cell]
-        full = lcm(order, *(c.order for c in consts))
+        full = lcm(order, table_root_order(algebra))
         if full not in tables:
             m = euler_phi(full)
-            t = lcm(*(f.denominator for c in consts for f in c.coeffs))
+            t = lcm(*(f.denominator for row in algebra.table for cell in row
+                      for _, c in cell for f in c.coeffs))
             out, distinct = [], {}
             for row in algebra.table:
                 # cell (k, l) times zeta^s for s < 2m - 1: one residue per
@@ -703,20 +708,17 @@ def twist(algebra, sigma, validate=False):
     out = algebra._twist_cache.get(key)
     if out is None:
         degrees = algebra.degrees
-        new_table = tuple(
-            tuple(
-                tuple((k, _cell_constant(
-                    sigma.value(degrees[i], degrees[j]) * c)) for k, c in cell)
-                for j, cell in enumerate(row))
-            for i, row in enumerate(algebra.table))
-        out = make_algebra(degrees, {}, lambda_twist(algebra.lam, sigma),
-                           algebra.labels, validate=False,
-                           name=f"twist({algebra.name})",
+        structure = {
+            (i, j): [(k, sigma.value(degrees[i], degrees[j]) * c)
+                     for k, c in cell]
+            for i, row in enumerate(algebra.table)
+            for j, cell in enumerate(row) if cell}
+        out = make_algebra(degrees, structure,
+                           lambda_twist(algebra.lam, sigma), algebra.labels,
+                           validate=False, name=f"twist({algebra.name})",
                            unit_index=algebra.unit_index)
-        out.table = new_table
         algebra._twist_cache[key] = out
-    # a cached twist is validated too; validation must see the twisted
-    # table, which make_algebra above never received
+    # a cached twist is validated too
     if validate:
         _validate_algebra(out)
     return out

@@ -21,11 +21,11 @@ from .errors import GradedetError, IncompatibleGroups, ParseError
 from .gdet import all_ns_multipliers, canonical_sigma, gdet0, gdet_sigma
 from .gmatrix import GradedMatrix, graded_trace
 from .oracles import SUITES, iter_property_sweeps
-from .serialize import (FORMAT, check_root_orders, digest_algebra,
-                        digest_matrix, digest_multiplier, format_algebra,
-                        format_multiplier, load_json, parse_algebra,
-                        parse_matrix, parse_multiplier, parse_preset,
-                        result_doc)
+from .serialize import (FORMAT, check_ints, check_root_orders,
+                        digest_algebra, digest_matrix, digest_multiplier,
+                        format_algebra, format_multiplier, load_json,
+                        parse_algebra, parse_matrix, parse_multiplier,
+                        parse_preset, result_doc)
 
 
 @cache
@@ -103,10 +103,14 @@ def _apply_degrees(x, text):
         rows = cols = doc
     else:
         raise ParseError("--degrees: expected a list or an object")
-    group = x.algebra.group
+    group, where = x.algebra.group, "--degrees"
     try:
-        mu = [group.element(d) for d in rows]
-        nu = [group.element(d) for d in cols]
+        mu = [group.element(check_ints(d, where, "a degree vector"))
+              for d in rows]
+        nu = [group.element(check_ints(d, where, "a degree vector"))
+              for d in cols]
+    except ParseError:
+        raise
     except GradedetError as exc:
         raise ParseError(f"--degrees: {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -13,7 +13,7 @@ import threading
 from collections import OrderedDict
 from math import lcm
 
-from .algebra import INHOMOGENEOUS, make_algebra, preset
+from .algebra import INHOMOGENEOUS, make_algebra, preset, table_root_order
 from .errors import (InvalidCommutationFactor, InvalidParams, ParseError,
                      TooLarge)
 from .gmatrix import GradedMatrix
@@ -41,9 +41,21 @@ def _field(doc, key, where, kinds=None):
     if not isinstance(doc, dict) or key not in doc:
         raise ParseError(f"{where}: missing field {key!r}")
     val = doc[key]
-    if kinds is not None and not isinstance(val, kinds):
+    # bool is a subclass of int, and no field takes one
+    if kinds is not None and (not isinstance(val, kinds)
+                              or isinstance(val, bool)):
         raise ParseError(f"{where}: field {key!r} has the wrong type")
     return val
+
+
+def check_ints(values, where, what):
+    """values as it stands if it is a list of integers, else ParseError:
+    int() would read 1.5, "1" or true as 1, so no float, string or bool
+    reaches a constructor where a document needs an integer."""
+    if not isinstance(values, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise ParseError(f"{where}: {what} must be a list of integers")
+    return values
 
 
 def _check_format(doc, where):
@@ -56,7 +68,7 @@ def _root_order(doc, where, required=False):
     integer; one above MAX_ROOT_ORDER raises TooLarge."""
     order = (_field(doc, "root_order", where) if required
              else doc.get("root_order", 1))
-    if not isinstance(order, int) or order < 1:
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise ParseError(f"{where}: root_order must be a positive integer, "
                          f"got {order!r}")
     if order > MAX_ROOT_ORDER:
@@ -69,9 +81,9 @@ def check_root_orders(x, sigma=None):
     """TooLarge unless the lcm of the root orders of the matrix, the
     algebra's constants and lambda, and sigma is at most MAX_ROOT_ORDER."""
     alg = x.algebra
-    orders = [c.order for row in alg.table for cell in row for _, c in cell]
     order = lcm(_scalar_orders(e for row in x.entries for e in row),
-                alg.lam.root_order, sigma.root_order if sigma else 1, *orders)
+                alg.lam.root_order, sigma.root_order if sigma else 1,
+                table_root_order(alg))
     if order > MAX_ROOT_ORDER:
         raise TooLarge(f"the inputs' root orders combine to {order}, above "
                        f"the limit {MAX_ROOT_ORDER}")
@@ -85,7 +97,7 @@ def format_group(group):
 
 
 def parse_group(doc, where="group"):
-    moduli = _field(doc, "moduli", where, list)
+    moduli = check_ints(_field(doc, "moduli", where), where, "moduli")
     try:
         return GradingGroup(moduli)
     except (TypeError, ValueError, InvalidParams) as exc:
@@ -103,6 +115,8 @@ def parse_multiplier(doc, where="sigma"):
     order = _root_order(doc, where, required=True)
     group = parse_group(doc, where)
     exps = _field(doc, "exponents", where, list)
+    for row in exps:
+        check_ints(row, where, "an exponent row")
     try:
         return Multiplier(group, order, exps)
     except (TypeError, ValueError, InvalidParams) as exc:
@@ -158,11 +172,7 @@ def result_doc(e, inputs):
 # algebras
 
 def format_algebra(a):
-    order = 1
-    for row in a.table:
-        for cell in row:
-            for _, c in cell:
-                order = lcm(order, c.order)
+    order = table_root_order(a)
     table = {}
     for i, row in enumerate(a.table):
         for j, cell in enumerate(row):
@@ -215,9 +225,12 @@ def _parse_algebra(doc, where):
     name = _field(doc, "name", where, str) if "name" in doc else "algebra"
     group = parse_group(_field(doc, "group", where, dict), where)
     lamdoc = _field(doc, "lambda", where, dict)
+    lam_order = _root_order(lamdoc, where, required=True)
+    exps = _field(lamdoc, "exponents", where, list)
+    for row in exps:
+        check_ints(row, where, "an exponent row")
     try:
-        lam = Bicharacter(group, _root_order(lamdoc, where, required=True),
-                          _field(lamdoc, "exponents", where, list))
+        lam = Bicharacter(group, lam_order, exps)
     except (TypeError, ValueError, InvalidParams) as exc:
         raise ParseError(f"{where}: bad commutation factor: {exc}") from exc
     if not is_commutation_factor(lam):
@@ -227,7 +240,8 @@ def _parse_algebra(doc, where):
     labels, degrees = [], []
     for item in basis:
         labels.append(_field(item, "label", where, str))
-        degrees.append(_field(item, "degree", where, list))
+        degrees.append(check_ints(_field(item, "degree", where), where,
+                                  "a basis degree"))
     dim = len(labels)
     structure = {}
     for key, cell in _field(doc, "table", where, dict).items():
@@ -279,9 +293,7 @@ def parse_preset(text, sigma=None):
 
 
 def digest_algebra(a):
-    """The digest of format_algebra(a), computed once per algebra object;
-    twist assigns its table after make_algebra, so the memo is filled here
-    and never at construction."""
+    """The digest of format_algebra(a), computed once per algebra object."""
     if a._digest is None:
         a._digest = digest(format_algebra(a))
     return a._digest
@@ -305,9 +317,10 @@ def parse_matrix(doc, algebra, where="matrix"):
     rows = _field(doc, "row_degrees", where, list)
     cols = _field(doc, "col_degrees", where, list)
     entries = _field(doc, "entries", where, list)
+    group, vector = algebra.group, "a degree vector"
     try:
-        mu = [algebra.group.element(d) for d in rows]
-        nu = [algebra.group.element(d) for d in cols]
+        mu = [group.element(check_ints(d, where, vector)) for d in rows]
+        nu = [group.element(check_ints(d, where, vector)) for d in cols]
     except (TypeError, ValueError, InvalidParams) as exc:
         raise ParseError(f"{where}: bad degree vector: {exc}") from exc
     if len(entries) != len(mu):

@@ -216,6 +216,40 @@ def test_gdet_at_the_root_order_limit_golden(capsys, tmp_path):
         '"result":[{"b":"1","c":"3 + z"}],"root_order":256}\n')
 
 
+@pytest.mark.parametrize("where, path, value", [
+    *[("sigma", "exponents/0/1", v) for v in (1.5, "1", True)],
+    *[("algebra", "lambda/exponents/0/1", v) for v in (1.5, "1", True)],
+    ("sigma", "moduli/0", 2.5),
+    ("algebra", "group/moduli/0", 2.5),
+    ("algebra", "basis/0/degree/0", 0.5),
+    ("matrix", "row_degrees/0/0", 0.5),
+    ("matrix", "col_degrees/0/0", 0.5),
+    ("degrees", "1/1", 1.9),
+    *[(doc, "format", True) for doc in ("matrix", "algebra", "sigma")],
+    *[(doc, "root_order", True) for doc in ("matrix", "algebra", "sigma")],
+    ("algebra", "lambda/root_order", True),
+    ("algebra", "table/0,1/0/k", True),
+])
+def test_json_integers_are_not_coerced(capsys, tmp_path, where, path, value):
+    # int() would read each of these as an integer the document never
+    # wrote: 1.5 and 1.9 as 1, "1" as 1, 0.5 as 0, true as 1
+    docs = {"matrix": format_matrix(X), "algebra": format_algebra(Q),
+            "sigma": format_multiplier(canonical_sigma(Q)),
+            "degrees": [list(d.residues) for d in X.row_degrees]}
+    *keys, last = (int(k) if k.isdigit() else k for k in path.split("/"))
+    target = docs[where]
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    paths = _cli_docs(tmp_path, docs)
+    code, out = run(capsys, "gdet", "--algebra", str(paths["algebra"]),
+                    "--matrix", str(paths["matrix"]),
+                    "--sigma", str(paths["sigma"]),
+                    "--degrees", json.dumps(docs["degrees"]))
+    assert code == 2 and out["error"] == "ParseError"
+    assert "integer" in out["message"] or "wrong type" in out["message"]
+
+
 def test_precondition_exit_code(capsys, tmp_path):
     dn = preset("dual_numbers", 2)
     odd = dn.group.element([1, 0])
