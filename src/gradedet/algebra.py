@@ -304,13 +304,18 @@ def _cell_constant(c):
 
 def _normalize_structure(structure, dim):
     """Accepts {(i,j): {k: c}} or {(i,j): [(k, c), ...]}; returns the
-    sparse tuple-of-tuples table."""
+    sparse tuple-of-tuples table.  A target listed twice in one cell gets
+    the sum of its constants, in the place of its first listing; targets
+    whose constants sum to zero are dropped."""
     table = [[() for _ in range(dim)] for _ in range(dim)]
     for (i, j), cell in structure.items():
         items = cell.items() if isinstance(cell, dict) else cell
-        constants = [(int(k), as_scalar(c)) for k, c in items]
-        table[i][j] = tuple((k, _cell_constant(c)) for k, c in constants
-                            if c)
+        constants = {}
+        for k, c in items:
+            k, c = int(k), as_scalar(c)
+            constants[k] = constants[k] + c if k in constants else c
+        table[i][j] = tuple((k, _cell_constant(c))
+                            for k, c in constants.items() if c)
     return tuple(tuple(r) for r in table)
 
 
@@ -322,7 +327,9 @@ def _table_product(table, left, right, acc):
     or MINUS_ONE (see _cell_constant) adds or subtracts ci*cj without
     multiplying by it; a table whose +-1 constants are other objects gives
     the same products, only slower.  The integer tables (_int_table) run
-    through here with int coefficients."""
+    through here with int coefficients: algebra validation, and the
+    Toeplitz combination of det_of_commuting, whose mat-vecs scatter
+    through operator columns instead."""
     for i, ci in left.items():
         row = table[i]
         for j, cj in right.items():

@@ -24,7 +24,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .algebra import (AlgebraElement, _dot, _int_residue, _int_table,
+from .algebra import (AlgebraElement, _int_residue, _int_table,
                       _table_product, adjoined_units, tensor_embed_left,
                       tensor_project_left, transport, twist, unit_witness)
 from .errors import (InvalidOrdering, NotCrossedProduct, NotDegreeZero,
@@ -165,7 +165,14 @@ def det_of_commuting(entries, algebra):
     denominator D and written in the power basis of Z[zeta_N] (see
     _int_table, whose table constants carry one more denominator T).
     Each degree-i term of p[i] is a product of i scaled entries formed
-    with i - 1 table products, so det A is p[n] / (D^n T^(n-1)) exactly."""
+    with i - 1 table products, so det A is p[n] / (D^n T^(n-1)) exactly.
+
+    Step r's mat-vecs are flat integer scatters: the vector maps j*E + b
+    (E = len(table)) to the coefficient of index b in (A^k S)_j, and each
+    nonzero goes through operator column j*E + b, the rows of a_ij e_b in
+    ascending order (_operator_column, built on first use and kept for the
+    call), up to row r: the rows below r are the next A^k S, row r is
+    R A^k S.  Only the Toeplitz combination calls _table_product."""
     return _det_terms([[[(k, c, False) for k, c in e.coeffs.items()]
                         for e in row] for row in entries], algebra)
 
@@ -185,16 +192,31 @@ def _det_terms(terms, algebra):
            for k, c, neg in cell
            for s, x in enumerate(_int_residue(c, order, m, d)) if x}
           for cell in row] for row in terms]
+    size = len(table)
+    ops = {}                # operator columns, built on first use
     p = [None]              # p[0] = 1 stays implicit
     for r in range(n):
-        row = a[r]
-        col = [None, row[r]]
-        v = [a[i][r] for i in range(r)]
+        col = [None, a[r][r]]
+        low, stop = r * size, (r + 1) * size
+        v = {i * size + t: x for i in range(r) for t, x in a[i][r].items()}
         for k in range(r):
-            if k:
-                v = [_dot(table, a[i], v) for i in range(r)]
-            rv = _dot(table, row, v)
-            col.append(rv if k % 2 else {t: -c for t, c in rv.items()})
+            w = {}
+            for key, x in v.items():
+                op = ops.get(key)
+                if op is None:
+                    op = ops[key] = _operator_column(a, table, size, key)
+                for t, c in op:
+                    if t >= stop:
+                        break
+                    w[t] = w[t] + x * c if t in w else x * c
+            v, rv = {}, {}
+            for t, y in w.items():
+                if y:
+                    if t < low:
+                        v[t] = y
+                    else:
+                        rv[t - low] = y if k % 2 else -y
+            col.append(rv)
         nxt = [None]
         for i in range(1 if r < n - 1 else r + 1, r + 2):
             acc = dict(col[i])
@@ -214,6 +236,23 @@ def _det_terms(terms, algebra):
             coeffs.setdefault(k, [0] * m)[s] = Fraction(x, scale)
     return AlgebraElement(algebra, {k: CycloScalar(order, v)
                                     for k, v in coeffs.items()})
+
+
+def _operator_column(a, table, size, key):
+    """Column key = j*size + b of det_of_commuting's scatter operator: the
+    pairs (i*size + t, c), ascending, with a[i][j] e_b = sum of c e_t over
+    the integer table.  A coefficient that sums to zero may stay; the
+    scatter drops zeros from what it returns."""
+    j, b = divmod(key, size)
+    acc = {}
+    base = 0
+    for row in a:
+        for ka, x in row[j].items():
+            for t, c in table[ka][b]:
+                t += base
+                acc[t] = acc[t] + x * c if t in acc else x * c
+        base += size
+    return sorted(acc.items())
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ JSON encoding; they let reports and CLI output cross-reference inputs.
 
 import hashlib
 import json
+import re
 import threading
 from collections import OrderedDict
 from math import lcm
@@ -27,6 +28,8 @@ FORMAT = 1
 MAX_ROOT_ORDER = 256
 # parse_algebra keeps the algebras of this many distinct documents
 PARSED_ALGEBRAS = 8
+# an algebra table key: "<i>,<j>" in canonical (ASCII) decimal
+_TABLE_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
 
 
 def canonical_json(doc):
@@ -245,9 +248,12 @@ def _parse_algebra(doc, where):
     dim = len(labels)
     structure = {}
     for key, cell in _field(doc, "table", where, dict).items():
+        match = _TABLE_KEY.fullmatch(key)
         try:
-            i, j = (int(v) for v in key.split(","))
-        except ValueError as exc:
+            if match is None:
+                raise ValueError(key)
+            i, j = (int(v) for v in match.groups())
+        except ValueError as exc:  # not "<i>,<j>", or past the digit limit
             raise ParseError(f"{where}: bad table key {key!r}") from exc
         if not (0 <= i < dim and 0 <= j < dim):
             raise ParseError(f"{where}: table key {key!r} out of range")

@@ -237,6 +237,23 @@ def test_twist_validates_and_commutes():
     assert twist(Q, sigma) is tw
 
 
+def test_duplicate_targets_in_a_cell_are_summed():
+    # products and validation both read a target listed twice as the sum
+    # of its constants: i*i written as -2*1 + 1*1 is the preset's -1
+    doc = format_algebra(Q)
+    doc["table"]["1,1"] = [{"k": 0, "c": "-2"}, {"k": 0, "c": "1"}]
+    assert parse_algebra(doc).table == Q.table
+    structure = {(i, j): list(Q.table[i][j]) for i in range(Q.dim)
+                 for j in range(Q.dim)}
+    structure[1, 1] = [(0, rational(-2)), (0, ONE)]
+    alg = make_algebra(Q.degrees, structure, Q.lam, Q.labels)
+    assert alg.table == Q.table and alg.table[1][1][0][1] is MINUS_ONE
+    assert I * I == -Q.one()
+    # a sum of zero drops the target
+    assert _normalize_structure({(0, 0): [(0, ONE), (0, MINUS_ONE)]},
+                                1) == (((),),)
+
+
 def test_twist_validates_a_cached_twist():
     # validate=True checks a twist taken from the cache as well: the cached
     # table is swapped for the untwisted, noncommutative one, which the

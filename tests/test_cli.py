@@ -151,6 +151,20 @@ def test_algebra_document_errors(capsys, tmp_path, corrupt):
     assert code == 2 and out["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("key, like", [
+    (" 0,1", "0,1"), ("+0,1", "0,1"), ("00,1", "0,1"), ("0_0,1", "0,1"),
+    ("1,02", "1,2")])
+def test_table_keys_in_canonical_decimal_only(capsys, tmp_path, key, like):
+    # int() reads each of these keys as the key `like`
+    doc = format_algebra(Q)
+    doc["table"][key] = doc["table"].pop(like)
+    p = tmp_path / "hostile.json"
+    p.write_text(json.dumps(doc))
+    code, out = run(capsys, "solve-sigma", "--algebra", str(p))
+    assert code == 2 and out["error"] == "ParseError"
+    assert "bad table key" in out["message"]
+
+
 @pytest.mark.parametrize("where", ["matrix", "algebra", "lambda", "sigma",
                                    "combined"])
 def test_root_order_past_the_limit_exits_3(capsys, tmp_path, where):

@@ -1,6 +1,7 @@
 """det_of_commuting against the Leibniz oracle and against the Fraction
 Berkowitz it replaced, gdet0 at n = 12 and 20 through the API and the CLI,
-and the size limit of gdet0_leibniz."""
+the table products the kernel forms, and the size limit of
+gdet0_leibniz."""
 
 import json
 import random
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradedet import gdet
 from gradedet.algebra import (AlgebraElement, _dot, _int_residue,
-                              _table_product, preset, twist)
+                              _int_table, _table_product, preset, twist)
 from gradedet.berezinian import _schur, ber_super_components
 from gradedet.cli import main
 from gradedet.errors import GradedetError, TooLarge
@@ -342,3 +343,71 @@ def test_zeta_powers_match_sympy_remainder():
             want = [int(c) for c in reversed(want)]
             want += [0] * (m - len(want))
             assert _int_residue(cyclo(e, order), order, m, 1) == want
+
+
+def _zeroed(rng, alg, entries, rows, cols):
+    """entries with `rows` random rows and `cols` random columns set to
+    zero.  A zero column j with a nonzero row j leaves the scatter
+    operator columns of j empty while A^k S still reaches index j."""
+    n = len(entries)
+    for i in rng.sample(range(n), min(rows, n)):
+        entries[i] = [alg.zero()] * n
+    for j in rng.sample(range(n), min(cols, n)):
+        for row in entries:
+            row[j] = alg.zero()
+    return entries
+
+
+@settings(deadline=None, max_examples=25)
+@given(spec=st.sampled_from(KERNEL_SPECS),
+       entry_order=st.sampled_from(ROOT_ORDERS),
+       n=st.integers(7, 10), fill=st.sampled_from((0.1, 0.2, 0.3)),
+       rows=st.integers(0, 2), cols=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32))
+def test_integer_kernel_matches_fraction_berkowitz_large_sparse(
+        spec, entry_order, n, fill, rows, cols, seed):
+    # sizes up to 10 with sparse entries and some zero rows and columns
+    rng = random.Random(seed)
+    alg = _kernel_algebra(spec)
+    fill = fill / 4 if alg.dim > 9 else fill
+    entries = _zeroed(rng, alg, [
+        [alg.element({k: _random_scalar(rng, entry_order)
+                      for k in range(alg.dim) if rng.random() < fill})
+         for _ in range(n)] for _ in range(n)], rows, cols)
+    assert det_of_commuting(entries, alg) == fraction_berkowitz(entries, alg)
+
+
+def test_integer_kernel_on_a_json_algebra_with_denominators():
+    # the table constants 1/2 and 3/2 put T = 2 into the scale
+    # D^n T^(n-1), and the entries' own fractions put D > 1 there too
+    alg = _rational_quaternions()
+    assert _int_table(alg, 1)[1] == 2
+    rng = random.Random("denominators")
+    for n, rows, cols in ((4, 0, 0), (7, 1, 1), (10, 0, 2), (10, 1, 0)):
+        entries = _zeroed(rng, alg, [
+            [alg.element({k: rational(Fraction(rng.randint(-3, 3),
+                                               rng.choice((1, 2, 3))))
+                          for k in range(alg.dim) if rng.random() < 0.5})
+             for _ in range(n)] for _ in range(n)], rows, cols)
+        want = fraction_berkowitz(entries, alg)
+        assert det_of_commuting(entries, alg) == want
+
+
+def test_matvecs_form_no_table_products(monkeypatch):
+    # only the Toeplitz combination forms products through _table_product:
+    # at most j < i <= r + 1 per step r, and i = n alone at the last step,
+    # which is 129 at n = 10
+    calls = []
+
+    def counting(table, left, right, acc):
+        calls.append(None)
+        return _table_product(table, left, right, acc)
+
+    n = 10
+    x, product = _udl(("quaternions",), n, "count")
+    for module in ("gradedet.algebra", "gradedet.gdet"):
+        monkeypatch.setattr(f"{module}._table_product", counting)
+    assert gdet0(x) == product
+    toeplitz = sum(r * (r + 1) // 2 for r in range(n - 1)) + n - 1
+    assert toeplitz == 129
+    assert 0 < len(calls) <= toeplitz
