@@ -384,8 +384,11 @@ def _int_table(algebra, order):
                 # constant, then a shift modulo Phi_N per power of zeta
                 shifted = []
                 for cell in row:
-                    res, powers = [(k, _int_residue(c, full, m, t))
+                    res, powers = [(k, _int_residue(c, full, t))
                                    for k, c in cell], []
+                    # padded to phi(N) ints, so that _reduce pads no
+                    # Fraction zeros
+                    res = [(k, r + [0] * (m - len(r))) for k, r in res]
                     for _ in range(2 * m - 1):
                         got = tuple((k * m + u, x) for k, r in res
                                     for u, x in enumerate(r) if x)
@@ -402,13 +405,13 @@ def _int_table(algebra, order):
     return tables[order]
 
 
-def _int_residue(c, order, m, scale):
-    """scale * c as phi(order) integers, constant term first; scale clears
-    c's denominators."""
+def _int_residue(c, order, scale):
+    """scale * c as integers in the power basis of Z[zeta_order], constant
+    term first, with no zeros padded after the last stored coefficient;
+    scale clears c's denominators."""
     if c.order not in (1, order):
         c = coerce_to(c, order)
-    out = [f.numerator * (scale // f.denominator) for f in c.coeffs]
-    return out + [0] * (m - len(out))
+    return [f.numerator * (scale // f.denominator) for f in c.coeffs]
 
 
 def _validate_algebra(alg):
@@ -466,7 +469,7 @@ def _validate_algebra(alg):
     for i in range(dim):
         for j in range(dim):
             lam_i = {i * m + s: x for s, x in enumerate(
-                _int_residue(factors[i][j], order, m, 1)) if x}
+                _int_residue(factors[i][j], order, 1)) if x}
             flipped = _table_product(itab, ivecs[j], lam_i, {})
             if icells[i][j] != {k: c for k, c in flipped.items() if c}:
                 raise NotLambdaCommutative(

@@ -14,8 +14,6 @@ Schur complement.  The oracle route applies J_sigma before that step and
 gber after it, so the two routes share only block arithmetic.
 """
 
-from dataclasses import dataclass
-
 from .algebra import INHOMOGENEOUS, invert_element, transport
 from .errors import (InvalidParams, NotInvertible, NotParitySorted,
                      OddDegree, Singular, SingularOddBlock)
@@ -26,14 +24,14 @@ from .grading import is_ns_multiplier, parity, trivial_multiplier
 from .scalars import cyclo
 
 
-@dataclass(frozen=True)
 class ParityBlocks:
-    x00: GradedMatrix
-    x01: GradedMatrix
-    x10: GradedMatrix
-    x11: GradedMatrix
-    even_degrees: tuple
-    odd_degrees: tuple
+    """The four parity blocks of a matrix and the even and odd degrees of
+    its degree vector."""
+
+    def __init__(self, x00, x01, x10, x11, even_degrees, odd_degrees):
+        self.x00, self.x01, self.x10, self.x11 = x00, x01, x10, x11
+        self.even_degrees = even_degrees
+        self.odd_degrees = odd_degrees
 
     @property
     def superrank(self):

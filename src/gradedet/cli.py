@@ -25,7 +25,7 @@ from .serialize import (FORMAT, check_ints, check_root_orders,
                         digest_algebra, digest_matrix, digest_multiplier,
                         format_algebra, format_multiplier, load_json,
                         parse_algebra, parse_matrix, parse_multiplier,
-                        parse_preset, result_doc)
+                        parse_preset, result_doc, unique_keys)
 
 
 @cache
@@ -93,7 +93,9 @@ def _load_sigma(text, algebra):
 
 def _apply_degrees(x, text):
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
+    except ParseError as exc:
+        raise ParseError(f"--degrees: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or a number past the limit
         raise ParseError(f"--degrees: invalid JSON: {exc}") from exc
     if isinstance(doc, dict):

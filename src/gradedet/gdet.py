@@ -166,6 +166,9 @@ def det_of_commuting(entries, algebra):
     _int_table, whose table constants carry one more denominator T).
     Each degree-i term of p[i] is a product of i scaled entries formed
     with i - 1 table products, so det A is p[n] / (D^n T^(n-1)) exactly.
+    _det_terms converts the entries in one walk: a rational coefficient
+    p/q of e_k becomes the one int p D/q at index k phi(N), and only the
+    other coefficients are written out as residues.
 
     Step r's mat-vecs are flat integer scatters: the vector maps j*E + b
     (E = len(table)) to the coefficient of index b in (A^k S)_j, and each
@@ -173,25 +176,55 @@ def det_of_commuting(entries, algebra):
     ascending order (_operator_column, built on first use and kept for the
     call), up to row r: the rows below r are the next A^k S, row r is
     R A^k S.  Only the Toeplitz combination calls _table_product."""
-    return _det_terms([[[(k, c, False) for k, c in e.coeffs.items()]
-                        for e in row] for row in entries], algebra)
+    zeros = [0] * algebra.dim
+    return _det_terms(entries, [[zeros] * len(row) for row in entries], 1,
+                      algebra)
 
 
-def _det_terms(terms, algebra):
-    """det_of_commuting's conversion to ints, then its Berkowitz core, on
-    terms[i][j], the (k, c, negate) of entry (i,j) = sum of +-c e_k."""
-    n = len(terms)
+def _det_terms(entries, grid, root, algebra):
+    """det_of_commuting of the matrix whose entry (i,j) is entries[i][j]
+    with its coefficient at e_k times zeta_root^grid[i][j][k].
+
+    One walk over the coefficients makes each entry's dict and collects
+    the denominators (D is their lcm) and N, the root order of the
+    products, which counts root only when some factor is not +-1.  A
+    rational c with factor +-1 (e = 0 or 2e = root) waits as its signed
+    numerator and denominator, to become one int at index k phi(N); the
+    other coefficients are multiplied by cyclo(e, root) and written out
+    by _int_residue at indices k phi(N) + s."""
+    n = len(entries)
     if n == 0:
         return algebra.one()
-    values = [c for row in terms for cell in row for _, c, _ in cell]
-    order, t_den, table = _int_table(algebra,
-                                     lcm(*{c.order for c in values}))
+    half = root // 2 if root % 2 == 0 else -1
+    a, rationals, others, dens, order = [], [], [], set(), 1
+    for row, erow in zip(entries, grid):
+        arow = []
+        for entry, ex in zip(row, erow):
+            cell = {}
+            for k, c in entry.coeffs.items():
+                e = ex[k]
+                if c.order == 1 and (not e or e == half):
+                    num, q = c.coeffs[0].as_integer_ratio()
+                    dens.add(q)
+                    rationals.append((cell, k, -num if e else num, q))
+                else:
+                    if e:
+                        c = cyclo(e, root) * c
+                    order = lcm(order, c.order)
+                    dens.update(f.denominator for f in c.coeffs)
+                    others.append((cell, k, c))
+            arow.append(cell)
+        a.append(arow)
+    order, t_den, table = _int_table(algebra, order)
     m = euler_phi(order)
-    d = lcm(*{f.denominator for c in values for f in c.coeffs})
-    a = [[{k * m + s: -x if neg else x
-           for k, c, neg in cell
-           for s, x in enumerate(_int_residue(c, order, m, d)) if x}
-          for cell in row] for row in terms]
+    d = lcm(*dens)
+    over = {q: d // q for q in dens}
+    for cell, k, x, q in rationals:
+        cell[k * m] = x * over[q]
+    for cell, k, c in others:
+        for s, x in enumerate(_int_residue(c, order, d), k * m):
+            if x:
+                cell[s] = x
     size = len(table)
     ops = {}                # operator columns, built on first use
     p = [None]              # p[0] = 1 stays implicit
@@ -312,16 +345,11 @@ def _det_sigma(x, sigma):
     """det(J_sigma(X)) over the twisted algebra, read back in the base
     algebra, without building J_sigma(X): the kernel reads each coefficient
     of X times zeta_N^e, e = sigma(g, nu_j) - sigma(nu_i, g) + sigma(nu_i,
-    nu_j) - sigma(nu_j, nu_j) (gmatrix.j_sigma_exponents).  e = 0 keeps it,
-    zeta_N^e = -1 negates its integers, any other e multiplies it by
-    cyclo(e, N) as j_sigma does.  Unchecked: a square, even X."""
-    n = sigma.root_order
+    nu_j) - sigma(nu_j, nu_j) (gmatrix.j_sigma_exponents), as j_sigma
+    does.  Unchecked: a square, even X."""
     grid = j_sigma_exponents(x.algebra.degrees, x.col_degrees, sigma)
-    terms = [[[(k, c if 2 * ex[k] in (0, n) else cyclo(ex[k], n) * c,
-                2 * ex[k] == n) for k, c in entry.coeffs.items()]
-              for entry, ex in zip(row, erow)]
-             for row, erow in zip(x.entries, grid)]
-    return transport(_det_terms(terms, twist(x.algebra, sigma)), x.algebra)
+    return transport(_det_terms(x.entries, grid, sigma.root_order,
+                                twist(x.algebra, sigma)), x.algebra)
 
 
 def gdet_sigma(x, sigma):

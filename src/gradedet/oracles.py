@@ -11,7 +11,6 @@ report with an empty failure list is the single source of truth.
 """
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import serialize
@@ -40,13 +39,14 @@ from .sampling import (make_rng, parity_split, rand_component, rand_degrees,
 from .scalars import cyclo, rational
 
 
-@dataclass
 class SweepReport:
     """Outcome of one property sweep: how many checks ran and which failed,
     each failure carrying (input digest, expected, got)."""
-    name: str
-    instances: int = 0
-    failures: list = field(default_factory=list)
+
+    def __init__(self, name, instances=0, failures=None):
+        self.name = name
+        self.instances = instances
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self):

@@ -349,10 +349,25 @@ def digest_multiplier(m):
     return digest(format_multiplier(m))
 
 
+def unique_keys(pairs):
+    """json's object_pairs_hook: the object as a dict, or ParseError naming
+    a key that it gives twice (plain json keeps the last value)."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key {key!r}")
+            seen.add(key)
+    return out
+
+
 def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -165,6 +165,62 @@ def test_table_keys_in_canonical_decimal_only(capsys, tmp_path, key, like):
     assert "bad table key" in out["message"]
 
 
+def _repeat(text, old, new):
+    """text with its one occurrence of old replaced by new."""
+    assert text.count(old) == 1
+    return text.replace(old, new)
+
+
+ALGEBRA_TEXT = json.dumps(format_algebra(Q))
+I_TIMES_J = '"1,2": [{"k": 3, "c": "1"}]'
+MATRIX_TEXT = json.dumps(format_matrix(X))
+# the term of entry (1,1), whose basis label is 1
+LAST_TERM = '[{"b": "j", "c": "1"}], [{"b": "1"'
+SIGMA_TEXT = json.dumps(format_multiplier(canonical_sigma(Q)))
+
+
+@pytest.mark.parametrize("command, where, text, key", [
+    # i*j given twice, the same cell both times: plain json reads it as the
+    # quaternions
+    ("solve-sigma", "algebra",
+     _repeat(ALGEBRA_TEXT, I_TIMES_J, f"{I_TIMES_J}, {I_TIMES_J}"), "1,2"),
+    # i*j given as k and then as -k: plain json keeps -k, which is not
+    # associative
+    ("solve-sigma", "algebra",
+     _repeat(ALGEBRA_TEXT, I_TIMES_J,
+             f'{I_TIMES_J}, "1,2": [{{"k": 3, "c": "-1"}}]'), "1,2"),
+    ("gdet0", "matrix",
+     _repeat(MATRIX_TEXT, LAST_TERM,
+             LAST_TERM.replace('"b": "1"', '"b": "i", "b": "1"')), "b"),
+    ("gdet", "sigma",
+     _repeat(SIGMA_TEXT, '"root_order": 2',
+             '"root_order": 2, "root_order": 2'), "root_order"),
+], ids=["algebra_same_cell", "algebra_minus_k", "matrix_term_b",
+        "sigma_root_order"])
+def test_duplicate_keys_exit_2(capsys, tmp_path, xfile, command, where,
+                               text, key):
+    p = tmp_path / "duplicate.json"
+    p.write_text(text)
+    if where == "algebra":
+        argv = [command, "--algebra", str(p)]
+    else:
+        argv = [command, "--algebra", "preset:quaternions", "--matrix",
+                str(p) if where == "matrix" else xfile]
+    if where == "sigma":
+        argv += ["--sigma", str(p)]
+    code, out = run(capsys, *argv)
+    assert code == 2 and out["error"] == "ParseError"
+    assert out["message"] == f"{p}: duplicate key {key!r}"
+
+
+def test_duplicate_key_in_degrees_exits_2(capsys, xfile):
+    code, out = run(capsys, "gdet0", "--algebra", "preset:quaternions",
+                    "--matrix", xfile, "--degrees",
+                    '{"col": [[0, 0], [0, 1]], "col": [[0, 0], [0, 0]]}')
+    assert code == 2 and out["error"] == "ParseError"
+    assert out["message"] == "--degrees: duplicate key 'col'"
+
+
 @pytest.mark.parametrize("where", ["matrix", "algebra", "lambda", "sigma",
                                    "combined"])
 def test_root_order_past_the_limit_exits_3(capsys, tmp_path, where):
@@ -459,6 +515,17 @@ def test_repeated_calls_match_fresh_runs(capsys, xfile, tmp_path):
     assert _parser.cache_info().misses == 1
     assert outputs == [_fresh(*argv) for argv in jobs]
     assert "\n  " in outputs[2][1] and "\n" not in outputs[4][1].strip()
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses would load inspect, ast, dis and tokenize on every start
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gradedet.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gradedet; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True, timeout=60)
+    assert proc.stdout.strip() == "False"
 
 
 def test_stats(capsys, xfile, tmp_path):

@@ -1,7 +1,8 @@
 """det_of_commuting against the Leibniz oracle and against the Fraction
 Berkowitz it replaced, gdet0 at n = 12 and 20 through the API and the CLI,
-the table products the kernel forms, and the size limit of
-gdet0_leibniz."""
+the table products the kernel forms, the size limit of gdet0_leibniz, and
+gdet_sigma against the determinant of J_sigma(X) on every branch of the
+kernel's conversion."""
 
 import json
 import random
@@ -14,16 +15,21 @@ from hypothesis import given, settings, strategies as st
 
 from gradedet import gdet
 from gradedet.algebra import (AlgebraElement, _dot, _int_residue,
-                              _int_table, _table_product, preset, twist)
+                              _int_table, _table_product, preset, transport,
+                              twist)
 from gradedet.berezinian import _schur, ber_super_components
 from gradedet.cli import main
 from gradedet.errors import GradedetError, TooLarge
-from gradedet.gdet import (LEIBNIZ_MAX_N, canonical_sigma, det_of_commuting,
-                           gdet0, gdet0_leibniz, gdet0_via_crossed)
-from gradedet.gmatrix import GradedMatrix, identity, j_sigma, matmul
-from gradedet.grading import Multiplier, parity
+from gradedet.gdet import (LEIBNIZ_MAX_N, all_ns_multipliers,
+                           canonical_sigma, det_of_commuting, gdet0,
+                           gdet0_leibniz, gdet0_via_crossed, gdet_sigma)
+from gradedet.gmatrix import (GradedMatrix, identity, j_sigma,
+                              j_sigma_exponents, matmul)
+from gradedet.grading import Multiplier, is_ns_multiplier, parity
 from gradedet.oracles import leibniz_det_commutative
-from gradedet.sampling import (make_rng, rand_invertible_parity_blocks,
+from gradedet.sampling import (make_rng, parity_split,
+                               rand_invertible_parity_blocks, rand_matrix,
+                               rand_parity_constant_degrees,
                                rand_parity_sorted_degrees)
 from gradedet.scalars import CycloScalar, cyclo, euler_phi, rational
 from gradedet.serialize import format_matrix, parse_algebra, result_doc
@@ -342,7 +348,8 @@ def test_zeta_powers_match_sympy_remainder():
             want = sympy.Poly(sympy.rem(x ** e, phi, x), x).all_coeffs()
             want = [int(c) for c in reversed(want)]
             want += [0] * (m - len(want))
-            assert _int_residue(cyclo(e, order), order, m, 1) == want
+            got = _int_residue(cyclo(e, order), order, 1)
+            assert got + [0] * (m - len(got)) == want
 
 
 def _zeroed(rng, alg, entries, rows, cols):
@@ -411,3 +418,63 @@ def test_matvecs_form_no_table_products(monkeypatch):
     toeplitz = sum(r * (r + 1) // 2 for r in range(n - 1)) + n - 1
     assert toeplitz == 129
     assert 0 < len(calls) <= toeplitz
+
+
+def _branch_cases():
+    """(algebra, sigma) pairs whose J_sigma factors are 1, -1 and, on
+    clock_shift(3), other cube roots of unity; there sigma also appears at
+    root order 6 and times a symmetric bicharacter of order 3."""
+    q = preset("quaternions")
+    cases = [(q, s) for s in all_ns_multipliers(q.lam)[::3]]
+    cs = preset("clock_shift", 3)
+    base = all_ns_multipliers(cs.lam)[0]
+    symmetric = [[1, 2], [2, 0]]
+    widened = Multiplier(cs.group, 3, [
+        [(e + s) % 3 for e, s in zip(row, srow)]
+        for row, srow in zip(base.exponents, symmetric)])
+    assert is_ns_multiplier(cs.lam, widened)
+    cases += [(cs, base), (cs, base.at_order(6)), (cs, widened)]
+    gr = preset("grassmann", 4)
+    cases += [(gr, s) for s in all_ns_multipliers(gr.lam)]
+    return cases
+
+
+def test_conversion_branches_at_det_large_sizes():
+    # the kernel's conversion keeps a rational coefficient with factor +-1
+    # as one int and writes out the others; J_sigma(X) over the twist,
+    # taken through det_of_commuting, is the reference
+    rng = make_rng("conversion branches")
+    seen = set()
+    for alg, sigma in _branch_cases():
+        # grassmann(4) has 16 basis vectors and no nonzero even degree
+        sparse = alg.dim > 9
+        evens, _ = parity_split(alg)
+        degrees = [alg.group.zero()] + [d for d in evens if d][-1:]
+        for n in ((7,) if sparse else (8, 10)):
+            nu = rand_parity_constant_degrees(rng, alg, n)
+            for degree in degrees:
+                entries = [[e if not sparse or rng.random() < 0.4
+                            else alg.zero() for e in row]
+                           for row in rand_matrix(rng, alg, nu,
+                                                  degree).entries]
+                if alg.name == "clock_shift(3)":
+                    # a coefficient of root order 4 takes the residue
+                    # branch whatever its factor
+                    entries[0][0] = entries[0][0] * cyclo(1, 4)
+                x = GradedMatrix(alg, nu, nu, entries)
+                want = transport(det_of_commuting(
+                    j_sigma(x, sigma).entries, twist(alg, sigma)), alg)
+                got = gdet_sigma(x, sigma)
+                assert got == want and repr(got) == repr(want)
+                order = sigma.root_order
+                grid = j_sigma_exponents(alg.degrees, nu, sigma)
+                for row, erow in zip(x.entries, grid):
+                    for e, ex in zip(row, erow):
+                        for k, c in e.coeffs.items():
+                            seen.add("1" if not ex[k] else "-1"
+                                     if 2 * ex[k] == order else "other")
+                            if c.order > 1:
+                                seen.add("power")
+                            elif c.coeffs[0].denominator > 1:
+                                seen.add("fraction")
+    assert seen == {"1", "-1", "other", "fraction", "power"}

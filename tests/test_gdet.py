@@ -102,6 +102,14 @@ def test_gdet0_requires_degree_zero():
     with pytest.raises(NotDegreeZero) as exc:
         gdet0(mixed)
     assert str(exc.value).endswith("got degree Inhomogeneous")
+    # odd and of nonzero degree: the degree is reported, not the parity
+    dn = preset("dual_numbers", 2)
+    zero = dn.group.zero()
+    odd = GradedMatrix(dn, [zero], [zero], [[dn.basis_element("eps1")]])
+    with pytest.raises(NotDegreeZero) as exc:
+        gdet0(odd)
+    assert str(exc.value) == ("gdet0 needs a homogeneous matrix of degree "
+                              "0, got degree <1,0>")
 
 
 def test_gdet_sigma_rejects_odd():
