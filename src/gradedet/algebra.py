@@ -11,13 +11,16 @@ the standard examples; the multiplier twist and the graded tensor product
 build new algebras from old ones.  Elements and matrices over the algebra
 are inverted by one exact linear solve, restricted to the graded pieces
 the inverse can occupy (solve_inverse), so singularity is detected by
-exact rank.
+exact rank.  The solve runs on the integer structure table that the
+determinant kernel uses, with X's coefficients converted by the same one
+walk (_int_entries), and eliminates fraction-free on ints
+(solve_linear); the only division is each unknown's final Fraction.
 """
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from . import scalars
 from .errors import (DegreeViolation, IncompatibleGroups, InvalidParams,
@@ -25,7 +28,8 @@ from .errors import (DegreeViolation, IncompatibleGroups, InvalidParams,
                      NotInvertible, NotLambdaCommutative)
 from .grading import (Bicharacter, GradingGroup, Multiplier, lambda_twist,
                       parity, solve_ns_multiplier, trivial_multiplier)
-from .scalars import MINUS_ONE, ONE, ZERO, as_scalar, coerce_to, euler_phi
+from .scalars import (MINUS_ONE, ONE, ZERO, CycloScalar, as_scalar, coerce_to,
+                      cyclo, euler_phi)
 
 
 class _Inhomogeneous:
@@ -47,30 +51,60 @@ INHOMOGENEOUS = _Inhomogeneous()
 # exact linear algebra over the scalar field
 
 def solve_linear(matrix, rhs):
-    """Solve M X = R over the scalar field by Gauss-Jordan elimination.
-    R is given as rows; returns the solution rows, or None if M is
-    singular."""
-    n = len(matrix)
-    w = len(rhs[0]) if rhs else 0
-    aug = [list(matrix[i]) + list(rhs[i]) for i in range(n)]
+    """Solve M Y = R over Q by fraction-free Gauss-Jordan elimination on
+    ints (after E. H. Bareiss, Math. Comp. 22 (1968) 565-578).  M is n
+    sparse rows {column: int} over the columns 0..n-1 and R is n rows of
+    w ints; returns the n rows of Y as Fractions, or None if M is
+    singular, which is when a column has no nonzero entry left to pivot
+    on.  Each pivot step rewrites only the rows with a nonzero entry f in
+    the pivot column, as (p/g) row - (f/g) pivot row for the pivot p and
+    g = gcd(p, f), and divides each row by the gcd of its entries; the
+    pivot row is the shortest candidate, so that fill-in stays small.
+    Y's entry is the row's right-hand side over its diagonal entry."""
+    n, w = len(matrix), len(rhs[0]) if rhs else 0
+    rows = []
+    for mrow, rrow in zip(matrix, rhs):
+        row = {c: x for c, x in mrow.items() if x}
+        row.update((c, x) for c, x in enumerate(rrow, n) if x)
+        rows.append(_primitive(row))
+    free, pivots = set(range(n)), []
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
+        hits = [i for i, row in enumerate(rows) if col in row]
+        k = min((i for i in hits if i in free), key=lambda i: len(rows[i]),
+                default=None)
+        if k is None:
             return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = scalars.inv(aug[col][col])
-        row = aug[col]
-        for j in range(col, n + w):
-            if row[j]:
-                row[j] = row[j] * inv_p
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                other = aug[r]
-                for j in range(col, n + w):
-                    if row[j]:
-                        other[j] = other[j] - f * row[j]
-    return [row[n:] for row in aug]
+        free.remove(k)
+        pivots.append(k)
+        prow = rows[k]
+        p = prow[col]
+        for i in hits:
+            if i == k:
+                continue
+            row = rows[i]
+            g = gcd(p, row[col])
+            s, t = p // g, row[col] // g
+            if s != 1:
+                row = {c: s * x for c, x in row.items()}
+            for c, y in prow.items():
+                x = row.get(c, 0) - t * y
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            rows[i] = _primitive(row)
+    out = []
+    for col, k in enumerate(pivots):
+        row = rows[k]
+        out.append([Fraction(row.get(c, 0), row[col])
+                    for c in range(n, n + w)])
+    return out
+
+
+def _primitive(row):
+    """The sparse int row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
 
 
 def det_gauss(matrix):
@@ -412,6 +446,53 @@ def _int_residue(c, order, scale):
     if c.order not in (1, order):
         c = coerce_to(c, order)
     return [f.numerator * (scale // f.denominator) for f in c.coeffs]
+
+
+def _int_entries(entries, grid, root, algebra):
+    """The square grid of elements entries over Z[zeta_N], for the integer
+    kernels: (a, D, N, T, table), where a[i][j] maps index k phi(N) + s
+    to the int coefficient of e_k zeta_N^s in D times entries[i][j] with
+    its coefficient at e_k multiplied by zeta_root^grid[i][j][k], D is
+    the lcm of the denominators and (N, T, table) is _int_table at the
+    root order of those products.
+
+    One walk makes each entry's dict and collects the denominators and N,
+    which counts root only when some factor is not +-1.  A rational c
+    with factor +-1 (e = 0 or 2e = root) waits as its signed numerator
+    and denominator, to become one int at index k phi(N); the other
+    coefficients are multiplied by cyclo(e, root) and written out by
+    _int_residue at indices k phi(N) + s."""
+    half = root // 2 if root % 2 == 0 else -1
+    a, rationals, others, dens, order = [], [], [], set(), 1
+    for row, erow in zip(entries, grid):
+        arow = []
+        for entry, ex in zip(row, erow):
+            cell = {}
+            for k, c in entry.coeffs.items():
+                e = ex[k]
+                if c.order == 1 and (not e or e == half):
+                    num, q = c.coeffs[0].as_integer_ratio()
+                    dens.add(q)
+                    rationals.append((cell, k, -num if e else num, q))
+                else:
+                    if e:
+                        c = cyclo(e, root) * c
+                    order = lcm(order, c.order)
+                    dens.update(f.denominator for f in c.coeffs)
+                    others.append((cell, k, c))
+            arow.append(cell)
+        a.append(arow)
+    order, t_den, table = _int_table(algebra, order)
+    m = euler_phi(order)
+    d = lcm(*dens)
+    over = {q: d // q for q in dens}
+    for cell, k, x, q in rationals:
+        cell[k * m] = x * over[q]
+    for cell, k, c in others:
+        for s, x in enumerate(_int_residue(c, order, d), k * m):
+            if x:
+                cell[s] = x
+    return a, d, order, t_den, table
 
 
 def _validate_algebra(alg):
@@ -830,14 +911,6 @@ def tensor_project_left(t, elem):
 # ---------------------------------------------------------------------------
 # inversion and units
 
-def left_regular_matrix(a):
-    """The matrix of x |-> a*x on the basis, as scalar rows."""
-    alg = a.algebra
-    cols = [_table_product(alg.table, a.coeffs, {j: ONE}, {})
-            for j in range(alg.dim)]
-    return [[col.get(k, ZERO) for col in cols] for k in range(alg.dim)]
-
-
 def solve_inverse(alg, entries, mu, nu, degree):
     """The grid Y with X Y = I for the square grid X of elements of alg
     with row degrees mu and column degrees nu, or None when X is singular;
@@ -847,8 +920,17 @@ def solve_inverse(alg, entries, mu, nu, degree):
     the equations are the coefficients of (X Y)^i_j in A^(mu_j - mu_i).
     Columns with equal mu_j share one system, square whenever X is
     invertible.  An inhomogeneous X (degree INHOMOGENEOUS) solves one
-    system over every basis vector."""
-    n, table = len(entries), alg.table
+    system over every basis vector.
+
+    The systems are over Q, on the integer table: X comes from
+    _int_entries, scaled by D, and the table is scaled by T, so X Y = I
+    reads M y = D T e.  The unknown coefficient of e_b zeta_N^s in Y^k_j
+    is column (k, b phi(N) + s), and solve_linear eliminates on ints."""
+    n = len(entries)
+    zeros = [0] * alg.dim
+    a, d, order, t_den, table = _int_entries(entries, [[zeros] * n] * n, 1,
+                                             alg)
+    m, size = euler_phi(order), len(table)
     grid = [[None] * n for _ in range(n)]
     for col_degree in (dict.fromkeys(mu) if degree is not INHOMOGENEOUS
                        else (None,)):
@@ -860,29 +942,41 @@ def solve_inverse(alg, entries, mu, nu, degree):
             unknowns = [alg.component_indices(col_degree - nuk - degree)
                         for nuk in nu]
             pieces = [alg.component_indices(col_degree - mui) for mui in mu]
-        eqs = [(i, r) for i, piece in enumerate(pieces) for r in piece]
-        cols = [(k, b) for k, piece in enumerate(unknowns) for b in piece]
-        if len(cols) != len(eqs):
+        # equation (i, r phi(N) + u) is row where[i * size + r phi(N) + u]
+        where = {}
+        for i, piece in enumerate(pieces):
+            for r in piece:
+                for t in range(i * size + r * m, i * size + r * m + m):
+                    where[t] = len(where)
+        cols = [(k, s) for k, piece in enumerate(unknowns) for b in piece
+                for s in range(b * m, b * m + m)]
+        if len(cols) != len(where):
             return None
-        where = {e: t for t, e in enumerate(eqs)}
-        # column (k, b) of the system is X^i_k e_b for every i
-        m = [[ZERO] * len(cols) for _ in eqs]
-        for c, (k, b) in enumerate(cols):
-            for i, row in enumerate(entries):
-                for r, v in _table_product(table, row[k].coeffs, {b: ONE},
-                                           {}).items():
-                    m[where[i, r]][c] = v
-        rhs = [[ONE if e == (j, alg.unit_index) else ZERO for j in js]
-               for e in eqs]
-        sol = solve_linear(m, rhs)
+        # column (k, s) of the system is X^i_k e_s for every i
+        rows = [{} for _ in cols]
+        for c, (k, s) in enumerate(cols):
+            for i, arow in enumerate(a):
+                base = i * size
+                for ka, x in arow[k].items():
+                    for t, y in table[ka][s]:
+                        eq = rows[where[base + t]]
+                        eq[c] = eq[c] + x * y if c in eq else x * y
+        rhs = [[0] * len(js) for _ in cols]
+        for col, j in enumerate(js):
+            rhs[where[j * size + alg.unit_index * m]][col] = d * t_den
+        sol = solve_linear(rows, rhs)
         if sol is None:
             return None
-        coeffs = {(k, j): {} for k in range(n) for j in js}
-        for (k, b), values in zip(cols, sol):
-            for j, v in zip(js, values):
-                coeffs[k, j][b] = v
-        for (k, j), found in coeffs.items():
-            grid[k][j] = AlgebraElement(alg, found)
+        found = {(k, j): {} for k in range(n) for j in js}
+        # the phi(N) columns of one coefficient are consecutive
+        for c in range(0, len(cols), m):
+            k, s = cols[c]
+            for col, j in enumerate(js):
+                v = [y[col] for y in sol[c:c + m]]
+                if any(v):
+                    found[k, j][s // m] = CycloScalar(order, v)
+        for (k, j), coeffs in found.items():
+            grid[k][j] = AlgebraElement(alg, coeffs)
     return grid
 
 

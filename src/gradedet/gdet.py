@@ -22,16 +22,15 @@ instead of returning an arbitrary value.
 
 import itertools
 from fractions import Fraction
-from math import lcm
 
-from .algebra import (AlgebraElement, _int_residue, _int_table,
-                      _table_product, adjoined_units, tensor_embed_left,
-                      tensor_project_left, transport, twist, unit_witness)
+from .algebra import (AlgebraElement, _int_entries, _table_product,
+                      adjoined_units, tensor_embed_left, tensor_project_left,
+                      transport, twist, unit_witness)
 from .errors import (InvalidOrdering, NotCrossedProduct, NotDegreeZero,
                      OddEntries, TooLarge)
 from .gmatrix import _require_endo, j_sigma_exponents, shift_degrees
 from .grading import Multiplier, parity, solve_ns_multiplier
-from .scalars import CycloScalar, cyclo, euler_phi
+from .scalars import CycloScalar, euler_phi
 
 # gdet0_leibniz sums n! terms: 40,320 at n = 8, ten times that at n = 9
 LEIBNIZ_MAX_N = 8
@@ -166,7 +165,7 @@ def det_of_commuting(entries, algebra):
     _int_table, whose table constants carry one more denominator T).
     Each degree-i term of p[i] is a product of i scaled entries formed
     with i - 1 table products, so det A is p[n] / (D^n T^(n-1)) exactly.
-    _det_terms converts the entries in one walk: a rational coefficient
+    _int_entries converts the entries in one walk: a rational coefficient
     p/q of e_k becomes the one int p D/q at index k phi(N), and only the
     other coefficients are written out as residues.
 
@@ -183,48 +182,13 @@ def det_of_commuting(entries, algebra):
 
 def _det_terms(entries, grid, root, algebra):
     """det_of_commuting of the matrix whose entry (i,j) is entries[i][j]
-    with its coefficient at e_k times zeta_root^grid[i][j][k].
-
-    One walk over the coefficients makes each entry's dict and collects
-    the denominators (D is their lcm) and N, the root order of the
-    products, which counts root only when some factor is not +-1.  A
-    rational c with factor +-1 (e = 0 or 2e = root) waits as its signed
-    numerator and denominator, to become one int at index k phi(N); the
-    other coefficients are multiplied by cyclo(e, root) and written out
-    by _int_residue at indices k phi(N) + s."""
+    with its coefficient at e_k times zeta_root^grid[i][j][k], converted
+    to ints in one walk by algebra._int_entries."""
     n = len(entries)
     if n == 0:
         return algebra.one()
-    half = root // 2 if root % 2 == 0 else -1
-    a, rationals, others, dens, order = [], [], [], set(), 1
-    for row, erow in zip(entries, grid):
-        arow = []
-        for entry, ex in zip(row, erow):
-            cell = {}
-            for k, c in entry.coeffs.items():
-                e = ex[k]
-                if c.order == 1 and (not e or e == half):
-                    num, q = c.coeffs[0].as_integer_ratio()
-                    dens.add(q)
-                    rationals.append((cell, k, -num if e else num, q))
-                else:
-                    if e:
-                        c = cyclo(e, root) * c
-                    order = lcm(order, c.order)
-                    dens.update(f.denominator for f in c.coeffs)
-                    others.append((cell, k, c))
-            arow.append(cell)
-        a.append(arow)
-    order, t_den, table = _int_table(algebra, order)
+    a, d, order, t_den, table = _int_entries(entries, grid, root, algebra)
     m = euler_phi(order)
-    d = lcm(*dens)
-    over = {q: d // q for q in dens}
-    for cell, k, x, q in rationals:
-        cell[k * m] = x * over[q]
-    for cell, k, c in others:
-        for s, x in enumerate(_int_residue(c, order, d), k * m):
-            if x:
-                cell[s] = x
     size = len(table)
     ops = {}                # operator columns, built on first use
     p = [None]              # p[0] = 1 stays implicit

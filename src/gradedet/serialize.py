@@ -26,6 +26,9 @@ FORMAT = 1
 # the largest root order a document may declare: a product of two dense
 # scalars of order N costs about phi(N)^2 rational operations
 MAX_ROOT_ORDER = 256
+# the largest algebra a preset string or a document may name: validation
+# costs dim^3 table products (clifford:4,3, dimension 128, takes seconds)
+MAX_ALGEBRA_DIM = 128
 # parse_algebra keeps the algebras of this many distinct documents
 PARSED_ALGEBRAS = 8
 # an algebra table key: "<i>,<j>" in canonical (ASCII) decimal
@@ -240,6 +243,7 @@ def _parse_algebra(doc, where):
         raise InvalidCommutationFactor(
             f"{where}: the declared map is not skew-symmetric")
     basis = _field(doc, "basis", where, list)
+    _check_dim(len(basis), f"{where}: the basis")
     labels, degrees = [], []
     for item in basis:
         labels.append(_field(item, "label", where, str))
@@ -290,12 +294,47 @@ def parse_preset(text, sigma=None):
         except ValueError as exc:
             raise ParseError(
                 f"bad preset arguments in {text!r}: {exc}") from exc
+    _check_dim(_preset_dim(name, args), text)
     if name == "crossed_product":
         group = GradingGroup(args)
         if sigma is None:
             sigma = trivial_multiplier(group)
         return preset(name, group, sigma)
     return preset(name, *args)
+
+
+def _preset_dim(name, args):
+    """The dimension of the preset name with parameters args, computed
+    without building anything: 2^(p+q) and 2^n are compared by their
+    exponents, n^2 only for small n, and a product of moduli stops once
+    it passes MAX_ALGEBRA_DIM.  Parameters the preset would refuse give
+    0, so that the preset's own error names them."""
+    arity = {"clifford": 2, "dual_numbers": 1, "grassmann": 1,
+             "clock_shift": 1}.get(name, len(args))
+    if len(args) != arity or any(v < 0 for v in args):
+        return 0
+    if name == "clock_shift":
+        (n,) = args
+        return n * n if n <= MAX_ALGEBRA_DIM else n
+    if name in ("clifford", "dual_numbers", "grassmann"):
+        # 2^bits is above the limit exactly when bits reaches its length
+        bits = sum(args)
+        return (MAX_ALGEBRA_DIM + 1 if bits >= MAX_ALGEBRA_DIM.bit_length()
+                else 2 ** bits)
+    if name in ("group_algebra", "crossed_product"):
+        dim = 1
+        for m in args:
+            dim *= m
+            if dim > MAX_ALGEBRA_DIM:
+                break
+        return dim
+    return 0  # the quaternions, or a name the preset refuses
+
+
+def _check_dim(dim, what):
+    if dim > MAX_ALGEBRA_DIM:
+        raise TooLarge(f"{what}: the algebra would have dimension above the "
+                       f"limit {MAX_ALGEBRA_DIM}")
 
 
 def digest_algebra(a):

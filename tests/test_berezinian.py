@@ -1,9 +1,11 @@
 """Parity blocks, UDL factorization, and the graded Berezinian."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
+from gradedet import berezinian
 from gradedet.algebra import invert_element, preset
 from gradedet.berezinian import (ber_super, ber_super_components, gber,
                                  gber0, gber_via_ber_super, parity_blocks,
@@ -15,7 +17,28 @@ from gradedet.gmatrix import GradedMatrix, identity, matmul
 from gradedet.sampling import (make_rng, rand_invertible,
                                rand_invertible_parity_blocks,
                                rand_parity_sorted_degrees)
-from gradedet.scalars import rational
+from gradedet.scalars import CycloScalar, rational
+
+from full_system import all_fractions
+
+
+@pytest.fixture(autouse=True)
+def fraction_tripwire(monkeypatch):
+    """Every gber value computed in this file, through gber0 too, has
+    Fraction coefficients and no float."""
+    exact = berezinian.gber
+
+    def checked(x, sigma):
+        value = exact(x, sigma)
+        assert all_fractions(value)
+        checked.calls += 1
+        return value
+
+    checked.calls = 0
+    monkeypatch.setattr(berezinian, "gber", checked)
+    monkeypatch.setattr(sys.modules[__name__], "gber", checked)
+    return checked
+
 
 DN = preset("dual_numbers", 2)
 ZERO = DN.group.zero()
@@ -65,6 +88,13 @@ def test_gber_worked_value():
                              [[DN.one(), E1], [-E1, DN.one() * 2]]))
     # Schur = 1 + eps1 eps1 / 2 = 1, X11 = 2
     assert got == DN.one() * rational(1, 2)
+
+
+def test_the_tripwire_sees_every_gber(fraction_tripwire):
+    gber0(M)
+    gber(M, all_ns_multipliers(DN.lam)[-1])
+    assert fraction_tripwire.calls == 2
+    assert not all_fractions(DN.from_scalar(CycloScalar(1, (0.5,))))
 
 
 def test_gber_needs_even_homogeneous():

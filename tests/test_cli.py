@@ -17,7 +17,8 @@ from gradedet.errors import TooLarge, VerificationFailure
 from gradedet.gdet import all_ns_multipliers, canonical_sigma
 from gradedet.gmatrix import GradedMatrix, identity
 from gradedet.grading import Bicharacter, GradingGroup
-from gradedet.serialize import (MAX_ROOT_ORDER, digest_algebra,
+from gradedet.serialize import (MAX_ALGEBRA_DIM, MAX_ROOT_ORDER,
+                                digest_algebra,
                                 digest_matrix, digest_multiplier,
                                 format_algebra, format_matrix,
                                 format_multiplier, parse_algebra,
@@ -257,6 +258,50 @@ def test_root_order_past_the_limit_exits_3(capsys, tmp_path, where):
         assert time.perf_counter() - start < 1
         assert code == 3 and out["error"] == "TooLarge"
         assert message in out["message"]
+
+
+@pytest.mark.parametrize("spec", ["clifford:99999999999999999999,1",
+                                  "clifford:20,20", "grassmann:8",
+                                  "clock_shift:12", "group_algebra:2,3,5,5"])
+def test_algebra_past_the_dimension_limit_exits_3(capsys, spec):
+    # every one of these is refused before anything is built; the first
+    # would otherwise raise OverflowError building (Z_2)^(10^20 + 2)
+    start = time.perf_counter()
+    code, out = run(capsys, "solve-sigma", "--algebra", "preset:" + spec)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out["error"] == "TooLarge"
+    assert f"above the limit {MAX_ALGEBRA_DIM}" in out["message"]
+    with pytest.raises(TooLarge):
+        parse_preset("preset:" + spec)
+
+
+def test_algebra_at_the_dimension_limit_is_built():
+    # 2^7 = MAX_ALGEBRA_DIM: the limit itself is allowed
+    assert MAX_ALGEBRA_DIM == 128
+    assert parse_preset("preset:grassmann:7").dim == MAX_ALGEBRA_DIM
+
+
+def test_algebra_document_past_the_dimension_limit_exits_3(capsys,
+                                                           tmp_path):
+    # 129 basis entries, and a table that is never read: its one key is
+    # malformed, which would be exit 2 if it were
+    doc = format_algebra(preset("group_algebra", 2))
+    doc["basis"] = [{"label": f"b{i}", "degree": [0]}
+                    for i in range(MAX_ALGEBRA_DIM + 1)]
+    doc["table"] = {"not a key": []}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out = run(capsys, "solve-sigma", "--algebra", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out["error"] == "TooLarge"
+    with pytest.raises(TooLarge):
+        parse_algebra(doc)
+    # at the limit the table is read, and its bad key refused
+    doc["basis"] = doc["basis"][:MAX_ALGEBRA_DIM]
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "solve-sigma", "--algebra", str(path))
+    assert code == 2 and out["message"].endswith("bad table key 'not a key'")
 
 
 def _cli_docs(tmp_path, docs):

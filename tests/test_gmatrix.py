@@ -4,10 +4,9 @@ from collections import Counter
 
 import pytest
 
-from gradedet import algebra, scalars
-from gradedet.algebra import (INHOMOGENEOUS, invert_element,
-                              left_regular_matrix, preset, solve_linear,
-                              transport, twist)
+from gradedet import algebra
+from gradedet.algebra import (INHOMOGENEOUS, invert_element, preset,
+                              solve_linear, transport, twist)
 from gradedet.errors import (DegreeMismatch, InhomogeneousScalar,
                              InvalidParams, MissingUnit, MixedAlgebras,
                              NotSquare, Singular)
@@ -21,6 +20,8 @@ from gradedet.oracles import _odd_line_tensor
 from gradedet.sampling import (make_rng, rand_degrees, rand_invertible,
                                rand_matrix, sorted_degrees)
 from gradedet.scalars import rational
+
+from full_system import full_system_inverse
 
 Q = preset("quaternions")
 I, J, K = (Q.basis_element(s) for s in "ijk")
@@ -224,24 +225,6 @@ def test_shift_degrees():
     assert shift_degrees(shifted, it).row_degrees == (ZERO, JT)
 
 
-def _full_system_inverse(x):
-    """X^(-1) from the whole n*dim scalar system of X Y = I, whose (i, k)
-    block is the left-regular matrix of X^i_k, or None if it is
-    singular."""
-    alg, n, dim = x.algebra, x.nrows, x.algebra.dim
-    blocks = [[left_regular_matrix(e) for e in row] for row in x.entries]
-    m = [[blocks[i][k][r][c] for k in range(n) for c in range(dim)]
-         for i in range(n) for r in range(dim)]
-    rhs = [[scalars.ONE if (i, r) == (j, alg.unit_index) else scalars.ZERO
-            for j in range(n)] for i in range(n) for r in range(dim)]
-    sol = solve_linear(m, rhs)
-    if sol is None:
-        return None
-    return GradedMatrix(alg, x.col_degrees, x.row_degrees, [
-        [alg.element({c: sol[k * dim + c][j] for c in range(dim)})
-         for j in range(n)] for k in range(n)])
-
-
 def _inversion_algebras():
     return [Q, preset("clifford", 2, 1), preset("dual_numbers", 2),
             preset("grassmann", 3), preset("grassmann", 4),
@@ -274,7 +257,7 @@ def test_invert_matrix_matches_the_full_system(alg):
             zero_matrix(alg, mu, nu)]
     seen = Counter()
     for x in samples:
-        want = _full_system_inverse(x)
+        want = full_system_inverse(x)
         if want is None:
             with pytest.raises(Singular):
                 invert_matrix(x)
@@ -291,6 +274,10 @@ def test_homogeneous_inverse_solves_one_piece_per_column(monkeypatch):
     sizes = []
 
     def recording(matrix, rhs):
+        # sparse int rows over the columns 0..n-1, int right-hand sides
+        assert all(type(x) is int and 0 <= c < len(matrix)
+                   for row in matrix for c, x in row.items())
+        assert all(type(x) is int for row in rhs for x in row)
         sizes.append(len(matrix))
         return solve_linear(matrix, rhs)
 
