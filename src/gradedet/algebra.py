@@ -267,6 +267,7 @@ class GradedAlgebra:
         self._canonical_sigma = None
         self._cp_index = None  # residues -> basis index, for crossed products
         self._int_tables = {}  # root order -> _int_table's result
+        self._degree_index = None  # degree_index, filled on first use
         self._digest = None  # serialize.digest_algebra, filled on first use
 
     @property
@@ -321,6 +322,85 @@ class GradedAlgebra:
 
     def __repr__(self):
         return f"GradedAlgebra({self.name}, dim={self.dim})"
+
+
+class DegreeIndex:
+    """The degrees met by the checks on matrices over one algebra, numbered
+    0, 1, ... in the order met, so that the checks compare and look up
+    small ints; a degree is looked up by its residues.  basis[k] is the
+    number of deg e_k, and zero is the group zero, numbered first.  Sums
+    and parities of numbers are memoized, and so are the homogeneous
+    components shifted by a degree.  Nothing is dropped: the index grows
+    only with the degrees met, to at most |Gamma| numbers and |Gamma|^2
+    sums."""
+
+    __slots__ = ("group", "lam", "zero", "basis", "_degrees", "_numbers",
+                 "_sums", "_parities", "_shifted", "_odd")
+
+    def __init__(self, algebra):
+        self.group, self.lam = algebra.group, algebra.lam
+        self._degrees, self._numbers = [], {}
+        self._sums, self._parities, self._shifted = {}, {}, {}
+        self._odd = None
+        self.zero = self.group.zero()
+        self.basis = self.numbers((self.zero, *algebra.degrees))[1:]
+
+    def number(self, d):
+        """The number of the degree d, given on first meeting."""
+        if d.group is not self.group and d.group != self.group:
+            raise IncompatibleGroups(f"{d.group!r} vs {self.group!r}")
+        n = self._numbers.get(d.residues)
+        if n is None:
+            n = self._numbers[d.residues] = len(self._degrees)
+            self._degrees.append(d)
+        return n
+
+    def numbers(self, degrees):
+        """[number(d) for d in degrees], keyed by residues: a degree in
+        the index's own group object costs one dict lookup."""
+        got, group = self._numbers, self.group
+        out = [got.get(d.residues) if d.group is group else None
+               for d in degrees]
+        return out if None not in out else [self.number(d) for d in degrees]
+
+    def add(self, a, b):
+        """The number of the sum of the degrees numbered a and b."""
+        s = self._sums.get((a, b))
+        if s is None:
+            s = self._sums[a, b] = self.number(self._degrees[a]
+                                               + self._degrees[b])
+        return s
+
+    def parity(self, a):
+        p = self._parities.get(a)
+        if p is None:
+            p = self._parities[a] = parity(self.lam, self._degrees[a])
+        return p
+
+    def odd(self):
+        """The basis vectors of odd degree."""
+        if self._odd is None:
+            self._odd = frozenset(k for k, a in enumerate(self.basis)
+                                  if self.parity(a))
+        return self._odd
+
+    def shifted(self, a):
+        """{number of g + degree a: the basis vectors of degree g}."""
+        out = self._shifted.get(a)
+        if out is None:
+            out = {}
+            for k, g in enumerate(self.basis):
+                out.setdefault(self.add(g, a), set()).add(k)
+            out = self._shifted[a] = {s: frozenset(ks)
+                                      for s, ks in out.items()}
+        return out
+
+
+def degree_index(algebra):
+    """algebra's DegreeIndex, built on first use and kept on the algebra."""
+    if algebra._degree_index is None:
+        algebra._degree_index = DegreeIndex(algebra)
+    return algebra._degree_index
 
 
 def _cell_constant(c):

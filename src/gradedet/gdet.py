@@ -24,8 +24,8 @@ import itertools
 from fractions import Fraction
 
 from .algebra import (AlgebraElement, _int_entries, _table_product,
-                      adjoined_units, tensor_embed_left, tensor_project_left,
-                      transport, twist, unit_witness)
+                      adjoined_units, degree_index, tensor_embed_left,
+                      tensor_project_left, transport, twist, unit_witness)
 from .errors import (InvalidOrdering, NotCrossedProduct, NotDegreeZero,
                      OddEntries, TooLarge)
 from .gmatrix import _require_endo, j_sigma_exponents, shift_degrees
@@ -120,11 +120,12 @@ def _require_even(x, what):
     have even parity; zero entries pass vacuously.  Entries are checked
     first, so an odd entry is reported before an odd component.  Parity is
     additive, so once every entry component is even, a component of entry
-    (i,j) is odd exactly when mu_i and nu_j (each tested once) differ."""
+    (i,j) is odd exactly when mu_i and nu_j differ in parity.  Parities
+    come from the algebra's degree index (algebra.degree_index)."""
     alg = x.algebra
-    lam = alg.lam
-    odd = {k for k, d in enumerate(alg.degrees) if parity(lam, d)}
-    for i, row in enumerate(x.entries):
+    index = degree_index(alg)
+    odd = index.odd()
+    for i, row in enumerate(x.entries if odd else ()):
         for j, e in enumerate(row):
             if not odd.isdisjoint(e.coeffs):
                 k = next(k for k in e.coeffs if k in odd)
@@ -132,18 +133,21 @@ def _require_even(x, what):
                     f"{what}: entry ({i},{j}) has an odd-degree "
                     f"component {alg.labels[k]}; expansion order "
                     "would matter")
-    par = {d: parity(lam, d) for d in {*x.row_degrees, *x.col_degrees}}
-    col_parities = [par[nu] for nu in x.col_degrees]
-    for mu, row in zip(x.row_degrees, x.entries):
+    par = index.parity
+    row_parities = [par(a) for a in index.numbers(x.row_degrees)]
+    col_parities = [par(b) for b in index.numbers(x.col_degrees)]
+    if len({*row_parities, *col_parities}) < 2:
+        return  # no (mu_i, nu_j) pair differs in parity
+    for mu, p_mu, row in zip(x.row_degrees, row_parities, x.entries):
         for nu, p_nu, e in zip(x.col_degrees, col_parities, row):
-            if e.coeffs and par[mu] != p_nu:
+            if e.coeffs and p_mu != p_nu:
                 d = alg.degrees[next(iter(e.coeffs))] + mu - nu
                 raise OddEntries(
                     f"{what}: homogeneous component of odd degree {d!r}")
 
 
 def _require_degree_zero(x, what):
-    if not x.is_homogeneous_of(x.algebra.group.zero()):
+    if not x.is_homogeneous_of(degree_index(x.algebra).zero):
         raise NotDegreeZero(f"{what} needs a homogeneous matrix of degree 0, "
                             f"got degree {x.degree_of()!r}")
 
@@ -230,7 +234,7 @@ def _det_terms(entries, grid, root, algebra):
     for idx, x in p[-1].items():
         if x:
             k, s = divmod(idx, m)
-            coeffs.setdefault(k, [0] * m)[s] = Fraction(x, scale)
+            coeffs.setdefault(k, [Fraction(0)] * m)[s] = Fraction(x, scale)
     return AlgebraElement(algebra, {k: CycloScalar(order, v)
                                     for k, v in coeffs.items()})
 

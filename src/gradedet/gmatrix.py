@@ -12,8 +12,8 @@ homogeneous units, and base change.  Operations on endomorphism matrices
 _require_endo.
 """
 
-from .algebra import (AlgebraElement, INHOMOGENEOUS, _dot, invert_element,
-                      solve_inverse, twist, unit_witness)
+from .algebra import (AlgebraElement, INHOMOGENEOUS, _dot, degree_index,
+                      invert_element, solve_inverse, twist, unit_witness)
 from .errors import (DegreeMismatch, InhomogeneousScalar, InvalidParams,
                      MissingUnit, MixedAlgebras, NotSquare, Singular)
 from .grading import parity
@@ -87,14 +87,17 @@ class GradedMatrix:
         return next(iter(degs)) if len(degs) == 1 else INHOMOGENEOUS
 
     def is_homogeneous_of(self, x):
-        """Each x - mu_i + nu_j is formed once per distinct pair."""
-        comps = self.algebra.component_indices
-        pairs, grid = _degree_pairs(self.row_degrees, self.col_degrees)
-        shifted = {mu: x - mu for mu in dict.fromkeys(self.row_degrees)}
-        allowed = [set(comps(shifted[mu] + nu)) for mu, nu in pairs]
-        return all(e.coeffs.keys() <= allowed[p]
-                   for row, prow in zip(self.entries, grid)
-                   for e, p in zip(row, prow))
+        """Entry (i,j) may hold e_k only when deg e_k + mu_i = x + nu_j,
+        which is decided on the numbers of the algebra's degree index."""
+        index = degree_index(self.algebra)
+        target, empty = index.number(x), frozenset()
+        rows = map(index.shifted, index.numbers(self.row_degrees))
+        cols = [index.add(target, b) for b in index.numbers(self.col_degrees)]
+        for row, allowed in zip(self.entries, rows):
+            for e, t in zip(row, cols):
+                if not e.coeffs.keys() <= allowed.get(t, empty):
+                    return False
+        return True
 
     def map_entries(self, fn):
         return GradedMatrix(self.algebra, self.row_degrees, self.col_degrees,

@@ -29,6 +29,10 @@ MAX_ROOT_ORDER = 256
 # the largest algebra a preset string or a document may name: validation
 # costs dim^3 table products (clifford:4,3, dimension 128, takes seconds)
 MAX_ALGEBRA_DIM = 128
+# the most rows or columns a matrix document may have: the determinant
+# costs O(n^4) ring products (gdet0 of a dense 64x64 quaternion matrix
+# takes about 1.5 s on a 2-core host under Python 3.11)
+MAX_MATRIX_N = 64
 # parse_algebra keeps the algebras of this many distinct documents
 PARSED_ALGEBRAS = 8
 # an algebra table key: "<i>,<j>" in canonical (ASCII) decimal
@@ -357,10 +361,15 @@ def format_matrix(x):
 
 
 def parse_matrix(doc, algebra, where="matrix"):
+    """The matrix of a matrix document; more than MAX_MATRIX_N rows or
+    columns raise TooLarge before any degree or entry is read."""
     _check_format(doc, where)
     order = _root_order(doc, where)
     rows = _field(doc, "row_degrees", where, list)
     cols = _field(doc, "col_degrees", where, list)
+    if max(len(rows), len(cols)) > MAX_MATRIX_N:
+        raise TooLarge(f"{where}: a {len(rows)}x{len(cols)} matrix is above "
+                       f"the limit of {MAX_MATRIX_N} rows and columns")
     entries = _field(doc, "entries", where, list)
     group, vector = algebra.group, "a degree vector"
     try:

@@ -5,38 +5,51 @@ from fractions import Fraction
 
 import pytest
 
-from gradedet import berezinian
+from gradedet import berezinian, gdet
 from gradedet.algebra import invert_element, preset
 from gradedet.berezinian import (ber_super, ber_super_components, gber,
                                  gber0, gber_via_ber_super, parity_blocks,
                                  udl)
 from gradedet.errors import (InvalidParams, NotParitySorted, OddDegree,
                              Singular, SingularOddBlock)
-from gradedet.gdet import all_ns_multipliers, gdet0
+from gradedet.gdet import (all_ns_multipliers, det_of_commuting, gdet0,
+                           gdet_sigma)
 from gradedet.gmatrix import GradedMatrix, identity, matmul
 from gradedet.sampling import (make_rng, rand_invertible,
                                rand_invertible_parity_blocks,
                                rand_parity_sorted_degrees)
-from gradedet.scalars import CycloScalar, rational
+from gradedet.scalars import CycloScalar, cyclo, rational
 
 from full_system import all_fractions
 
 
+TRIPPED = {berezinian: ("gber", "det_of_commuting"),
+           gdet: ("gdet0", "gdet_sigma", "det_of_commuting"),
+           sys.modules[__name__]: ("gber", "gdet0", "gdet_sigma",
+                                   "det_of_commuting")}
+
+
 @pytest.fixture(autouse=True)
 def fraction_tripwire(monkeypatch):
-    """Every gber value computed in this file, through gber0 too, has
-    Fraction coefficients and no float."""
-    exact = berezinian.gber
+    """Every gber value computed in this file, through gber0 too, and
+    every gdet0, gdet_sigma and det_of_commuting value has Fraction
+    coefficients and no float; returns the calls seen per function."""
+    calls = {}
+    for module, names in TRIPPED.items():
+        for name in names:
+            calls[name] = 0
+            monkeypatch.setattr(module, name,
+                                _checked(getattr(module, name), name, calls))
+    return calls
 
-    def checked(x, sigma):
-        value = exact(x, sigma)
-        assert all_fractions(value)
-        checked.calls += 1
+
+def _checked(exact, name, calls):
+    def checked(*args):
+        value = exact(*args)
+        assert all_fractions(value), f"{name} gave {value.coeffs!r}"
+        calls[name] += 1
         return value
 
-    checked.calls = 0
-    monkeypatch.setattr(berezinian, "gber", checked)
-    monkeypatch.setattr(sys.modules[__name__], "gber", checked)
     return checked
 
 
@@ -93,8 +106,21 @@ def test_gber_worked_value():
 def test_the_tripwire_sees_every_gber(fraction_tripwire):
     gber0(M)
     gber(M, all_ns_multipliers(DN.lam)[-1])
-    assert fraction_tripwire.calls == 2
+    assert fraction_tripwire["gber"] == 2
     assert not all_fractions(DN.from_scalar(CycloScalar(1, (0.5,))))
+
+
+def test_the_tripwire_sees_every_determinant(fraction_tripwire):
+    # a value of root order 3 pads its constant term with a zero
+    q = preset("quaternions")
+    zeta = q.from_scalar(cyclo(1, 3))
+    x = GradedMatrix(q, [q.group.zero()], [q.group.zero()], [[zeta]])
+    assert gdet0(x) == zeta
+    assert gdet_sigma(x, all_ns_multipliers(q.lam)[-1]) == zeta
+    assert det_of_commuting([[zeta]], q) == zeta
+    assert fraction_tripwire["gdet0"] == 1
+    assert fraction_tripwire["gdet_sigma"] == 1
+    assert fraction_tripwire["det_of_commuting"] == 1
 
 
 def test_gber_needs_even_homogeneous():

@@ -17,12 +17,12 @@ from gradedet.errors import TooLarge, VerificationFailure
 from gradedet.gdet import all_ns_multipliers, canonical_sigma
 from gradedet.gmatrix import GradedMatrix, identity
 from gradedet.grading import Bicharacter, GradingGroup
-from gradedet.serialize import (MAX_ALGEBRA_DIM, MAX_ROOT_ORDER,
-                                digest_algebra,
+from gradedet.serialize import (MAX_ALGEBRA_DIM, MAX_MATRIX_N,
+                                MAX_ROOT_ORDER, digest_algebra,
                                 digest_matrix, digest_multiplier,
                                 format_algebra, format_matrix,
                                 format_multiplier, parse_algebra,
-                                parse_preset)
+                                parse_matrix, parse_preset)
 
 Q = preset("quaternions")
 J = Q.basis_element("j")
@@ -302,6 +302,36 @@ def test_algebra_document_past_the_dimension_limit_exits_3(capsys,
     path.write_text(json.dumps(doc))
     code, out = run(capsys, "solve-sigma", "--algebra", str(path))
     assert code == 2 and out["message"].endswith("bad table key 'not a key'")
+
+
+def test_matrix_past_the_size_limit_exits_3(capsys, tmp_path):
+    # 10^5 rows of one zero entry each: refused before any degree or
+    # entry is read
+    rows = 10 ** 5
+    doc = {"format": 1, "row_degrees": [[0, 0]] * rows,
+           "col_degrees": [[0, 0]], "entries": [[[]]] * rows}
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out = run(capsys, "gdet0", "--algebra", "preset:quaternions",
+                    "--matrix", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out["error"] == "TooLarge"
+    assert out["message"] == (f"{path}: a 100000x1 matrix is above the limit "
+                              f"of {MAX_MATRIX_N} rows and columns")
+    with pytest.raises(TooLarge):
+        parse_matrix(doc, Q)
+    # the degree vectors alone count, however malformed the entries
+    doc = {"format": 1, "row_degrees": [[0, 0]] * (MAX_MATRIX_N + 1),
+           "col_degrees": [], "entries": "never read"}
+    with pytest.raises(TooLarge):
+        parse_matrix(doc, Q)
+
+
+def test_matrix_at_the_size_limit_is_parsed():
+    assert MAX_MATRIX_N == 64
+    x = identity(Q, [ZERO] * MAX_MATRIX_N)
+    assert parse_matrix(format_matrix(x), Q) == x
 
 
 def _cli_docs(tmp_path, docs):
