@@ -11,10 +11,12 @@ the standard examples; the multiplier twist and the graded tensor product
 build new algebras from old ones.  Elements and matrices over the algebra
 are inverted by one exact linear solve, restricted to the graded pieces
 the inverse can occupy (solve_inverse), so singularity is detected by
-exact rank.  The solve runs on the integer structure table that the
-determinant kernel uses, with X's coefficients converted by the same one
-walk (_int_entries), and eliminates fraction-free on ints
-(solve_linear); the only division is each unknown's final Fraction.
+exact rank.  The solve shares the determinant kernel's integer layer:
+X's coefficients converted in one walk (_int_entries), the operator
+columns of X on the integer structure table (_operator_column), and
+the decoder from indexed Fractions back to elements (_decode).  It
+eliminates fraction-free on ints (solve_linear); the only division is
+each unknown's final Fraction.
 """
 
 import itertools
@@ -528,13 +530,13 @@ def _int_residue(c, order, scale):
     return [f.numerator * (scale // f.denominator) for f in c.coeffs]
 
 
-def _int_entries(entries, grid, root, algebra):
+def _int_entries(entries, algebra, grid=None, root=1):
     """The square grid of elements entries over Z[zeta_N], for the integer
     kernels: (a, D, N, T, table), where a[i][j] maps index k phi(N) + s
     to the int coefficient of e_k zeta_N^s in D times entries[i][j] with
-    its coefficient at e_k multiplied by zeta_root^grid[i][j][k], D is
-    the lcm of the denominators and (N, T, table) is _int_table at the
-    root order of those products.
+    its coefficient at e_k multiplied by zeta_root^grid[i][j][k] (by 1
+    when grid is None), D is the lcm of the denominators and (N, T,
+    table) is _int_table at the root order of those products.
 
     One walk makes each entry's dict and collects the denominators and N,
     which counts root only when some factor is not +-1.  A rational c
@@ -542,6 +544,8 @@ def _int_entries(entries, grid, root, algebra):
     and denominator, to become one int at index k phi(N); the other
     coefficients are multiplied by cyclo(e, root) and written out by
     _int_residue at indices k phi(N) + s."""
+    if grid is None:
+        grid = [[[0] * algebra.dim] * len(row) for row in entries]
     half = root // 2 if root % 2 == 0 else -1
     a, rationals, others, dens, order = [], [], [], set(), 1
     for row, erow in zip(entries, grid):
@@ -573,6 +577,39 @@ def _int_entries(entries, grid, root, algebra):
             if x:
                 cell[s] = x
     return a, d, order, t_den, table
+
+
+def _operator_column(a, table, key):
+    """Column key = j*E + b (E = len(table)) of the integer grid a from
+    _int_entries, read as an operator on the integer table: the pairs
+    (i*E + t, c), ascending, with a[i][j] e_b = sum of c e_t.  A
+    coefficient that sums to zero may stay.  det_of_commuting scatters
+    through these columns, and solve_inverse reads its systems off them."""
+    size = len(table)
+    j, b = divmod(key, size)
+    acc = {}
+    base = 0
+    for row in a:
+        for ka, x in row[j].items():
+            for t, c in table[ka][b]:
+                t += base
+                acc[t] = acc[t] + x * c if t in acc else x * c
+        base += size
+    return sorted(acc.items())
+
+
+def _decode(algebra, order, pairs):
+    """The element of algebra with coefficient x at e_k zeta_N^s, N =
+    order, for each pair (k phi(N) + s, x) of an index as in _int_entries
+    and a Fraction; zero x are skipped."""
+    m = euler_phi(order)
+    coeffs = {}
+    for idx, x in pairs:
+        if x:
+            k, s = divmod(idx, m)
+            coeffs.setdefault(k, [scalars._F0] * m)[s] = x
+    return AlgebraElement(algebra, {k: CycloScalar(order, v)
+                                    for k, v in coeffs.items()})
 
 
 def _validate_algebra(alg):
@@ -1005,11 +1042,10 @@ def solve_inverse(alg, entries, mu, nu, degree):
     The systems are over Q, on the integer table: X comes from
     _int_entries, scaled by D, and the table is scaled by T, so X Y = I
     reads M y = D T e.  The unknown coefficient of e_b zeta_N^s in Y^k_j
-    is column (k, b phi(N) + s), and solve_linear eliminates on ints."""
+    has key k E + b phi(N) + s (E = len(table)), its column of M is
+    _operator_column of that key, and solve_linear eliminates on ints."""
     n = len(entries)
-    zeros = [0] * alg.dim
-    a, d, order, t_den, table = _int_entries(entries, [[zeros] * n] * n, 1,
-                                             alg)
+    a, d, order, t_den, table = _int_entries(entries, alg)
     m, size = euler_phi(order), len(table)
     grid = [[None] * n for _ in range(n)]
     for col_degree in (dict.fromkeys(mu) if degree is not INHOMOGENEOUS
@@ -1023,40 +1059,30 @@ def solve_inverse(alg, entries, mu, nu, degree):
                         for nuk in nu]
             pieces = [alg.component_indices(col_degree - mui) for mui in mu]
         # equation (i, r phi(N) + u) is row where[i * size + r phi(N) + u]
-        where = {}
-        for i, piece in enumerate(pieces):
-            for r in piece:
-                for t in range(i * size + r * m, i * size + r * m + m):
-                    where[t] = len(where)
-        cols = [(k, s) for k, piece in enumerate(unknowns) for b in piece
-                for s in range(b * m, b * m + m)]
-        if len(cols) != len(where):
+        where = {t: c for c, t in enumerate(
+            i * size + u for i, piece in enumerate(pieces) for r in piece
+            for u in range(r * m, r * m + m))}
+        keys = [k * size + s for k, piece in enumerate(unknowns)
+                for b in piece for s in range(b * m, b * m + m)]
+        if len(keys) != len(where):
             return None
-        # column (k, s) of the system is X^i_k e_s for every i
-        rows = [{} for _ in cols]
-        for c, (k, s) in enumerate(cols):
-            for i, arow in enumerate(a):
-                base = i * size
-                for ka, x in arow[k].items():
-                    for t, y in table[ka][s]:
-                        eq = rows[where[base + t]]
-                        eq[c] = eq[c] + x * y if c in eq else x * y
-        rhs = [[0] * len(js) for _ in cols]
+        rows = [{} for _ in keys]
+        for c, key in enumerate(keys):
+            for t, y in _operator_column(a, table, key):
+                rows[where[t]][c] = y
+        rhs = [[0] * len(js) for _ in keys]
         for col, j in enumerate(js):
             rhs[where[j * size + alg.unit_index * m]][col] = d * t_den
         sol = solve_linear(rows, rhs)
         if sol is None:
             return None
-        found = {(k, j): {} for k in range(n) for j in js}
-        # the phi(N) columns of one coefficient are consecutive
-        for c in range(0, len(cols), m):
-            k, s = cols[c]
-            for col, j in enumerate(js):
-                v = [y[col] for y in sol[c:c + m]]
-                if any(v):
-                    found[k, j][s // m] = CycloScalar(order, v)
-        for (k, j), coeffs in found.items():
-            grid[k][j] = AlgebraElement(alg, coeffs)
+        found = {(k, j): [] for k in range(n) for j in js}
+        for key, y in zip(keys, sol):
+            k, s = divmod(key, size)
+            for j, x in zip(js, y):
+                found[k, j].append((s, x))
+        for (k, j), pairs in found.items():
+            grid[k][j] = _decode(alg, order, pairs)
     return grid
 
 

@@ -110,7 +110,8 @@ def gber(x, sigma):
     homogeneous even-degree invertible matrix with parity-sorted degrees.
     Both blocks are even by construction (X has even degree, and the
     degrees within a diagonal block share one parity), so the determinants
-    skip gdet_sigma's input checks."""
+    skip gdet_sigma's input checks.  sigma must be an NS multiplier, as
+    for gdet_sigma."""
     d, blocks, _, schur = _schur(x, "gber")
     r0, r1 = blocks.superrank
     det0 = _det_sigma(schur, sigma)

@@ -17,9 +17,11 @@ from time import perf_counter
 
 from .algebra import twist
 from .berezinian import gber
-from .errors import GradedetError, IncompatibleGroups, ParseError
+from .errors import (GradedetError, IncompatibleGroups, InvalidParams,
+                     ParseError)
 from .gdet import all_ns_multipliers, canonical_sigma, gdet0, gdet_sigma
 from .gmatrix import GradedMatrix, graded_trace
+from .grading import is_ns_multiplier
 from .oracles import SUITES, iter_property_sweeps
 from .serialize import (FORMAT, check_ints, check_root_orders,
                         digest_algebra, digest_matrix, digest_multiplier,
@@ -142,6 +144,12 @@ def _matrix_job(args):
     algebra = _load_algebra(args.algebra)
     if args.command in ("gdet", "gber"):
         sigma = _load_sigma(args.sigma, algebra)
+        # auto is canonical_sigma, which solve_ns_multiplier has checked
+        if args.sigma != "auto" and not is_ns_multiplier(algebra.lam, sigma):
+            raise InvalidParams(
+                f"{args.sigma} is not an NS multiplier of {algebra.name}, "
+                f"so the entries of J_sigma(X) need not commute; "
+                f"gradedet solve-sigma lists the NS multipliers")
     x = parse_matrix(load_json(args.matrix), algebra, where=args.matrix)
     if args.degrees:
         x = _apply_degrees(x, args.degrees)

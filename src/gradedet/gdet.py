@@ -12,8 +12,9 @@ gdet0_via_crossed is a third route through conjugation by invertible
 homogeneous units, adjoined from a crossed-product tensor factor when the
 algebra lacks them.
 
-Every classical determinant here, and the Berezinian's, is
-det_of_commuting (Berkowitz, division-free).
+Every classical determinant here, and both of the Berezinian's, is
+det_of_commuting (Berkowitz, division-free); gdet0 and gdet_sigma pass
+it X's entries and the J_sigma exponent grid of an NS multiplier.
 
 Entry products of odd degree do not commute after twisting, so determinants
 over them would depend on expansion order; such inputs raise OddEntries
@@ -23,14 +24,14 @@ instead of returning an arbitrary value.
 import itertools
 from fractions import Fraction
 
-from .algebra import (AlgebraElement, _int_entries, _table_product,
-                      adjoined_units, degree_index, tensor_embed_left,
-                      tensor_project_left, transport, twist, unit_witness)
+from .algebra import (_decode, _int_entries, _operator_column,
+                      _table_product, adjoined_units, degree_index,
+                      tensor_embed_left, tensor_project_left, transport,
+                      twist, unit_witness)
 from .errors import (InvalidOrdering, NotCrossedProduct, NotDegreeZero,
                      OddEntries, TooLarge)
 from .gmatrix import _require_endo, j_sigma_exponents, shift_degrees
 from .grading import Multiplier, parity, solve_ns_multiplier
-from .scalars import CycloScalar, euler_phi
 
 # gdet0_leibniz sums n! terms: 40,320 at n = 8, ten times that at n = 9
 LEIBNIZ_MAX_N = 8
@@ -40,23 +41,6 @@ NS_FAMILY_MAX_BITS = 15
 
 # ---------------------------------------------------------------------------
 # orderings
-
-def permutation_sign(pi):
-    sign = 1
-    seen = [False] * len(pi)
-    for s in range(len(pi)):
-        if seen[s]:
-            continue
-        length = 0
-        t = s
-        while not seen[t]:
-            seen[t] = True
-            t = pi[t]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
 
 def permutation_cycles(pi):
     """Disjoint cycles, each started at its least element, sorted by least
@@ -75,6 +59,11 @@ def permutation_cycles(pi):
             t = pi[t]
         cycles.append(cycle)
     return cycles
+
+
+def permutation_sign(pi):
+    """(-1)^(n - c) for the c cycles of pi on n points."""
+    return -1 if (len(pi) - len(permutation_cycles(pi))) % 2 else 1
 
 
 def canonical_ordering(pi):
@@ -155,11 +144,13 @@ def _require_degree_zero(x, what):
 # ---------------------------------------------------------------------------
 # commuting determinant
 
-def det_of_commuting(entries, algebra):
+def det_of_commuting(entries, algebra, grid=None, root=1):
     """Classical determinant by Berkowitz's division-free algorithm
     (S. J. Berkowitz, IPL 18 (1984) 147-150), O(n^4) ring products.  It
     never divides, so it is sound over the zero divisors of a twisted
     algebra; the caller guarantees that all entries pairwise commute.
+    With a grid, entry (i,j) is entries[i][j] with its coefficient at e_k
+    times zeta_root^grid[i][j][k]: _det_sigma passes the J_sigma factors.
     The recurrence runs on -A: p[k] is e_k of the leading block, det A =
     p[n] needs no final sign, and each R M^k S of the Toeplitz column is
     negated once.
@@ -175,24 +166,14 @@ def det_of_commuting(entries, algebra):
 
     Step r's mat-vecs are flat integer scatters: the vector maps j*E + b
     (E = len(table)) to the coefficient of index b in (A^k S)_j, and each
-    nonzero goes through operator column j*E + b, the rows of a_ij e_b in
-    ascending order (_operator_column, built on first use and kept for the
-    call), up to row r: the rows below r are the next A^k S, row r is
-    R A^k S.  Only the Toeplitz combination calls _table_product."""
-    zeros = [0] * algebra.dim
-    return _det_terms(entries, [[zeros] * len(row) for row in entries], 1,
-                      algebra)
-
-
-def _det_terms(entries, grid, root, algebra):
-    """det_of_commuting of the matrix whose entry (i,j) is entries[i][j]
-    with its coefficient at e_k times zeta_root^grid[i][j][k], converted
-    to ints in one walk by algebra._int_entries."""
+    nonzero goes through _operator_column j*E + b, the rows of a_ij e_b
+    in ascending order (built on first use and kept for the call), up to
+    row r: the rows below r are the next A^k S, row r is R A^k S.  Only
+    the Toeplitz combination calls _table_product."""
     n = len(entries)
     if n == 0:
         return algebra.one()
-    a, d, order, t_den, table = _int_entries(entries, grid, root, algebra)
-    m = euler_phi(order)
+    a, d, order, t_den, table = _int_entries(entries, algebra, grid, root)
     size = len(table)
     ops = {}                # operator columns, built on first use
     p = [None]              # p[0] = 1 stays implicit
@@ -205,7 +186,7 @@ def _det_terms(entries, grid, root, algebra):
             for key, x in v.items():
                 op = ops.get(key)
                 if op is None:
-                    op = ops[key] = _operator_column(a, table, size, key)
+                    op = ops[key] = _operator_column(a, table, key)
                 for t, c in op:
                     if t >= stop:
                         break
@@ -230,30 +211,9 @@ def _det_terms(entries, grid, root, algebra):
             nxt.append(acc)
         p = nxt
     scale = d ** n * t_den ** (n - 1)
-    coeffs = {}
-    for idx, x in p[-1].items():
-        if x:
-            k, s = divmod(idx, m)
-            coeffs.setdefault(k, [Fraction(0)] * m)[s] = Fraction(x, scale)
-    return AlgebraElement(algebra, {k: CycloScalar(order, v)
-                                    for k, v in coeffs.items()})
-
-
-def _operator_column(a, table, size, key):
-    """Column key = j*size + b of det_of_commuting's scatter operator: the
-    pairs (i*size + t, c), ascending, with a[i][j] e_b = sum of c e_t over
-    the integer table.  A coefficient that sums to zero may stay; the
-    scatter drops zeros from what it returns."""
-    j, b = divmod(key, size)
-    acc = {}
-    base = 0
-    for row in a:
-        for ka, x in row[j].items():
-            for t, c in table[ka][b]:
-                t += base
-                acc[t] = acc[t] + x * c if t in acc else x * c
-        base += size
-    return sorted(acc.items())
+    return _decode(algebra, order,
+                   ((idx, Fraction(x, scale)) for idx, x in p[-1].items()
+                    if x))
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +276,14 @@ def _det_sigma(x, sigma):
     nu_j) - sigma(nu_j, nu_j) (gmatrix.j_sigma_exponents), as j_sigma
     does.  Unchecked: a square, even X."""
     grid = j_sigma_exponents(x.algebra.degrees, x.col_degrees, sigma)
-    return transport(_det_terms(x.entries, grid, sigma.root_order,
-                                twist(x.algebra, sigma)), x.algebra)
+    return transport(det_of_commuting(x.entries, twist(x.algebra, sigma),
+                                      grid, sigma.root_order), x.algebra)
 
 
 def gdet_sigma(x, sigma):
     """det(J_sigma(X)) on a square matrix whose entry and component degrees
-    are all even."""
+    are all even, for an NS multiplier sigma (all_ns_multipliers): only
+    then do the entries of J_sigma(X) commute, as det_of_commuting needs."""
     _require_endo(x, "gdet_sigma")
     _require_even(x, "gdet_sigma")
     return _det_sigma(x, sigma)

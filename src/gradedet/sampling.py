@@ -37,7 +37,7 @@ def rand_fraction(rng, nonzero=False):
         return Fraction(num, den)
 
 
-def rand_component(rng, algebra, degree, density=DENSITY, nonzero=False):
+def rand_component(rng, algebra, degree, nonzero=False):
     """A random element of the homogeneous component A^degree; the zero
     element when the component is empty (regardless of nonzero)."""
     idxs = algebra.component_indices(degree)
@@ -46,7 +46,7 @@ def rand_component(rng, algebra, degree, density=DENSITY, nonzero=False):
     for _ in range(20):
         coeffs = {}
         for k in idxs:
-            if rng.random() < density:
+            if rng.random() < DENSITY:
                 c = rand_fraction(rng)
                 if c:
                     coeffs[k] = c

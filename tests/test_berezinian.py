@@ -120,7 +120,8 @@ def test_the_tripwire_sees_every_determinant(fraction_tripwire):
     assert det_of_commuting([[zeta]], q) == zeta
     assert fraction_tripwire["gdet0"] == 1
     assert fraction_tripwire["gdet_sigma"] == 1
-    assert fraction_tripwire["det_of_commuting"] == 1
+    # gdet0 and gdet_sigma reach det_of_commuting too
+    assert fraction_tripwire["det_of_commuting"] == 3
 
 
 def test_gber_needs_even_homogeneous():

@@ -16,7 +16,8 @@ from gradedet.cli import _parser, main
 from gradedet.errors import TooLarge, VerificationFailure
 from gradedet.gdet import all_ns_multipliers, canonical_sigma
 from gradedet.gmatrix import GradedMatrix, identity
-from gradedet.grading import Bicharacter, GradingGroup
+from gradedet.grading import (Bicharacter, GradingGroup, is_ns_multiplier,
+                              trivial_multiplier)
 from gradedet.serialize import (MAX_ALGEBRA_DIM, MAX_MATRIX_N,
                                 MAX_ROOT_ORDER, digest_algebra,
                                 digest_matrix, digest_multiplier,
@@ -430,6 +431,38 @@ def test_mathematical_exit_code(capsys, tmp_path):
     assert doc["error"] == "Singular"
 
 
+def test_gdet_and_gber_refuse_a_sigma_that_is_not_ns(capsys, xfile,
+                                                     tmp_path):
+    # the trivial multiplier leaves the quaternions' lambda as it is, so
+    # the entries of J_sigma(X) need not commute; twist takes any sigma
+    sp = tmp_path / "sigma.json"
+    sp.write_text(json.dumps(format_multiplier(trivial_multiplier(Q.group))))
+    for command in ("gdet", "gber"):
+        start = time.perf_counter()
+        code = main([command, "--algebra", "preset:quaternions", "--matrix",
+                     xfile, "--sigma", str(sp)])
+        assert time.perf_counter() - start < 1
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 3 and len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "InvalidParams"
+        assert "solve-sigma" in doc["message"]
+    code, doc = run(capsys, "twist", "--algebra", "preset:quaternions",
+                    "--sigma", str(sp))
+    assert code == 0 and "error" not in doc
+
+
+def test_gdet_and_gber_take_every_ns_sigma(capsys, xfile, tmp_path):
+    sp = tmp_path / "sigma.json"
+    for sigma in all_ns_multipliers(Q.lam):
+        sp.write_text(json.dumps(format_multiplier(sigma)))
+        for command in ("gdet", "gber"):
+            code, doc = run(capsys, command, "--algebra",
+                            "preset:quaternions", "--matrix", xfile,
+                            "--sigma", str(sp))
+            assert code == 0, doc
+
+
 def test_twist_round_trip(capsys):
     code, doc = run(capsys, "twist", "--algebra", "preset:quaternions")
     assert code == 0
@@ -546,10 +579,12 @@ def test_solve_sigma_refuses_a_huge_family(capsys, tmp_path):
     "crossed_product:2,2"])
 def test_canonical_sigma_heads_the_family(name):
     alg = parse_preset(f"preset:{name}")
-    first = all_ns_multipliers(alg.lam)[0]
+    family = all_ns_multipliers(alg.lam)
     sigma = canonical_sigma(alg)
     assert (sigma.root_order, sigma.exponents) == \
-        (first.root_order, first.exponents)
+        (family[0].root_order, family[0].exponents)
+    # gdet and gber accept exactly the multipliers that pass this check
+    assert all(is_ns_multiplier(alg.lam, s) for s in family)
 
 
 def _fresh(*argv):

@@ -13,11 +13,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedet import gdet
+from gradedet import berezinian, gdet
 from gradedet.algebra import (AlgebraElement, _dot, _int_residue,
-                              _int_table, _table_product, preset, transport,
-                              twist)
-from gradedet.berezinian import _schur, ber_super_components
+                              _int_table, _operator_column, _table_product,
+                              preset, transport, twist)
+from gradedet.berezinian import _schur, ber_super_components, gber
 from gradedet.cli import main
 from gradedet.errors import GradedetError, TooLarge
 from gradedet.gdet import (LEIBNIZ_MAX_N, all_ns_multipliers,
@@ -418,6 +418,51 @@ def test_matvecs_form_no_table_products(monkeypatch):
     toeplitz = sum(r * (r + 1) // 2 for r in range(n - 1)) + n - 1
     assert toeplitz == 129
     assert 0 < len(calls) <= toeplitz
+
+
+@pytest.mark.parametrize("spec, order", [(("quaternions",), 1),
+                                         (("clock_shift", 3), 3)])
+def test_operator_column_is_the_table_product(spec, order):
+    # column j*E + b holds a[i][j] e_b for every row i, each at i*E + t
+    rng = random.Random(f"operator column {spec} {order}")
+    alg = preset(*spec)
+    _, _, table = _int_table(alg, order)
+    size = len(table)
+    n = 3
+    a = [[{t: rng.choice((-3, -2, -1, 1, 2, 3)) for t in range(size)
+           if rng.random() < 0.4} for _ in range(n)] for _ in range(n)]
+    for key in range(n * size):
+        j, b = divmod(key, size)
+        col = _operator_column(a, table, key)
+        assert [t for t, _ in col] == sorted({t for t, _ in col})
+        want = {i * size + t: c for i in range(n)
+                for t, c in _table_product(table, a[i][j], {b: 1}, {}).items()
+                if c}
+        assert {t: c for t, c in col if c} == want
+
+
+def test_every_determinant_reaches_det_of_commuting(monkeypatch):
+    calls = []
+
+    def recording(*args):
+        calls.append(None)
+        return det_of_commuting(*args)
+
+    for module in (gdet, berezinian):
+        monkeypatch.setattr(module, "det_of_commuting", recording)
+    q = preset("quaternions")
+    sigma = canonical_sigma(q)
+    j = q.basis_element("j")
+    nu = [q.group.zero(), j.degree_of()]
+    x = GradedMatrix(q, nu, nu, [[q.one(), j], [j * 3, q.one() * 2]])
+    routes = [lambda: gdet0(x), lambda: gdet_sigma(x, sigma),
+              lambda: gber(x, sigma),
+              lambda: ber_super_components(j_sigma(x, sigma)),
+              lambda: gdet0_via_crossed(x)]
+    for route in routes:
+        calls.clear()
+        route()
+        assert calls
 
 
 def _branch_cases():
