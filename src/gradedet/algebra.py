@@ -10,13 +10,18 @@ structure table, which stays cached for the determinant.  Presets cover
 the standard examples; the multiplier twist and the graded tensor product
 build new algebras from old ones.  Elements and matrices over the algebra
 are inverted by one exact linear solve, restricted to the graded pieces
-the inverse can occupy (solve_inverse), so singularity is detected by
+the inverse can occupy (_solve_grid), so singularity is detected by
 exact rank.  The solve shares the determinant kernel's integer layer:
 X's coefficients converted in one walk (_int_entries), the operator
 columns of X on the integer structure table (_operator_column), and
 the decoder from indexed Fractions back to elements (_decode).  It
-eliminates fraction-free on ints (solve_linear); the only division is
-each unknown's final Fraction.
+eliminates fraction-free on ints (solve_linear) and returns the inverse
+as ints over one denominator, which solve_inverse decodes.  The
+Berezinian's block step is the third user of the layer: it solves
+X11^(-1) on X's converted grid and forms X00 - X01 X11^(-1) X10 on the
+integer table, and gber inverts one element, taking Gdet(X11)^(-1) =
+P^(-1) Gdet(Schur) for P = Gdet(Schur) Gdet(X11) (a one-sided inverse
+is two-sided in a finite-dimensional algebra).
 """
 
 import itertools
@@ -28,8 +33,9 @@ from . import scalars
 from .errors import (DegreeViolation, IncompatibleGroups, InvalidParams,
                      MixedAlgebras, NoUnit, NotAssociative, NotCrossedProduct,
                      NotInvertible, NotLambdaCommutative)
-from .grading import (Bicharacter, GradingGroup, Multiplier, lambda_twist,
-                      parity, solve_ns_multiplier, trivial_multiplier)
+from .grading import (Bicharacter, GradingGroup, Multiplier, is_sign_rule,
+                      lambda_twist, parity, solve_ns_multiplier,
+                      trivial_multiplier)
 from .scalars import (MINUS_ONE, ONE, ZERO, CycloScalar, as_scalar, coerce_to,
                       cyclo, euler_phi)
 
@@ -56,13 +62,14 @@ def solve_linear(matrix, rhs):
     """Solve M Y = R over Q by fraction-free Gauss-Jordan elimination on
     ints (after E. H. Bareiss, Math. Comp. 22 (1968) 565-578).  M is n
     sparse rows {column: int} over the columns 0..n-1 and R is n rows of
-    w ints; returns the n rows of Y as Fractions, or None if M is
-    singular, which is when a column has no nonzero entry left to pivot
-    on.  Each pivot step rewrites only the rows with a nonzero entry f in
-    the pivot column, as (p/g) row - (f/g) pivot row for the pivot p and
-    g = gcd(p, f), and divides each row by the gcd of its entries; the
-    pivot row is the shortest candidate, so that fill-in stays small.
-    Y's entry is the row's right-hand side over its diagonal entry."""
+    w ints; returns (E, Y) with E > 0 and Y n rows of w ints such that
+    M Y = E R, or None if M is singular, which is when a column has no
+    nonzero entry left to pivot on.  Each pivot step rewrites only the
+    rows with a nonzero entry f in the pivot column, as (p/g) row - (f/g)
+    pivot row for the pivot p and g = gcd(p, f), and divides each row by
+    the gcd of its entries; the pivot row is the shortest candidate, so
+    that fill-in stays small.  Each finished row is primitive, so its
+    diagonal entry is its least denominator, and E is their lcm."""
     n, w = len(matrix), len(rhs[0]) if rhs else 0
     rows = []
     for mrow, rrow in zip(matrix, rhs):
@@ -95,12 +102,10 @@ def solve_linear(matrix, rhs):
                 else:
                     del row[c]
             rows[i] = _primitive(row)
-    out = []
-    for col, k in enumerate(pivots):
-        row = rows[k]
-        out.append([Fraction(row.get(c, 0), row[col])
-                    for c in range(n, n + w)])
-    return out
+    finished = [rows[k] for k in pivots]
+    den = lcm(*(row[col] for col, row in enumerate(finished)))
+    return den, [[row.get(c, 0) * (den // row[col]) for c in range(n, n + w)]
+                 for col, row in enumerate(finished)]
 
 
 def _primitive(row):
@@ -267,6 +272,7 @@ class GradedAlgebra:
         self._tensor_cache = {}
         self._unit_witnesses = None
         self._canonical_sigma = None
+        self._supercommutative = None  # is_supercommutative, on first use
         self._cp_index = None  # residues -> basis index, for crossed products
         self._int_tables = {}  # root order -> _int_table's result
         self._degree_index = None  # degree_index, filled on first use
@@ -405,6 +411,15 @@ def degree_index(algebra):
     return algebra._degree_index
 
 
+def is_supercommutative(algebra):
+    """True when algebra's lambda is the parity sign rule (is_sign_rule),
+    decided once per algebra: twist(A, sigma) is supercommutative exactly
+    when sigma is an NS multiplier of A, and twist memoizes its result."""
+    if algebra._supercommutative is None:
+        algebra._supercommutative = is_sign_rule(algebra.lam)
+    return algebra._supercommutative
+
+
 def _cell_constant(c):
     """A structure constant as stored in a table: the shared ONE or
     MINUS_ONE when it equals +1 or -1 (rationals are always root order 1),
@@ -464,10 +479,12 @@ def _table_product(table, left, right, acc):
     return acc
 
 
-def _dot(table, row, col):
-    """sum_i row[i] col[i] over coefficient dicts, for i < len(col), as a
-    dict that may hold zero coefficients."""
-    acc = {}
+def _dot(table, row, col, acc=None):
+    """sum_i row[i] col[i] over coefficient dicts, for i < len(col), added
+    into the dict acc (a new one when None) and returned; it may hold zero
+    coefficients."""
+    if acc is None:
+        acc = {}
     for a, b in zip(row, col):
         if a and b:
             _table_product(table, a, b, acc)
@@ -584,7 +601,7 @@ def _operator_column(a, table, key):
     _int_entries, read as an operator on the integer table: the pairs
     (i*E + t, c), ascending, with a[i][j] e_b = sum of c e_t.  A
     coefficient that sums to zero may stay.  det_of_commuting scatters
-    through these columns, and solve_inverse reads its systems off them."""
+    through these columns, and _solve_grid reads its systems off them."""
     size = len(table)
     j, b = divmod(key, size)
     acc = {}
@@ -1031,23 +1048,34 @@ def tensor_project_left(t, elem):
 def solve_inverse(alg, entries, mu, nu, degree):
     """The grid Y with X Y = I for the square grid X of elements of alg
     with row degrees mu and column degrees nu, or None when X is singular;
-    a right inverse is two-sided in a finite-dimensional algebra.  For X
-    homogeneous of degree d, Y is homogeneous of degree -d: the unknowns
-    of column j are the coefficients of Y^k_j in A^(mu_j - nu_k - d), and
-    the equations are the coefficients of (X Y)^i_j in A^(mu_j - mu_i).
-    Columns with equal mu_j share one system, square whenever X is
-    invertible.  An inhomogeneous X (degree INHOMOGENEOUS) solves one
-    system over every basis vector.
-
-    The systems are over Q, on the integer table: X comes from
-    _int_entries, scaled by D, and the table is scaled by T, so X Y = I
-    reads M y = D T e.  The unknown coefficient of e_b zeta_N^s in Y^k_j
-    has key k E + b phi(N) + s (E = len(table)), its column of M is
-    _operator_column of that key, and solve_linear eliminates on ints."""
-    n = len(entries)
+    a right inverse is two-sided in a finite-dimensional algebra.  X is
+    converted by _int_entries, solved by _solve_grid and decoded."""
     a, d, order, t_den, table = _int_entries(entries, alg)
+    found = _solve_grid(alg, a, order, table, d * t_den, mu, nu, degree)
+    return None if found is None else _decode_grid(alg, order, *found)
+
+
+def _solve_grid(alg, a, order, table, scale, mu, nu, degree):
+    """(y, den) for the inverse Y of the square grid X over alg, or None
+    when X is singular: den > 0, and Y^k_j has the coefficient
+    y[k][j][b phi(N) + s] / den at e_b zeta_N^s (N = order; absent keys
+    are zero).  a is D X as an integer grid from _int_entries, over the
+    integer table scaled by T, and scale is D T, so X Y = I reads
+    M y = D T e.
+
+    X has row degrees mu and column degrees nu.  For X homogeneous of
+    degree d, Y is homogeneous of degree -d: the unknowns of column j are
+    the coefficients of Y^k_j in A^(mu_j - nu_k - d), and the equations
+    are the coefficients of (X Y)^i_j in A^(mu_j - mu_i).  Columns with
+    equal mu_j share one system, square whenever X is invertible.  An
+    inhomogeneous X (degree INHOMOGENEOUS) solves one system over every
+    basis vector.  The unknown coefficient of e_b zeta_N^s in Y^k_j has
+    key k E + b phi(N) + s (E = len(table)), its column of M is
+    _operator_column of that key, and solve_linear eliminates on ints;
+    the systems' denominators are brought to their lcm."""
+    n = len(a)
     m, size = euler_phi(order), len(table)
-    grid = [[None] * n for _ in range(n)]
+    systems = []
     for col_degree in (dict.fromkeys(mu) if degree is not INHOMOGENEOUS
                        else (None,)):
         if col_degree is None:
@@ -1072,18 +1100,29 @@ def solve_inverse(alg, entries, mu, nu, degree):
                 rows[where[t]][c] = y
         rhs = [[0] * len(js) for _ in keys]
         for col, j in enumerate(js):
-            rhs[where[j * size + alg.unit_index * m]][col] = d * t_den
+            rhs[where[j * size + alg.unit_index * m]][col] = scale
         sol = solve_linear(rows, rhs)
         if sol is None:
             return None
-        found = {(k, j): [] for k in range(n) for j in js}
-        for key, y in zip(keys, sol):
+        systems.append((js, keys, sol))
+    den = lcm(*(e for _, _, (e, _) in systems))
+    y = [[{} for _ in range(n)] for _ in range(n)]
+    for js, keys, (e, sol) in systems:
+        f = den // e
+        for key, row in zip(keys, sol):
             k, s = divmod(key, size)
-            for j, x in zip(js, y):
-                found[k, j].append((s, x))
-        for (k, j), pairs in found.items():
-            grid[k][j] = _decode(alg, order, pairs)
-    return grid
+            for j, v in zip(js, row):
+                if v:
+                    y[k][j][s] = v * f
+    return y, den
+
+
+def _decode_grid(algebra, order, y, den):
+    """The grid of elements y[k][j] / den, for a grid y of int dicts over
+    the indices b phi(N) + s of _int_entries (N = order)."""
+    return [[_decode(algebra, order, ((s, Fraction(v, den))
+                                      for s, v in cell.items()))
+             for cell in row] for row in y]
 
 
 def invert_element(a):

@@ -10,17 +10,27 @@ path over the twisted (supercommutative) algebra, which matches gber
 exactly once the sigma bookkeeping between the twisted product and the
 base product is carried out.  udl, gber and ber_super share one block
 step, _schur: the even-degree check, the parity split, X11^(-1) and the
-Schur complement.  The oracle route applies J_sigma before that step and
-gber after it, so the two routes share only block arithmetic.
+Schur complement.  The step is a user of the integer layer of
+algebra.py: X is converted once, X11^(-1) comes from the shared integer
+solve as ints over one denominator, X01 X11^(-1) X10 is summed through
+the integer table, and the Schur complement is decoded once.  gber
+inverts one element: with P = Gdet_sigma(Schur) Gdet_sigma(X11),
+Gdet_sigma(X11)^(-1) = P^(-1) Gdet_sigma(Schur).  The oracle route
+applies J_sigma before that step and gber after it, so the two routes
+share only block arithmetic.
 """
 
-from .algebra import INHOMOGENEOUS, invert_element, transport
+from fractions import Fraction
+
+from .algebra import (INHOMOGENEOUS, _decode, _decode_grid, _dot,
+                      _int_entries, _solve_grid, _try_invert,
+                      invert_element, is_supercommutative, transport)
 from .errors import (InvalidParams, NotInvertible, NotParitySorted,
                      OddDegree, Singular, SingularOddBlock)
-from .gdet import _det_sigma, canonical_sigma, det_of_commuting
+from .gdet import _det_sigma, _ns_twist, canonical_sigma, det_of_commuting
 from .gmatrix import (GradedMatrix, _require_endo, block_matrix, identity,
-                      invert_matrix, j_sigma, zero_matrix)
-from .grading import is_ns_multiplier, parity, trivial_multiplier
+                      j_sigma, zero_matrix)
+from .grading import parity
 from .scalars import cyclo
 
 
@@ -72,7 +82,14 @@ def parity_blocks(x):
 def _schur(x, what):
     """The block arithmetic shared by the Berezinian routes: checks that X
     is homogeneous of even degree d, splits it into parity blocks and
-    returns (d, blocks, X11^(-1), X00 - X01 X11^(-1) X10)."""
+    returns (d, blocks, inverse, S) for X11^(-1) = _decode_grid(alg,
+    *inverse) and the Schur complement S = X00 - X01 X11^(-1) X10.
+
+    X is converted once (_int_entries: D X over the table scaled by T)
+    and X11^(-1) is solved as y / e on the X11 sub-grid at degree d
+    (_solve_grid).  Each table product carries one T, so _dot sums
+    X01 (-y) X10 to -T^2 D^2 e X01 X11^(-1) X10, onto T^2 D e D X00: S
+    is that sum over T^2 D^2 e, decoded once."""
     d = x.degree_of()
     if d is INHOMOGENEOUS:
         raise OddDegree(f"{what} needs a homogeneous matrix, got an "
@@ -81,22 +98,41 @@ def _schur(x, what):
         raise OddDegree(f"{what} needs an even homogeneous degree, got "
                         f"{d!r}")
     blocks = parity_blocks(x)
-    try:
-        x11inv = invert_matrix(blocks.x11)
-    except Singular as exc:
-        raise SingularOddBlock(
-            "the odd-odd block is not invertible") from exc
-    schur = blocks.x00 - blocks.x01 @ x11inv @ blocks.x10
-    return d, blocks, x11inv, schur
+    alg, nu0, nu1 = x.algebra, blocks.even_degrees, blocks.odd_degrees
+    r0 = len(nu0)
+    a, den, order, t_den, table = _int_entries(x.entries, alg)
+    found = _solve_grid(alg, [row[r0:] for row in a[r0:]], order, table,
+                        den * t_den, nu1, nu1, d)
+    if found is None:
+        raise SingularOddBlock("the odd-odd block is not invertible")
+    y, e = found
+    neg_y = [[{s: -v for s, v in row[j].items()} for row in y]
+             for j in range(len(y))]
+    left = [[_dot(table, row[r0:], col) for col in neg_y] for row in a[:r0]]
+    right = [[row[j] for row in a[r0:]] for j in range(r0)]
+    scale = t_den * t_den * den * e
+    whole = scale * den
+    grid = []
+    for arow, lrow in zip(a, left):
+        out = []
+        for a00, col in zip(arow, right):
+            acc = _dot(table, lrow, col,
+                       {s: scale * v for s, v in a00.items()})
+            out.append(_decode(alg, order, ((s, Fraction(v, whole))
+                                            for s, v in acc.items() if v)))
+        grid.append(out)
+    schur = GradedMatrix(alg, nu0, nu0, grid)
+    return d, blocks, (order, y, e), schur
 
 
 def udl(x):
     """X = U D L with U = [[I, X01 X11^(-1)], [0, I]],
     D = diag(X00 - X01 X11^(-1) X10, X11), L = [[I, 0], [X11^(-1) X10, I]].
     U and L are homogeneous of degree 0, D of the degree of X."""
-    _, blocks, x11inv, schur = _schur(x, "udl")
+    _, blocks, inverse, schur = _schur(x, "udl")
     alg = x.algebra
     nu0, nu1 = blocks.even_degrees, blocks.odd_degrees
+    x11inv = GradedMatrix(alg, nu1, nu1, _decode_grid(alg, *inverse))
     i0, i1 = identity(alg, nu0), identity(alg, nu1)
     z01, z10 = zero_matrix(alg, nu0, nu1), zero_matrix(alg, nu1, nu0)
     u = block_matrix(i0, blocks.x01 @ x11inv, z10, i1)
@@ -111,19 +147,22 @@ def gber(x, sigma):
     Both blocks are even by construction (X has even degree, and the
     degrees within a diagonal block share one parity), so the determinants
     skip gdet_sigma's input checks.  sigma must be an NS multiplier, as
-    for gdet_sigma."""
+    for gdet_sigma; InvalidParams otherwise, after the block step's checks.
+    P = Gdet_sigma(Schur) Gdet_sigma(X11) is invertible exactly when both
+    factors are, and P^(-1) Gdet_sigma(Schur) is then a left, hence
+    two-sided, inverse of Gdet_sigma(X11); only a singular P inverts
+    Gdet_sigma(X11) alone, to name the singular factor."""
     d, blocks, _, schur = _schur(x, "gber")
+    twisted = _ns_twist(x.algebra, sigma, "gber")
     r0, r1 = blocks.superrank
-    det0 = _det_sigma(schur, sigma)
-    det1 = _det_sigma(blocks.x11, sigma)
+    det0 = _det_sigma(schur, sigma, twisted)
+    det1 = _det_sigma(blocks.x11, sigma, twisted)
     try:
-        inv1 = invert_element(det1)
+        inv1 = invert_element(det0 * det1) * det0
     except NotInvertible as exc:
-        raise Singular(
-            "Gdet_sigma of the odd-odd block is not invertible") from exc
-    try:
-        invert_element(det0)
-    except NotInvertible as exc:
+        if _try_invert(det1) is None:
+            raise Singular("Gdet_sigma of the odd-odd block is not "
+                           "invertible") from exc
         raise Singular(
             "Gdet_sigma of the Schur complement is not invertible; the "
             "matrix is not invertible") from exc
@@ -141,7 +180,7 @@ def gber0(x):
 def ber_super_components(y):
     """(det(Schur), det(Y11)) of the classical Berezinian over a
     supercommutative algebra, before combining."""
-    if not is_ns_multiplier(y.algebra.lam, trivial_multiplier(y.algebra.group)):
+    if not is_supercommutative(y.algebra):
         raise InvalidParams(
             f"{y.algebra.name} is not supercommutative; ber_super applies "
             "to matrices over a twisted algebra")

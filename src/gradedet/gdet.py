@@ -26,10 +26,10 @@ from fractions import Fraction
 
 from .algebra import (_decode, _int_entries, _operator_column,
                       _table_product, adjoined_units, degree_index,
-                      tensor_embed_left, tensor_project_left, transport,
-                      twist, unit_witness)
-from .errors import (InvalidOrdering, NotCrossedProduct, NotDegreeZero,
-                     OddEntries, TooLarge)
+                      is_supercommutative, tensor_embed_left,
+                      tensor_project_left, transport, twist, unit_witness)
+from .errors import (InvalidOrdering, InvalidParams, NotCrossedProduct,
+                     NotDegreeZero, OddEntries, TooLarge)
 from .gmatrix import _require_endo, j_sigma_exponents, shift_degrees
 from .grading import Multiplier, parity, solve_ns_multiplier
 
@@ -269,24 +269,39 @@ def canonical_sigma(algebra):
 # ---------------------------------------------------------------------------
 # determinants
 
-def _det_sigma(x, sigma):
-    """det(J_sigma(X)) over the twisted algebra, read back in the base
-    algebra, without building J_sigma(X): the kernel reads each coefficient
-    of X times zeta_N^e, e = sigma(g, nu_j) - sigma(nu_i, g) + sigma(nu_i,
-    nu_j) - sigma(nu_j, nu_j) (gmatrix.j_sigma_exponents), as j_sigma
-    does.  Unchecked: a square, even X."""
+def _det_sigma(x, sigma, twisted):
+    """det(J_sigma(X)) over the twisted algebra twist(A, sigma), read back
+    in the base algebra, without building J_sigma(X): the kernel reads
+    each coefficient of X times zeta_N^e, e = sigma(g, nu_j) -
+    sigma(nu_i, g) + sigma(nu_i, nu_j) - sigma(nu_j, nu_j)
+    (gmatrix.j_sigma_exponents), as j_sigma does.  Unchecked: a square,
+    even X."""
     grid = j_sigma_exponents(x.algebra.degrees, x.col_degrees, sigma)
-    return transport(det_of_commuting(x.entries, twist(x.algebra, sigma),
-                                      grid, sigma.root_order), x.algebra)
+    return transport(det_of_commuting(x.entries, twisted, grid,
+                                      sigma.root_order), x.algebra)
+
+
+def _ns_twist(algebra, sigma, what):
+    """twist(algebra, sigma), or InvalidParams when sigma is not an NS
+    multiplier of algebra, read off the memoized twist in one attribute
+    once warm (algebra.is_supercommutative)."""
+    twisted = twist(algebra, sigma)
+    if not is_supercommutative(twisted):
+        raise InvalidParams(
+            f"{what}: sigma is not an NS multiplier of {algebra.name}, so "
+            "the entries of J_sigma(X) need not commute; "
+            "all_ns_multipliers lists the NS multipliers")
+    return twisted
 
 
 def gdet_sigma(x, sigma):
     """det(J_sigma(X)) on a square matrix whose entry and component degrees
     are all even, for an NS multiplier sigma (all_ns_multipliers): only
-    then do the entries of J_sigma(X) commute, as det_of_commuting needs."""
+    then do the entries of J_sigma(X) commute, as det_of_commuting needs.
+    A sigma that is not NS raises InvalidParams, after the input checks."""
     _require_endo(x, "gdet_sigma")
     _require_even(x, "gdet_sigma")
-    return _det_sigma(x, sigma)
+    return _det_sigma(x, sigma, _ns_twist(x.algebra, sigma, "gdet_sigma"))
 
 
 def gdet0(x):
@@ -295,7 +310,8 @@ def gdet0(x):
     _require_endo(x, "gdet0")
     _require_degree_zero(x, "gdet0")
     _require_even(x, "gdet0")
-    return _det_sigma(x, canonical_sigma(x.algebra))
+    sigma = canonical_sigma(x.algebra)
+    return _det_sigma(x, sigma, twist(x.algebra, sigma))
 
 
 def gdet0_leibniz(x, orderings=None):

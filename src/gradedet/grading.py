@@ -221,8 +221,17 @@ def parity(lam, x):
 
 
 def generator_parities(lam):
-    return tuple(parity(lam, lam.group.generator(i))
-                 for i in range(lam.group.rank))
+    """parity(lam, g_i) for each generator g_i, read off the diagonal
+    exponents B_ii = 0 or N/2 of lam."""
+    n, out = lam.root_order, []
+    for i, row in enumerate(lam.exponents):
+        e = row[i]
+        if e and 2 * e != n:
+            raise InvalidCommutationFactor(
+                f"lambda(x,x) = zeta_{n}^{e} is not +-1 at "
+                f"x={lam.group.generator(i)!r}")
+        out.append(1 if e else 0)
+    return tuple(out)
 
 
 def lambda_twist(lam, sigma):
@@ -242,15 +251,28 @@ def lambda_twist(lam, sigma):
 def is_ns_multiplier(lam, sigma):
     """True iff the twisted factor is the super sign rule through parity:
     lambda^sigma(x,y) = (-1)^(parity(x) parity(y)) for all x, y.  Both
-    sides are biadditive, so this compares the exponent matrix of
-    lambda^sigma with (N/2) f f^T, f the generator parities."""
+    sides are biadditive, so this compares the exponent matrix
+    B + C - C^T of lambda^sigma (lambda_twist) with (N/2) f f^T, f the
+    generator parities, at the common root order N, on the exponent
+    matrices alone."""
     if lam.group != sigma.group:
         return False
     f = generator_parities(lam)
-    tw = lambda_twist(lam, sigma)
-    half, k = tw.root_order // 2, lam.group.rank
-    return all(tw.exponents[i][j] == half * f[i] * f[j]
-               for i in range(k) for j in range(k))
+    n = lcm(lam.root_order, sigma.root_order)
+    s, t, half = n // lam.root_order, n // sigma.root_order, n // 2
+    b, c = lam.exponents, sigma.exponents
+    return all((s * b[i][j] + t * (c[i][j] - c[j][i])
+                - half * f[i] * f[j]) % n == 0
+               for i in range(len(f)) for j in range(len(f)))
+
+
+def is_sign_rule(lam):
+    """True iff lam(x,y) = (-1)^(parity(x) parity(y)) for all x, y, the
+    commutation factor of every twist by an NS multiplier: the same test
+    as is_ns_multiplier with the trivial multiplier."""
+    f, half = generator_parities(lam), lam.root_order // 2
+    return all(e == half * fi * fj for row, fi in zip(lam.exponents, f)
+               for e, fj in zip(row, f))
 
 
 def solve_ns_multiplier(lam):

@@ -14,7 +14,8 @@ import threading
 from collections import OrderedDict
 from math import lcm
 
-from .algebra import INHOMOGENEOUS, make_algebra, preset, table_root_order
+from .algebra import (INHOMOGENEOUS, AlgebraElement, make_algebra, preset,
+                      table_root_order)
 from .errors import (InvalidCommutationFactor, InvalidParams, ParseError,
                      TooLarge)
 from .gmatrix import GradedMatrix
@@ -153,19 +154,21 @@ def format_element(e, root_order):
 
 
 def parse_element(items, algebra, root_order, where="element"):
+    """The element of an element document: one coefficient dict through
+    the algebra's label index, repeated labels summed."""
     if not isinstance(items, list):
         raise ParseError(f"{where}: an element must be a list of terms")
-    coeffs = {}
+    index, coeffs = algebra._label_index, {}
     for term in items:
         label = _field(term, "b", where, str)
         text = _field(term, "c", where, str)
-        if label not in algebra._label_index:
+        k = index.get(label)
+        if k is None:
             raise ParseError(f"{where}: unknown basis label {label!r} for "
                              f"{algebra.name}")
-        k = algebra._label_index[label]
         c = parse_scalar(text, root_order)
         coeffs[k] = coeffs[k] + c if k in coeffs else c
-    return algebra.element(coeffs)
+    return AlgebraElement(algebra, coeffs)
 
 
 def result_doc(e, inputs):

@@ -1,13 +1,16 @@
 """The inverse oracle: X Y = I as one scalar system over every basis vector,
 solved by Gauss-Jordan elimination on CycloScalars.  It shares no code with
 algebra.solve_inverse beyond the table product, so the tests can hold the
-integer solve against it."""
+integer solve against it.  The Schur complement oracle forms
+X00 - X01 X11^(-1) X10 from element-level matrix products, so the tests
+can hold the Berezinian's integer block step against it."""
 
 from fractions import Fraction
 
 from gradedet import scalars
 from gradedet.algebra import _table_product
-from gradedet.gmatrix import GradedMatrix
+from gradedet.berezinian import parity_blocks
+from gradedet.gmatrix import GradedMatrix, invert_matrix
 from gradedet.scalars import ONE, ZERO
 
 
@@ -69,6 +72,13 @@ def full_system_inverse(x):
     if grid is None:
         return None
     return GradedMatrix(x.algebra, x.col_degrees, x.row_degrees, grid)
+
+
+def element_schur(x):
+    """X00 - X01 @ invert_matrix(X11) @ X10 for a parity-sorted X, each
+    product and the difference taken entry by entry on elements."""
+    b = parity_blocks(x)
+    return b.x00 - b.x01 @ invert_matrix(b.x11) @ b.x10
 
 
 def all_fractions(a):

@@ -5,22 +5,26 @@ from fractions import Fraction
 
 import pytest
 
-from gradedet import berezinian, gdet
-from gradedet.algebra import invert_element, preset
-from gradedet.berezinian import (ber_super, ber_super_components, gber,
-                                 gber0, gber_via_ber_super, parity_blocks,
-                                 udl)
-from gradedet.errors import (InvalidParams, NotParitySorted, OddDegree,
-                             Singular, SingularOddBlock)
+from gradedet import algebra, berezinian, gdet
+from gradedet.algebra import (invert_element, make_algebra, preset, twist,
+                              unit_degrees)
+from gradedet.berezinian import (_schur, ber_super, ber_super_components,
+                                 gber, gber0, gber_via_ber_super,
+                                 parity_blocks, udl)
+from gradedet.errors import (InvalidParams, NotParitySorted, NotSquare,
+                             OddDegree, OddEntries, Singular,
+                             SingularOddBlock)
 from gradedet.gdet import (all_ns_multipliers, det_of_commuting, gdet0,
                            gdet_sigma)
-from gradedet.gmatrix import GradedMatrix, identity, matmul
+from gradedet.gmatrix import GradedMatrix, identity, invert_matrix, matmul
+from gradedet.grading import Bicharacter, GradingGroup, Multiplier
+from gradedet.oracles import _odd_line_tensor
 from gradedet.sampling import (make_rng, rand_invertible,
                                rand_invertible_parity_blocks,
-                               rand_parity_sorted_degrees)
+                               rand_matrix, rand_parity_sorted_degrees)
 from gradedet.scalars import CycloScalar, cyclo, rational
 
-from full_system import all_fractions
+from full_system import all_fractions, element_schur
 
 
 TRIPPED = {berezinian: ("gber", "det_of_commuting"),
@@ -154,6 +158,125 @@ def test_gber_singular_schur_complement():
     with pytest.raises(Singular) as info:
         gber0(m)
     assert type(info.value) is Singular
+    assert "Schur complement is not invertible" in str(info.value)
+    # a 2|1 matrix whose Schur complement [[1, 1], [1, 1]] is singular
+    nu = (ZERO, ZERO, ODD1)
+    one, zero = DN.one(), DN.zero()
+    m = GradedMatrix(DN, nu, nu, [[one, one, E1], [one, one, zero],
+                                  [zero, zero, one * 3]])
+    with pytest.raises(Singular) as info:
+        gber0(m)
+    assert "Schur complement is not invertible" in str(info.value)
+
+
+def test_gber_inverts_one_element(monkeypatch):
+    seen = []
+
+    def recording(a):
+        seen.append(a)
+        return invert_element(a)
+
+    rng = make_rng("one-inversion")
+    x = rand_invertible_parity_blocks(
+        rng, DN, rand_parity_sorted_degrees(rng, DN, 2, 2), 2)
+    sigma = all_ns_multipliers(DN.lam)[3]
+    want = gber_via_ber_super(x, sigma)
+    monkeypatch.setattr(berezinian, "invert_element", recording)
+    assert gber(x, sigma) == want
+    # the one element inverted is Gdet(Schur) Gdet(X11)
+    _, blocks, _, schur = _schur(x, "test")
+    assert len(seen) == 1
+    assert seen[0] == (gdet_sigma(schur, sigma)
+                       * gdet_sigma(blocks.x11, sigma))
+
+
+def _order_three_algebra():
+    """grassmann:2 times the group algebra of Z_3 on the basis t^a / f(a),
+    f = (1, 1/2, 1), twisted by a symmetric order-3 multiplier: lambda is
+    unchanged, and the structure constants are cube roots of unity times
+    +-1/2, +-1, +-2 or +-4, so the integer table is scaled by T = 2 over
+    Z[zeta_3]."""
+    group = GradingGroup([2, 3])
+    lam = Bicharacter(group, 2, [[1, 0], [0, 0]])
+    subsets = [(), (1,), (2,), (1, 2)]
+    basis = [(xs, a) for xs in subsets for a in range(3)]
+    f = (Fraction(1), Fraction(1, 2), Fraction(1))
+    structure = {}
+    for i, (xs, a) in enumerate(basis):
+        for j, (ys, b) in enumerate(basis):
+            if set(xs) & set(ys):
+                continue
+            sign = (-1) ** sum(x > y for x in xs for y in ys)
+            k = basis.index((tuple(sorted(xs + ys)), (a + b) % 3))
+            structure[i, j] = {k: sign * f[(a + b) % 3] / (f[a] * f[b])}
+    base = make_algebra(
+        [(len(xs) % 2, a) for xs, a in basis], structure, lam,
+        name="grassmann_t3",
+        labels=[f"xi{''.join(map(str, xs))}t{a}" for xs, a in basis])
+    return twist(base, Multiplier(group, 3, [[0, 0], [0, 1]]))
+
+
+SCHUR_ALGEBRAS = {"dual_numbers:2": lambda: DN,
+                  "grassmann:3": lambda: preset("grassmann", 3),
+                  "odd_line": _odd_line_tensor,
+                  "order_three": _order_three_algebra}
+
+
+@pytest.mark.parametrize("name", sorted(SCHUR_ALGEBRAS))
+def test_integer_schur_matches_element_products(name):
+    alg = SCHUR_ALGEBRAS[name]()
+    rng = make_rng(f"integer-schur-{name}")
+    if name == "order_three":
+        assert algebra._int_table(alg, 1)[:2] == (3, 2)
+    evens = [d for d in unit_degrees(alg)
+             if not berezinian.parity(alg.lam, d)]
+    for r0, r1 in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 2)):
+        nu = rand_parity_sorted_degrees(rng, alg, r0, r1)
+        degree = rng.choice(sorted(evens, key=lambda d: d.residues))
+        x = rand_invertible_parity_blocks(rng, alg, nu, r1, degree)
+        # rows scaled by powers of zeta_3 bring Q(zeta_3) coefficients in
+        zetas = [cyclo(rng.randrange(3), 3) for _ in nu]
+        for y in (x, GradedMatrix(alg, nu, nu,
+                                  [[e * z for e in row]
+                                   for row, z in zip(x.entries, zetas)])):
+            d, blocks, inverse, schur = _schur(y, "test")
+            assert d == y.degree_of()
+            assert schur == element_schur(y)
+            assert all(all_fractions(e) for row in schur.entries
+                       for e in row)
+            u, dmat, lo = udl(y)
+            assert dmat.entries[0][:r0] == schur.entries[0]
+            assert matmul(u, matmul(dmat, lo)) == y
+            x11inv = invert_matrix(blocks.x11)
+            assert u.entries[0][r0:] == (blocks.x01 @ x11inv).entries[0]
+
+
+Q = preset("quaternions")
+NOT_NS = Multiplier(Q.group, 2, [[1, 1], [1, 0]])
+
+
+def test_gdet_sigma_and_gber_refuse_a_sigma_that_is_not_ns():
+    nu = [Q.group.element((1, 1)), Q.group.element((1, 0))]
+    x = rand_matrix(make_rng("not-ns"), Q, nu)
+    with pytest.raises(InvalidParams, match="not an NS multiplier"):
+        gdet_sigma(x, NOT_NS)
+    with pytest.raises(InvalidParams, match="not an NS multiplier"):
+        gber(x, NOT_NS)
+    # the NS multipliers still agree, and the checks of today come first
+    values = [gdet_sigma(x, s) for s in all_ns_multipliers(Q.lam)]
+    assert all(v == values[0] for v in values)
+    wide = GradedMatrix(Q, nu, nu[:1], [[Q.one()], [Q.zero()]])
+    with pytest.raises(NotSquare):
+        gdet_sigma(wide, NOT_NS)
+    odd = GradedMatrix(DN, NU, NU, [[DN.one(), E1], [E1, DN.one()]])
+    trivial = Multiplier(DN.group, 1, [[0, 0], [0, 0]])
+    with pytest.raises(OddEntries):
+        gdet_sigma(odd, trivial)
+    with pytest.raises(SingularOddBlock):
+        gber(GradedMatrix(DN, NU, NU, [[DN.one(), E1], [E1, DN.zero()]]),
+             trivial)
+    with pytest.raises(InvalidParams, match="not an NS multiplier"):
+        gber(M, trivial)
 
 
 def test_gber_morphism():

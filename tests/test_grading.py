@@ -1,5 +1,6 @@
 """Grading groups, commutation factors, parity, and multiplier solving."""
 
+import random
 from math import gcd, prod
 
 import pytest
@@ -325,3 +326,67 @@ def test_bicharacter_order_change():
     assert f.inverse().value(x, y) == ONE / f.value(x, y)
     # equal maps hash equally, whatever root order expresses them
     assert len({f, g}) == 1
+
+
+def previous_is_ns_multiplier(lam, sigma):
+    """is_ns_multiplier as it was built before it read the exponent
+    matrices directly: a GroupElement per generator for the parities and
+    a validated lambda_twist at the common root order."""
+    if lam.group != sigma.group:
+        return False
+    f = tuple(parity(lam, lam.group.generator(i))
+              for i in range(lam.group.rank))
+    tw = lambda_twist(lam, sigma)
+    half, k = tw.root_order // 2, lam.group.rank
+    return all(tw.exponents[i][j] == half * f[i] * f[j]
+               for i in range(k) for j in range(k))
+
+
+PRESET_LAMBDAS = {
+    "quaternions": preset("quaternions").lam,
+    "clifford:1,1": preset("clifford", 1, 1).lam,
+    "clifford:0,2": preset("clifford", 0, 2).lam,
+    "clifford:2,1": preset("clifford", 2, 1).lam,
+    "dual_numbers:2": preset("dual_numbers", 2).lam,
+    "grassmann:3": preset("grassmann", 3).lam,
+    "group_algebra:2,3": preset("group_algebra", 2, 3).lam,
+    "crossed_product:2,2": preset(
+        "crossed_product", Z22, Multiplier(Z22, 2, [[0, 1], [0, 0]])).lam,
+    "clock_shift:3": preset("clock_shift", 3).lam,
+    "clock_shift:4": preset("clock_shift", 4).lam,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_LAMBDAS))
+def test_is_ns_multiplier_matches_the_previous_construction(name):
+    lam = PRESET_LAMBDAS[name]
+    family = all_ns_multipliers(lam)
+    for sigma in family:
+        assert is_ns_multiplier(lam, sigma) is True
+        assert previous_is_ns_multiplier(lam, sigma) is True
+    rng = random.Random(f"ns-{name}")
+    moduli, k = lam.group.moduli, lam.group.rank
+    for _ in range(200 // len(PRESET_LAMBDAS)):
+        n = rng.choice((1, 2, 3, 4, 6, 8, 12))
+        step = _steps(moduli, n)
+        sigma = Multiplier(lam.group, n, [
+            [step[i][j] * rng.randrange(n // step[i][j]) for j in range(k)]
+            for i in range(k)])
+        assert is_ns_multiplier(lam, sigma) == previous_is_ns_multiplier(
+            lam, sigma)
+    # another group is never NS
+    other = trivial_multiplier(GradingGroup([5]))
+    assert not is_ns_multiplier(lam, other)
+
+
+def test_is_ns_multiplier_raises_as_before():
+    # lambda(g, g) = zeta_3 is not +-1: both constructions refuse it with
+    # the same message
+    lam = Bicharacter(GradingGroup([3, 2]), 6, [[2, 0], [0, 3]])
+    sigma = trivial_multiplier(lam.group)
+    with pytest.raises(InvalidCommutationFactor) as new:
+        is_ns_multiplier(lam, sigma)
+    with pytest.raises(InvalidCommutationFactor) as old:
+        previous_is_ns_multiplier(lam, sigma)
+    assert str(new.value) == str(old.value)
+    assert "zeta_6^2" in str(new.value) and "<1,0>" in str(new.value)

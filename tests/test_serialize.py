@@ -74,6 +74,28 @@ def test_element_round_trip():
     assert parse_element(items, Q, 1) == e
 
 
+def test_parse_element_sums_repeated_labels():
+    items = [{"b": "j", "c": "1/2"}, {"b": "1", "c": "3"},
+             {"b": "j", "c": "1/2"}, {"b": "k", "c": "2"},
+             {"b": "k", "c": "-2"}]
+    got = parse_element(items, Q, 1)
+    assert got == Q.one() * 3 + J
+    assert got.algebra is Q and set(got.coeffs) == {0, Q.index_of("j")}
+    # z is the primitive cube root: z + z^2 = -1
+    assert parse_element([{"b": "i", "c": "z"}, {"b": "i", "c": "z^2"}],
+                         Q, 3) == -I
+    for items, text in (([{"b": "zz", "c": "1"}],
+                         "e: unknown basis label 'zz' for quaternions"),
+                        ([{"c": "1"}], "e: missing field 'b'"),
+                        ([{"b": "i", "c": 1}],
+                         "e: field 'c' has the wrong type"),
+                        ({"b": "i"}, "e: an element must be a list of "
+                                     "terms")):
+        with pytest.raises(ParseError) as exc:
+            parse_element(items, Q, 1, "e")
+        assert str(exc.value) == text
+
+
 def test_result_doc():
     doc = result_doc(Q.one() * 2, {"matrix": "abc"})
     assert doc == {"format": FORMAT, "root_order": 1,
