@@ -11,13 +11,13 @@ from gradedet.algebra import (invert_element, make_algebra, preset, twist,
 from gradedet.berezinian import (_schur, ber_super, ber_super_components,
                                  gber, gber0, gber_via_ber_super,
                                  parity_blocks, udl)
-from gradedet.errors import (InvalidParams, NotParitySorted, NotSquare,
-                             OddDegree, OddEntries, Singular,
-                             SingularOddBlock)
+from gradedet.errors import (IncompatibleGroups, InvalidParams,
+                             NotParitySorted, NotSquare, OddDegree,
+                             OddEntries, Singular, SingularOddBlock)
 from gradedet.gdet import (all_ns_multipliers, det_of_commuting, gdet0,
                            gdet_sigma)
 from gradedet.gmatrix import GradedMatrix, identity, invert_matrix, matmul
-from gradedet.grading import Bicharacter, GradingGroup, Multiplier
+from gradedet.grading import Bicharacter, GradingGroup, Multiplier, parity
 from gradedet.oracles import _odd_line_tensor
 from gradedet.sampling import (make_rng, rand_invertible,
                                rand_invertible_parity_blocks,
@@ -229,7 +229,7 @@ def test_integer_schur_matches_element_products(name):
     if name == "order_three":
         assert algebra._int_table(alg, 1)[:2] == (3, 2)
     evens = [d for d in unit_degrees(alg)
-             if not berezinian.parity(alg.lam, d)]
+             if not parity(alg.lam, d)]
     for r0, r1 in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 2)):
         nu = rand_parity_sorted_degrees(rng, alg, r0, r1)
         degree = rng.choice(sorted(evens, key=lambda d: d.residues))
@@ -239,7 +239,7 @@ def test_integer_schur_matches_element_products(name):
         for y in (x, GradedMatrix(alg, nu, nu,
                                   [[e * z for e in row]
                                    for row, z in zip(x.entries, zetas)])):
-            d, blocks, inverse, schur = _schur(y, "test")
+            d, blocks, _, schur = _schur(y, "test")
             assert d == y.degree_of()
             assert schur == element_schur(y)
             assert all(all_fractions(e) for row in schur.entries
@@ -277,6 +277,10 @@ def test_gdet_sigma_and_gber_refuse_a_sigma_that_is_not_ns():
              trivial)
     with pytest.raises(InvalidParams, match="not an NS multiplier"):
         gber(M, trivial)
+    # a sigma over another group is refused as such, before any exponent
+    # is read (a rank-1 sigma used to raise IndexError here)
+    with pytest.raises(IncompatibleGroups):
+        gdet_sigma(x, Multiplier(GradingGroup([2]), 2, [[1]]))
 
 
 def test_gber_morphism():
