@@ -23,11 +23,11 @@ from .gdet import all_ns_multipliers, canonical_sigma, gdet0, gdet_sigma
 from .gmatrix import GradedMatrix, graded_trace
 from .grading import is_ns_multiplier
 from .oracles import SUITES, iter_property_sweeps
-from .serialize import (FORMAT, check_ints, check_root_orders,
+from .serialize import (FORMAT, check_ints, check_root_orders, digest,
                         digest_algebra, digest_matrix, digest_multiplier,
                         format_algebra, format_multiplier, load_json,
-                        parse_algebra, parse_matrix, parse_multiplier,
-                        parse_preset, result_doc, unique_keys)
+                        parse_algebra, parse_multiplier, parse_preset,
+                        read_matrix, result_doc, unique_keys)
 
 
 @cache
@@ -98,6 +98,8 @@ def _apply_degrees(x, text):
         doc = json.loads(text, object_pairs_hook=unique_keys)
     except ParseError as exc:
         raise ParseError(f"--degrees: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("--degrees: JSON nested too deeply") from exc
     except ValueError as exc:  # JSONDecodeError, or a number past the limit
         raise ParseError(f"--degrees: invalid JSON: {exc}") from exc
     if isinstance(doc, dict):
@@ -150,12 +152,14 @@ def _matrix_job(args):
                 f"{args.sigma} is not an NS multiplier of {algebra.name}, "
                 f"so the entries of J_sigma(X) need not commute; "
                 f"gradedet solve-sigma lists the NS multipliers")
-    x = parse_matrix(load_json(args.matrix), algebra, where=args.matrix)
+    doc = load_json(args.matrix)
+    x, order, canonical = read_matrix(doc, algebra, where=args.matrix)
     if args.degrees:
-        x = _apply_degrees(x, args.degrees)
-    check_root_orders(x, sigma)
+        x, canonical = _apply_degrees(x, args.degrees), False
+    check_root_orders(order, algebra, sigma)
+    # a canonical document is the one digest_matrix would format and hash
     inputs = {"algebra": digest_algebra(algebra),
-              "matrix": digest_matrix(x)}
+              "matrix": digest(doc) if canonical else digest_matrix(x)}
     if sigma is not None:
         inputs["sigma"] = digest_multiplier(sigma)
     parsed = perf_counter()

@@ -38,6 +38,9 @@ MAX_MATRIX_N = 64
 PARSED_ALGEBRAS = 8
 # an algebra table key: "<i>,<j>" in canonical (ASCII) decimal
 _TABLE_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
+# the keys of the document format_matrix writes
+_MATRIX_KEYS = {"format", "root_order", "row_degrees", "col_degrees",
+                "entries"}
 
 
 def canonical_json(doc):
@@ -88,13 +91,12 @@ def _root_order(doc, where, required=False):
     return order
 
 
-def check_root_orders(x, sigma=None):
-    """TooLarge unless the lcm of the root orders of the matrix, the
-    algebra's constants and lambda, and sigma is at most MAX_ROOT_ORDER."""
-    alg = x.algebra
-    order = lcm(_scalar_orders(e for row in x.entries for e in row),
-                alg.lam.root_order, sigma.root_order if sigma else 1,
-                table_root_order(alg))
+def check_root_orders(order, algebra, sigma=None):
+    """TooLarge unless the lcm of order (a matrix's scalars', as
+    read_matrix gives it), the root orders of the algebra's constants and
+    lambda, and sigma's is at most MAX_ROOT_ORDER."""
+    order = lcm(order, algebra.lam.root_order,
+                sigma.root_order if sigma else 1, table_root_order(algebra))
     if order > MAX_ROOT_ORDER:
         raise TooLarge(f"the inputs' root orders combine to {order}, above "
                        f"the limit {MAX_ROOT_ORDER}")
@@ -366,30 +368,97 @@ def format_matrix(x):
 def parse_matrix(doc, algebra, where="matrix"):
     """The matrix of a matrix document; more than MAX_MATRIX_N rows or
     columns raise TooLarge before any degree or entry is read."""
+    return read_matrix(doc, algebra, where)[0]
+
+
+def read_matrix(doc, algebra, where="matrix"):
+    """(x, order, canonical) for the matrix x of a matrix document, read in
+    one walk that parses each distinct coefficient text and degree vector
+    once.  order is the lcm of the root orders of x's coefficients.
+    canonical says whether doc is the document format_matrix(x) writes, so
+    that digest(doc) == digest_matrix(x)."""
     _check_format(doc, where)
-    order = _root_order(doc, where)
+    declared = _root_order(doc, where)
     rows = _field(doc, "row_degrees", where, list)
     cols = _field(doc, "col_degrees", where, list)
     if max(len(rows), len(cols)) > MAX_MATRIX_N:
         raise TooLarge(f"{where}: a {len(rows)}x{len(cols)} matrix is above "
                        f"the limit of {MAX_MATRIX_N} rows and columns")
     entries = _field(doc, "entries", where, list)
-    group, vector = algebra.group, "a degree vector"
+    group, vectors = algebra.group, {}  # residues as written -> element
     try:
-        mu = [group.element(check_ints(d, where, vector)) for d in rows]
-        nu = [group.element(check_ints(d, where, vector)) for d in cols]
+        mu = [_degree(d, group, vectors, where) for d in rows]
+        nu = [_degree(d, group, vectors, where) for d in cols]
     except (TypeError, ValueError, InvalidParams) as exc:
         raise ParseError(f"{where}: bad degree vector: {exc}") from exc
     if len(entries) != len(mu):
         raise ParseError(f"{where}: expected {len(mu)} rows of entries")
-    grid = []
+    canonical = doc.keys() == _MATRIX_KEYS and all(
+        key == g.residues for key, g in vectors.items())
+    # text -> (its scalar, whether format_scalar writes that scalar as text)
+    index, scalars, summed, grid = algebra._label_index, {}, False, []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != len(nu):
             raise ParseError(f"{where}: row {i} must list {len(nu)} entries")
-        grid.append([parse_element(item, algebra, order,
-                                   f"{where} entry ({i},{j})")
-                     for j, item in enumerate(row)])
-    return GradedMatrix(algebra, mu, nu, grid)
+        out = []
+        for j, items in enumerate(row):
+            # parse_element's checks and errors, in its order
+            if not isinstance(items, list):
+                raise ParseError(f"{where} entry ({i},{j}): an element must "
+                                 f"be a list of terms")
+            coeffs, last = {}, -1
+            for term in items:
+                if not (type(term) is dict
+                        and type(label := term.get("b")) is str
+                        and type(text := term.get("c")) is str):
+                    at = f"{where} entry ({i},{j})"
+                    label = _field(term, "b", at, str)
+                    text = _field(term, "c", at, str)
+                k = index.get(label)
+                if k is None:
+                    raise ParseError(f"{where} entry ({i},{j}): unknown basis "
+                                     f"label {label!r} for {algebra.name}")
+                hit = scalars.get(text)
+                if hit is None:
+                    c = parse_scalar(text, declared)
+                    hit = scalars[text] = (c, _writes(c, text))
+                c = hit[0]
+                if k in coeffs:
+                    coeffs[k], summed = coeffs[k] + c, True
+                else:
+                    coeffs[k] = c
+                # canonical terms: ascending basis order, none zero or
+                # repeated, only "b" and "c", the text format_scalar writes
+                canonical = canonical and k > last and hit[1] \
+                    and len(term) == 2
+                last = k
+            out.append(AlgebraElement(algebra, coeffs))
+        grid.append(out)
+    if summed:  # a sum of two coefficients can fall to a lower root order
+        order = _scalar_orders(e for row in grid for e in row)
+    else:  # a dropped coefficient is zero, of root order 1
+        order = lcm(*(c.order for c, _ in scalars.values()))
+    return (GradedMatrix(algebra, mu, nu, grid), order,
+            canonical and order == declared)
+
+
+def _degree(d, group, seen, where):
+    """The group element of the degree vector d, built once per distinct
+    vector in seen."""
+    key = tuple(check_ints(d, where, "a degree vector"))
+    g = seen.get(key)
+    if g is None:
+        g = seen[key] = group.element(key)
+    return g
+
+
+def _writes(c, text):
+    """Whether format_scalar writes c as text, and c is not zero (which it
+    writes as "0")."""
+    try:
+        return text != "0" and format_scalar(c) == text
+    except TooLarge:  # digest_matrix raises it in its turn
+        return False
 
 
 def digest_matrix(x):
@@ -426,5 +495,7 @@ def load_json(path):
                          f"column {exc.colno}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
     except ValueError as exc:  # a number past the digit limit
         raise ParseError(_digit_limit(f"{path}: a number")) from exc

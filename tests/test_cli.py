@@ -709,3 +709,47 @@ def test_digit_limit_on_output_exits_3(capsys, tmp_path):
                     "--matrix", str(p))
     assert code == 3 and out["error"] == "TooLarge"
     assert f"limit of {LIMIT} digits" in out["message"]
+
+
+@pytest.mark.parametrize("where, depth", [
+    ("--matrix", 200_000), ("--algebra", 100_000), ("--sigma", 100_000),
+    ("--degrees", 60_000)])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, xfile, where, depth):
+    text = "[" * depth + "]" * depth
+    p = tmp_path / "nested.json"
+    p.write_text(text)
+    args = {"--algebra": "preset:quaternions", "--matrix": xfile,
+            "--sigma": "auto", where: str(p)}
+    if where == "--degrees":
+        args[where] = text
+    code = main(["gdet"] + [v for pair in args.items() for v in pair])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2 and len(lines) == 1
+    named = "--degrees" if where == "--degrees" else p
+    assert json.loads(lines[0]) == {
+        "format": 1, "error": "ParseError",
+        "message": f"{named}: JSON nested too deeply"}
+
+
+def test_matrix_digest_is_of_the_parsed_matrix(capsys, tmp_path, xfile):
+    # README's x.json, with every coefficient written "2/2" and a declared
+    # root order of 4: the document is not canonical, its matrix is X
+    doc = format_matrix(X)
+    for row in doc["entries"]:
+        for terms in row:
+            for term in terms:
+                term["c"] = "2/2"
+    doc["root_order"] = 4
+    p = tmp_path / "other.json"
+    p.write_text(json.dumps(doc))
+    _, want = run(capsys, "gdet0", "--algebra", "preset:quaternions",
+                  "--matrix", xfile)
+    assert run(capsys, "gdet0", "--algebra", "preset:quaternions",
+               "--matrix", str(p)) == (0, want)
+    # under --degrees the digest is of the matrix with the new degrees
+    code, out = run(capsys, "gdet", "--algebra", "preset:quaternions",
+                    "--matrix", xfile, "--degrees", "[[0, 0], [0, 0]]")
+    moved = GradedMatrix(Q, [ZERO, ZERO], [ZERO, ZERO], X.entries)
+    assert code == 0
+    assert out["inputs"]["matrix"] == digest_matrix(moved)
+    assert out["inputs"]["matrix"] != digest_matrix(X)
