@@ -17,11 +17,12 @@ columns of X on the integer structure table (_operator_column), and
 the decoder from indexed Fractions back to elements (_decode).  It
 eliminates fraction-free on ints (solve_linear) and returns the inverse
 as ints over one denominator, which solve_inverse decodes.  The
-Berezinian's block step is the third user of the layer: it solves
-X11^(-1) on X's converted grid and forms X00 - X01 X11^(-1) X10 on the
-integer table, and gber inverts one element, taking Gdet(X11)^(-1) =
-P^(-1) Gdet(Schur) for P = Gdet(Schur) Gdet(X11) (a one-sided inverse
-is two-sided in a finite-dimensional algebra).
+Berezinian is the third user of the layer, from one conversion of X to
+one decode: it solves X11^(-1) on X's converted grid, forms
+X00 - X01 X11^(-1) X10 on the integer table, and inverts the element
+P = Gdet(Schur) Gdet(X11) by a 1x1 _solve_grid, taking Gdet(X11)^(-1) =
+P^(-1) Gdet(Schur) (a one-sided inverse is two-sided in a
+finite-dimensional algebra).
 """
 
 import itertools
@@ -547,13 +548,14 @@ def _int_residue(c, order, scale):
     return [f.numerator * (scale // f.denominator) for f in c.coeffs]
 
 
-def _int_entries(entries, algebra, grid=None, root=1):
+def _int_entries(entries, algebra, grid=None, root=1, order=1):
     """The square grid of elements entries over Z[zeta_N], for the integer
     kernels: (a, D, N, T, table), where a[i][j] maps index k phi(N) + s
     to the int coefficient of e_k zeta_N^s in D times entries[i][j] with
     its coefficient at e_k multiplied by zeta_root^grid[i][j][k] (by 1
     when grid is None), D is the lcm of the denominators and (N, T,
-    table) is _int_table at the root order of those products.
+    table) is _int_table at the lcm of order and the root orders of those
+    products.
 
     One walk makes each entry's dict and collects the denominators and N,
     which counts root only when some factor is not +-1.  A rational c
@@ -564,7 +566,7 @@ def _int_entries(entries, algebra, grid=None, root=1):
     if grid is None:
         grid = [[[0] * algebra.dim] * len(row) for row in entries]
     half = root // 2 if root % 2 == 0 else -1
-    a, rationals, others, dens, order = [], [], [], set(), 1
+    a, rationals, others, dens = [], [], [], set()
     for row, erow in zip(entries, grid):
         arow = []
         for entry, ex in zip(row, erow):

@@ -9,29 +9,32 @@ Gdet_sigma(X11)^(-1); ber_super is the independent classical-Berezinian
 path over the twisted (supercommutative) algebra, which matches gber
 exactly once the sigma bookkeeping between the twisted product and the
 base product is carried out.  udl, gber and ber_super share one block
-step, _schur: the even-degree check, the parity split, X11^(-1) and the
-Schur complement.  The step is a user of the integer layer of
-algebra.py: X is converted once, X11^(-1) comes from the shared integer
-solve as ints over one denominator, X01 X11^(-1) X10 is summed through
-the integer table, and the Schur complement is decoded once.  gber
-inverts one element: with P = Gdet_sigma(Schur) Gdet_sigma(X11),
+step: _split (the even-degree check and the parity split) and _schur
+(X11^(-1) and the Schur complement, on the integer layer of algebra.py:
+X converted once, X11^(-1) from the shared integer solve, X01 X11^(-1)
+X10 summed through the integer table, S returned as ints over one
+denominator).  gber stays on that layer to one decode: J_sigma factors
+on the ints of both diagonal blocks, Berkowitz over the twisted integer
+table, one 1x1 solve for P = Gdet_sigma(Schur) Gdet_sigma(X11) and
 Gdet_sigma(X11)^(-1) = P^(-1) Gdet_sigma(Schur).  The oracle route
-applies J_sigma before that step and gber after it, so the two routes
-share only block arithmetic.
+applies J_sigma before the block step and takes element determinants
+and an element inverse after it, so the two routes share only block
+arithmetic.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (INHOMOGENEOUS, _decode, _decode_grid, _dot,
-                      _int_entries, _solve_grid, _try_invert,
-                      invert_element, is_supercommutative, transport)
+                      _int_entries, _int_table, _solve_grid, _table_product,
+                      invert_element, is_supercommutative, transport, twist)
 from .errors import (InvalidParams, NotInvertible, NotParitySorted,
                      OddDegree, Singular, SingularOddBlock)
-from .gdet import _det_sigma, _ns_twist, canonical_sigma, det_of_commuting
+from .gdet import _berkowitz, _require_ns, canonical_sigma, det_of_commuting
 from .gmatrix import (GradedMatrix, _require_endo, block_matrix, identity,
-                      j_sigma, zero_matrix)
+                      j_sigma, j_sigma_exponents, zero_matrix)
 from .grading import parity
-from .scalars import cyclo
+from .scalars import _reduce, euler_phi
 
 
 class ParityBlocks:
@@ -79,17 +82,9 @@ def parity_blocks(x):
     )
 
 
-def _schur(x, what):
-    """The block arithmetic shared by the Berezinian routes: checks that X
-    is homogeneous of even degree d, splits it into parity blocks and
-    returns (d, blocks, inverse, S) for X11^(-1) = _decode_grid(alg,
-    *inverse) and the Schur complement S = X00 - X01 X11^(-1) X10.
-
-    X is converted once (_int_entries: D X over the table scaled by T)
-    and X11^(-1) is solved as y / e on the X11 sub-grid at degree d
-    (_solve_grid).  Each table product carries one T, so _dot sums
-    X01 (-y) X10 to -T^2 D^2 e X01 X11^(-1) X10, onto T^2 D e D X00: S
-    is that sum over T^2 D^2 e, decoded once."""
+def _split(x, what):
+    """(d, blocks) for X homogeneous of even degree d and its parity
+    blocks; OddDegree or NotParitySorted otherwise."""
     d = x.degree_of()
     if d is INHOMOGENEOUS:
         raise OddDegree(f"{what} needs a homogeneous matrix, got an "
@@ -97,10 +92,25 @@ def _schur(x, what):
     if parity(x.algebra.lam, d):
         raise OddDegree(f"{what} needs an even homogeneous degree, got "
                         f"{d!r}")
-    blocks = parity_blocks(x)
-    alg, nu0, nu1 = x.algebra, blocks.even_degrees, blocks.odd_degrees
-    r0 = len(nu0)
-    a, den, order, t_den, table = _int_entries(x.entries, alg)
+    return d, parity_blocks(x)
+
+
+def _schur(x, d, blocks, order=1):
+    """The block arithmetic shared by the Berezinian routes, on X of even
+    degree d split into blocks (_split): (conversion, (y, e), (s, whole))
+    for conversion = _int_entries of X at least at root order `order`,
+    X11^(-1) = _decode_grid(alg, N, y, e) and the Schur complement
+    S = X00 - X01 X11^(-1) X10 = _decode_grid(alg, N, s, whole).
+
+    X is converted once (_int_entries: D X over the table scaled by T)
+    and X11^(-1) is solved as y / e on the X11 sub-grid at degree d
+    (_solve_grid).  Each table product carries one T, so _dot sums
+    X01 (-y) X10 to -T^2 D^2 e X01 X11^(-1) X10, onto T^2 D e D X00: s
+    is that sum, over whole = T^2 D^2 e."""
+    alg, nu1 = x.algebra, blocks.odd_degrees
+    r0 = len(blocks.even_degrees)
+    conversion = _int_entries(x.entries, alg, order=order)
+    a, den, order, t_den, table = conversion
     found = _solve_grid(alg, [row[r0:] for row in a[r0:]], order, table,
                         den * t_den, nu1, nu1, d)
     if found is None:
@@ -111,28 +121,22 @@ def _schur(x, what):
     left = [[_dot(table, row[r0:], col) for col in neg_y] for row in a[:r0]]
     right = [[row[j] for row in a[r0:]] for j in range(r0)]
     scale = t_den * t_den * den * e
-    whole = scale * den
-    grid = []
-    for arow, lrow in zip(a, left):
-        out = []
-        for a00, col in zip(arow, right):
-            acc = _dot(table, lrow, col,
-                       {s: scale * v for s, v in a00.items()})
-            out.append(_decode(alg, order, ((s, Fraction(v, whole))
-                                            for s, v in acc.items() if v)))
-        grid.append(out)
-    schur = GradedMatrix(alg, nu0, nu0, grid)
-    return d, blocks, (order, y, e), schur
+    s = [[_dot(table, lrow, col, {t: scale * v for t, v in a00.items()})
+          for a00, col in zip(arow, right)]
+         for arow, lrow in zip(a, left)]
+    return conversion, found, (s, scale * den)
 
 
 def udl(x):
     """X = U D L with U = [[I, X01 X11^(-1)], [0, I]],
     D = diag(X00 - X01 X11^(-1) X10, X11), L = [[I, 0], [X11^(-1) X10, I]].
     U and L are homogeneous of degree 0, D of the degree of X."""
-    _, blocks, inverse, schur = _schur(x, "udl")
-    alg = x.algebra
+    d, blocks = _split(x, "udl")
+    conversion, inverse, schur = _schur(x, d, blocks)
+    alg, order = x.algebra, conversion[2]
     nu0, nu1 = blocks.even_degrees, blocks.odd_degrees
-    x11inv = GradedMatrix(alg, nu1, nu1, _decode_grid(alg, *inverse))
+    x11inv = GradedMatrix(alg, nu1, nu1, _decode_grid(alg, order, *inverse))
+    schur = GradedMatrix(alg, nu0, nu0, _decode_grid(alg, order, *schur))
     i0, i1 = identity(alg, nu0), identity(alg, nu1)
     z01, z10 = zero_matrix(alg, nu0, nu1), zero_matrix(alg, nu1, nu0)
     u = block_matrix(i0, blocks.x01 @ x11inv, z10, i1)
@@ -141,34 +145,118 @@ def udl(x):
     return u, dmat, lmat
 
 
+def _times_roots(cell, exps, root, order):
+    """The int dict cell (indices k phi(N) + s, N = order) with its
+    coefficient at e_k times zeta_root^exps[k]: a sign where that is +-1,
+    otherwise a shift by exps[k] N / root and a reduction modulo Phi_N
+    (root divides N there)."""
+    if not any(exps):
+        return cell
+    m = euler_phi(order)
+    out, polys = {}, {}
+    for idx, v in cell.items():
+        k, s = divmod(idx, m)
+        e = exps[k]
+        if not 2 * e % root:
+            out[idx] = -v if e else v
+            continue
+        shift = e * order // root
+        poly = polys.get(k)
+        if poly is None:
+            poly = polys[k] = [0] * (shift + m)
+        poly[shift + s] = v
+    for k, poly in polys.items():
+        for idx, v in enumerate(_reduce(poly, order), k * m):
+            if v:
+                out[idx] = v
+    return out
+
+
+def _gdet_ints(a, grid, root, order, table, t_den, scale, one):
+    """(g, den) with Gdet_sigma = g / den for the integer grid a = scale
+    X: the J_sigma factors zeta_root^grid[i][j][k] on a, then _berkowitz
+    over the twisted integer table (scaled by t_den); one is the int dict
+    of 1 for an empty block."""
+    n = len(a)
+    if not n:
+        return one, 1
+    twisted = [[_times_roots(cell, exps, root, order)
+                for cell, exps in zip(row, erow)]
+               for row, erow in zip(a, grid)]
+    return _berkowitz(twisted, table), scale ** n * t_den ** (n - 1)
+
+
+def _invert_ints(alg, g, den, order, table, t_den):
+    """(y, e) with (g / den)^(-1) = y / e for an int dict g over the
+    integer table of alg at root order N (scaled by t_den), or None when
+    it is not invertible: one 1x1 _solve_grid at the degree of g, which
+    is homogeneous."""
+    g = {idx: v for idx, v in g.items() if v}
+    if not g:
+        return None
+    zero = (alg.group.zero(),)
+    degree = alg.degrees[next(iter(g)) // euler_phi(order)]
+    found = _solve_grid(alg, [[g]], order, table, den * t_den, zero, zero,
+                        degree)
+    return None if found is None else (found[0][0][0], found[1])
+
+
 def gber(x, sigma):
-    """sigma(x,x)^(-r1(r0-r1)) Gdet_sigma(Schur) Gdet_sigma(X11)^(-1) on a
-    homogeneous even-degree invertible matrix with parity-sorted degrees.
-    Both blocks are even by construction (X has even degree, and the
-    degrees within a diagonal block share one parity), so the determinants
-    skip gdet_sigma's input checks.  sigma must be an NS multiplier, as
-    for gdet_sigma; InvalidParams otherwise, after the block step's checks.
+    """sigma(d,d)^(-r1(r0-r1)) Gdet_sigma(Schur) Gdet_sigma(X11)^(-1) on a
+    homogeneous invertible matrix X of even degree d with parity-sorted
+    degrees.  sigma must be an NS multiplier, as for gdet_sigma;
+    InvalidParams otherwise, after the block step's checks.
+
+    It runs on ints from one conversion of X to one decode, at the lcm N
+    of the root orders of X's coefficients, the base table and the
+    twisted table, times sigma's root order when a J_sigma factor of a
+    diagonal block or the prefactor is not +-1; each coefficient of the
+    value is written at N, or at 1 when it is rational.  Both blocks are
+    even (X has even degree, and the degrees within a diagonal block
+    share one parity), so Berkowitz applies over the twisted table.
     P = Gdet_sigma(Schur) Gdet_sigma(X11) is invertible exactly when both
     factors are, and P^(-1) Gdet_sigma(Schur) is then a left, hence
-    two-sided, inverse of Gdet_sigma(X11); only a singular P inverts
-    Gdet_sigma(X11) alone, to name the singular factor."""
-    d, blocks, _, schur = _schur(x, "gber")
-    twisted = _ns_twist(x.algebra, sigma, "gber")
+    two-sided, inverse of Gdet_sigma(X11): one 1x1 solve inverts P, and
+    only a singular P solves for Gdet_sigma(X11) alone, to name the
+    singular factor."""
+    d, blocks = _split(x, "gber")
+    alg = x.algebra
+    twisted = twist(alg, sigma)
     r0, r1 = blocks.superrank
-    det0 = _det_sigma(schur, sigma, twisted)
-    det1 = _det_sigma(blocks.x11, sigma, twisted)
-    try:
-        inv1 = invert_element(det0 * det1) * det0
-    except NotInvertible as exc:
-        if _try_invert(det1) is None:
+    root = sigma.root_order
+    grids = [j_sigma_exponents(alg.degrees, nu, sigma)
+             for nu in (blocks.even_degrees, blocks.odd_degrees)]
+    exp = (-r1 * (r0 - r1) * sigma.exponent(d, d)) % root
+    roots = root > 2 and (2 * exp % root or any(
+        2 * e % root for grid in grids for row in grid for exps in row
+        for e in exps))
+    order = lcm(_int_table(twisted, 1)[0], root if roots else 1)
+    conversion, _, (s, whole) = _schur(x, d, blocks, order)
+    _require_ns(alg, twisted, "gber")
+    a, den, order, t_den, table = conversion
+    _, t_tw, tw_table = _int_table(twisted, order)
+    one = {alg.unit_index * euler_phi(order): 1}
+    g0, den0 = _gdet_ints(s, grids[0], root, order, tw_table, t_tw, whole,
+                          one)
+    g1, den1 = _gdet_ints([row[r0:] for row in a[r0:]], grids[1], root,
+                          order, tw_table, t_tw, den, one)
+    found = _invert_ints(alg, _table_product(table, g0, g1, {}),
+                         t_den * den0 * den1, order, table, t_den)
+    if found is None:
+        if _invert_ints(alg, g1, den1, order, table, t_den) is None:
             raise Singular("Gdet_sigma of the odd-odd block is not "
-                           "invertible") from exc
+                           "invertible")
         raise Singular(
             "Gdet_sigma of the Schur complement is not invertible; the "
-            "matrix is not invertible") from exc
-    n_ord = sigma.root_order
-    exp = (-r1 * (r0 - r1) * sigma.exponent(d, d)) % n_ord
-    return (det0 * inv1) * cyclo(exp, n_ord)
+            "matrix is not invertible")
+    p_inv, e = found
+    # Gdet(X11)^(-1) = P^(-1) Gdet(Schur), over T e den0
+    inv1 = _table_product(table, p_inv, g0, {})
+    ber = _times_roots(_table_product(table, g0, inv1, {}),
+                       [exp] * alg.dim, root, order)
+    scale = (t_den * den0) ** 2 * e
+    return _decode(alg, order,
+                   ((idx, Fraction(v, scale)) for idx, v in ber.items()))
 
 
 def gber0(x):
@@ -184,8 +272,10 @@ def ber_super_components(y):
         raise InvalidParams(
             f"{y.algebra.name} is not supercommutative; ber_super applies "
             "to matrices over a twisted algebra")
-    _, blocks, _, schur = _schur(y, "ber_super")
-    comp0 = det_of_commuting(schur.entries, y.algebra)
+    d, blocks = _split(y, "ber_super")
+    conversion, _, schur = _schur(y, d, blocks)
+    comp0 = det_of_commuting(_decode_grid(y.algebra, conversion[2], *schur),
+                             y.algebra)
     comp1 = det_of_commuting(blocks.x11.entries, y.algebra)
     return comp0, comp1
 

@@ -13,8 +13,10 @@ homogeneous units, adjoined from a crossed-product tensor factor when the
 algebra lacks them.
 
 Every classical determinant here, and both of the Berezinian's, is
-det_of_commuting (Berkowitz, division-free); gdet0 and gdet_sigma pass
-it X's entries and the J_sigma exponent grid of an NS multiplier.
+_berkowitz (Berkowitz, division-free, on ints).  det_of_commuting wraps
+it with the conversion and the decode; gdet0 and gdet_sigma pass it X's
+entries and the J_sigma exponent grid of an NS multiplier, and gber runs
+_berkowitz on its own conversion.
 
 Entry products of odd degree do not commute after twisting, so determinants
 over them would depend on expansion order; such inputs raise OddEntries
@@ -151,18 +153,33 @@ def det_of_commuting(entries, algebra, grid=None, root=1):
     algebra; the caller guarantees that all entries pairwise commute.
     With a grid, entry (i,j) is entries[i][j] with its coefficient at e_k
     times zeta_root^grid[i][j][k]: _det_sigma passes the J_sigma factors.
-    The recurrence runs on -A: p[k] is e_k of the leading block, det A =
-    p[n] needs no final sign, and each R M^k S of the Toeplitz column is
-    negated once.
 
     It runs on plain ints: every coefficient is put over one common
     denominator D and written in the power basis of Z[zeta_N] (see
     _int_table, whose table constants carry one more denominator T).
     Each degree-i term of p[i] is a product of i scaled entries formed
-    with i - 1 table products, so det A is p[n] / (D^n T^(n-1)) exactly.
-    _int_entries converts the entries in one walk: a rational coefficient
-    p/q of e_k becomes the one int p D/q at index k phi(N), and only the
-    other coefficients are written out as residues.
+    with i - 1 table products, so det A is _berkowitz's p[n] / (D^n
+    T^(n-1)) exactly.  _int_entries converts the entries in one walk: a
+    rational coefficient p/q of e_k becomes the one int p D/q at index
+    k phi(N), and only the other coefficients are written out as
+    residues."""
+    n = len(entries)
+    if n == 0:
+        return algebra.one()
+    a, d, order, t_den, table = _int_entries(entries, algebra, grid, root)
+    scale = d ** n * t_den ** (n - 1)
+    return _decode(algebra, order,
+                   ((idx, Fraction(x, scale))
+                    for idx, x in _berkowitz(a, table).items() if x))
+
+
+def _berkowitz(a, table):
+    """p[n] of Berkowitz's recurrence on the n x n integer grid a (n >= 1,
+    indices as in _int_entries) over the integer table: det A times
+    T^(n-1) for the table's scale T, as a dict of ints that may hold
+    zeros.  The recurrence runs on -A: p[k] is e_k of the leading block,
+    det A = p[n] needs no final sign, and each R M^k S of the Toeplitz
+    column is negated once.
 
     Step r's mat-vecs are flat integer scatters: the vector maps j*E + b
     (E = len(table)) to the coefficient of index b in (A^k S)_j, and each
@@ -170,10 +187,7 @@ def det_of_commuting(entries, algebra, grid=None, root=1):
     in ascending order (built on first use and kept for the call), up to
     row r: the rows below r are the next A^k S, row r is R A^k S.  Only
     the Toeplitz combination calls _table_product."""
-    n = len(entries)
-    if n == 0:
-        return algebra.one()
-    a, d, order, t_den, table = _int_entries(entries, algebra, grid, root)
+    n = len(a)
     size = len(table)
     ops = {}                # operator columns, built on first use
     p = [None]              # p[0] = 1 stays implicit
@@ -210,10 +224,7 @@ def det_of_commuting(entries, algebra, grid=None, root=1):
                     _table_product(table, col[i - j], p[j], acc)
             nxt.append(acc)
         p = nxt
-    scale = d ** n * t_den ** (n - 1)
-    return _decode(algebra, order,
-                   ((idx, Fraction(x, scale)) for idx, x in p[-1].items()
-                    if x))
+    return p[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +292,10 @@ def _det_sigma(x, sigma, twisted):
                                       sigma.root_order), x.algebra)
 
 
-def _ns_twist(algebra, sigma, what):
-    """twist(algebra, sigma), or InvalidParams when sigma is not an NS
-    multiplier of algebra, read off the memoized twist in one attribute
-    once warm (algebra.is_supercommutative)."""
-    twisted = twist(algebra, sigma)
+def _require_ns(algebra, twisted, what):
+    """twisted = twist(algebra, sigma), or InvalidParams when sigma is not
+    an NS multiplier of algebra, read off the memoized twist in one
+    attribute once warm (algebra.is_supercommutative)."""
     if not is_supercommutative(twisted):
         raise InvalidParams(
             f"{what}: sigma is not an NS multiplier of {algebra.name}, so "
@@ -301,7 +311,8 @@ def gdet_sigma(x, sigma):
     A sigma that is not NS raises InvalidParams, after the input checks."""
     _require_endo(x, "gdet_sigma")
     _require_even(x, "gdet_sigma")
-    return _det_sigma(x, sigma, _ns_twist(x.algebra, sigma, "gdet_sigma"))
+    twisted = twist(x.algebra, sigma)
+    return _det_sigma(x, sigma, _require_ns(x.algebra, twisted, "gdet_sigma"))
 
 
 def gdet0(x):

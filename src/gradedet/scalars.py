@@ -374,7 +374,8 @@ def parse_scalar(text, root_order=1):
     try:
         if _RATIONAL_RE.fullmatch(s):
             p, _, q = s.partition("/")
-            return _rational(Fraction(int(p), int(q) if q else 1))
+            return _rational(Fraction(int(p), int(q)) if q
+                             else Fraction(int(p)))
         return _parse_terms(text, s, root_order)
     except ZeroDivisionError as exc:
         raise ParseError(f"zero denominator in {text!r}") from exc

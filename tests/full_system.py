@@ -3,15 +3,21 @@ solved by Gauss-Jordan elimination on CycloScalars.  It shares no code with
 algebra.solve_inverse beyond the table product, so the tests can hold the
 integer solve against it.  The Schur complement oracle forms
 X00 - X01 X11^(-1) X10 from element-level matrix products, so the tests
-can hold the Berezinian's integer block step against it."""
+can hold the Berezinian's integer block step against it.  previous_gber
+is the Berezinian as it was computed before it ran on the integer layer
+from end to end: two determinants decoded and transported, one element
+inversion and four element products."""
 
 from fractions import Fraction
 
 from gradedet import scalars
-from gradedet.algebra import _table_product
-from gradedet.berezinian import parity_blocks
+from gradedet.algebra import (_decode_grid, _table_product, _try_invert,
+                              invert_element, twist)
+from gradedet.berezinian import _schur, _split, parity_blocks
+from gradedet.errors import NotInvertible, Singular
+from gradedet.gdet import _det_sigma, _require_ns
 from gradedet.gmatrix import GradedMatrix, invert_matrix
-from gradedet.scalars import ONE, ZERO
+from gradedet.scalars import ONE, ZERO, cyclo
 
 
 def solve_scalar_system(matrix, rhs):
@@ -79,6 +85,42 @@ def element_schur(x):
     product and the difference taken entry by entry on elements."""
     b = parity_blocks(x)
     return b.x00 - b.x01 @ invert_matrix(b.x11) @ b.x10
+
+
+def decoded_schur(x):
+    """(blocks, S) for a parity-sorted X of even degree: the parity blocks
+    and the Schur complement of the integer block step, decoded at the
+    root order of X's conversion."""
+    d, blocks = _split(x, "test")
+    conversion, _, schur = _schur(x, d, blocks)
+    nu0 = blocks.even_degrees
+    return blocks, GradedMatrix(x.algebra, nu0, nu0, _decode_grid(
+        x.algebra, conversion[2], *schur))
+
+
+def previous_gber(x, sigma):
+    """gber through elements after the block step: Gdet_sigma of the
+    decoded Schur complement and of X11, each read back in the base
+    algebra, P = det0 det1 inverted as an element, and
+    (det0 (P^(-1) det0)) sigma(d,d)^(-r1(r0-r1))."""
+    d, blocks = _split(x, "gber")
+    schur = decoded_schur(x)[1]
+    twisted = _require_ns(x.algebra, twist(x.algebra, sigma), "gber")
+    r0, r1 = blocks.superrank
+    det0 = _det_sigma(schur, sigma, twisted)
+    det1 = _det_sigma(blocks.x11, sigma, twisted)
+    try:
+        inv1 = invert_element(det0 * det1) * det0
+    except NotInvertible as exc:
+        if _try_invert(det1) is None:
+            raise Singular("Gdet_sigma of the odd-odd block is not "
+                           "invertible") from exc
+        raise Singular(
+            "Gdet_sigma of the Schur complement is not invertible; the "
+            "matrix is not invertible") from exc
+    n_ord = sigma.root_order
+    exp = (-r1 * (r0 - r1) * sigma.exponent(d, d)) % n_ord
+    return (det0 * inv1) * cyclo(exp, n_ord)
 
 
 def all_fractions(a):

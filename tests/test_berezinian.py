@@ -6,25 +6,27 @@ from fractions import Fraction
 import pytest
 
 from gradedet import algebra, berezinian, gdet
-from gradedet.algebra import (invert_element, make_algebra, preset, twist,
-                              unit_degrees)
-from gradedet.berezinian import (_schur, ber_super, ber_super_components,
-                                 gber, gber0, gber_via_ber_super,
-                                 parity_blocks, udl)
+from gradedet.algebra import (_solve_grid, invert_element, make_algebra,
+                              preset, twist, unit_degrees)
+from gradedet.berezinian import (ber_super, ber_super_components, gber,
+                                 gber0, gber_via_ber_super, parity_blocks,
+                                 udl)
 from gradedet.errors import (IncompatibleGroups, InvalidParams,
                              NotParitySorted, NotSquare, OddDegree,
                              OddEntries, Singular, SingularOddBlock)
 from gradedet.gdet import (all_ns_multipliers, det_of_commuting, gdet0,
                            gdet_sigma)
 from gradedet.gmatrix import GradedMatrix, identity, invert_matrix, matmul
-from gradedet.grading import Bicharacter, GradingGroup, Multiplier, parity
+from gradedet.grading import (Bicharacter, GradingGroup, Multiplier,
+                              is_ns_multiplier, parity)
 from gradedet.oracles import _odd_line_tensor
 from gradedet.sampling import (make_rng, rand_invertible,
                                rand_invertible_parity_blocks,
                                rand_matrix, rand_parity_sorted_degrees)
-from gradedet.scalars import CycloScalar, cyclo, rational
+from gradedet.scalars import CycloScalar, cyclo, euler_phi, rational
 
-from full_system import all_fractions, element_schur
+from full_system import (all_fractions, decoded_schur, element_schur,
+                         previous_gber)
 
 
 TRIPPED = {berezinian: ("gber", "det_of_commuting"),
@@ -170,24 +172,30 @@ def test_gber_singular_schur_complement():
 
 
 def test_gber_inverts_one_element(monkeypatch):
+    # gber solves twice: X11^(-1) in the block step and one 1x1 system,
+    # for P = Gdet(Schur) Gdet(X11); the element is read off the system's
+    # integer grid, which is scale / T times P
     seen = []
 
-    def recording(a):
-        seen.append(a)
-        return invert_element(a)
+    def recording(alg, a, order, table, scale, *rest):
+        seen.append((a, order, scale))
+        return _solve_grid(alg, a, order, table, scale, *rest)
 
     rng = make_rng("one-inversion")
     x = rand_invertible_parity_blocks(
         rng, DN, rand_parity_sorted_degrees(rng, DN, 2, 2), 2)
     sigma = all_ns_multipliers(DN.lam)[3]
     want = gber_via_ber_super(x, sigma)
-    monkeypatch.setattr(berezinian, "invert_element", recording)
+    monkeypatch.setattr(berezinian, "_solve_grid", recording)
     assert gber(x, sigma) == want
-    # the one element inverted is Gdet(Schur) Gdet(X11)
-    _, blocks, _, schur = _schur(x, "test")
-    assert len(seen) == 1
-    assert seen[0] == (gdet_sigma(schur, sigma)
-                       * gdet_sigma(blocks.x11, sigma))
+    assert [len(a) for a, _, _ in seen] == [2, 1]
+    (cell,), = seen[1][0]
+    order, scale = seen[1][1:]
+    t_den = algebra._int_table(DN, order)[1]
+    p = algebra._decode(DN, order, ((idx, Fraction(v * t_den, scale))
+                                    for idx, v in cell.items()))
+    blocks, schur = decoded_schur(x)
+    assert p == gdet_sigma(schur, sigma) * gdet_sigma(blocks.x11, sigma)
 
 
 def _order_three_algebra():
@@ -239,8 +247,7 @@ def test_integer_schur_matches_element_products(name):
         for y in (x, GradedMatrix(alg, nu, nu,
                                   [[e * z for e in row]
                                    for row, z in zip(x.entries, zetas)])):
-            d, blocks, _, schur = _schur(y, "test")
-            assert d == y.degree_of()
+            blocks, schur = decoded_schur(y)
             assert schur == element_schur(y)
             assert all(all_fractions(e) for row in schur.entries
                        for e in row)
@@ -249,6 +256,99 @@ def test_integer_schur_matches_element_products(name):
             assert matmul(u, matmul(dmat, lo)) == y
             x11inv = invert_matrix(blocks.x11)
             assert u.entries[0][r0:] == (blocks.x01 @ x11inv).entries[0]
+
+
+def _torsor_sigma(alg):
+    """An NS multiplier of order 6 on _order_three_algebra: the solved one
+    at order 6 plus 2 at the Z_3 diagonal, so that J_sigma factors and
+    the sigma(d,d) prefactor reach cube roots of unity."""
+    base = all_ns_multipliers(alg.lam)[0].at_order(6)
+    exps = [list(row) for row in base.exponents]
+    exps[1][1] += 2
+    sigma = Multiplier(alg.group, 6, exps)
+    assert is_ns_multiplier(alg.lam, sigma)
+    return sigma
+
+
+SUPERRANKS = ((0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (1, 1), (2, 1),
+              (1, 2), (2, 2), (3, 2))
+
+
+@pytest.mark.parametrize("name", sorted(SCHUR_ALGEBRAS))
+def test_gber_matches_the_previous_route(name, monkeypatch):
+    # the integer route against previous_gber (element determinants, one
+    # element inversion, element products) and the super oracle, with
+    # rows also scaled by powers of zeta_3; the values print alike
+    # wherever the twisted table's root order divides X's
+    alg = SCHUR_ALGEBRAS[name]()
+    rng = make_rng(f"previous-gber-{name}")
+    sigmas = all_ns_multipliers(alg.lam)
+    if name == "order_three":
+        sigmas.append(_torsor_sigma(alg))
+    degrees = sorted((d for d in unit_degrees(alg)
+                      if d and not parity(alg.lam, d)),
+                     key=lambda d: d.residues) or [alg.group.zero()]
+    hits = []
+
+    def recording(cell, exps, root, order):
+        m = euler_phi(order)
+        hits.append(any(2 * exps[idx // m] % root for idx in cell))
+        return times_roots(cell, exps, root, order)
+
+    times_roots = berezinian._times_roots
+    monkeypatch.setattr(berezinian, "_times_roots", recording)
+    reached, printed = set(), 0
+    for r0, r1 in SUPERRANKS:
+        for sigma in sigmas:
+            nu = rand_parity_sorted_degrees(rng, alg, r0, r1)
+            x = rand_invertible_parity_blocks(rng, alg, nu, r1,
+                                              rng.choice(degrees))
+            zetas = [cyclo(rng.randrange(3), 3) for _ in nu]
+            scaled = GradedMatrix(alg, nu, nu,
+                                  [[e * z for e in row]
+                                   for row, z in zip(x.entries, zetas)])
+            for y in (x, scaled):
+                hits.clear()
+                got, previous = gber(y, sigma), previous_gber(y, sigma)
+                assert got == previous == gber_via_ber_super(y, sigma)
+                if hits[-1]:
+                    reached.add("prefactor")
+                if any(hits[:-1]):
+                    reached.add("factor")
+                tw_order = algebra._int_table(twist(alg, sigma), 1)[0]
+                if algebra._int_entries(y.entries, alg)[2] % tw_order == 0:
+                    assert repr(got) == repr(previous)
+                    printed += 1
+    assert printed
+    want = {"factor", "prefactor"} if name == "order_three" else set()
+    assert reached == want
+
+
+def test_gber_writes_its_value_at_the_conversion_order():
+    # entries of root orders 3 and 4: zeta_3 comes back written at order
+    # 12, the order of X's conversion, as before
+    x = GradedMatrix(DN, NU, NU, [[DN.from_scalar(cyclo(1, 3)),
+                                   E1 * cyclo(1, 4)], [E1, DN.one()]])
+    assert gber0(x) == DN.from_scalar(cyclo(1, 3))
+    assert repr(gber0(x)) == "-1 + z^2"
+    # X at order 3 and a twisted table at order 6: the value is decoded
+    # once at order 6, where the element products wrote each coefficient
+    # at order 3 (zeta_6 = 1 + zeta_3)
+    alg = _order_three_algebra()
+    sigma = _torsor_sigma(alg)
+    z, w = cyclo(1, 3), -cyclo(2, 3)
+    nu = (alg.group.element((0, 2)), alg.group.element((1, 2)))
+    x = GradedMatrix(alg, nu, nu, [
+        [alg.element({"xit2": z, "xi12t2": -6 * z}),
+         alg.element({"xi1t2": -9 * z})],
+        [alg.element({"xi1t2": 9 * w}),
+         alg.element({"xit2": w, "xi12t2": 5 * w})]])
+    got = gber(x, sigma)
+    assert got == previous_gber(x, sigma) == gber_via_ber_super(x, sigma)
+    assert algebra._int_table(twist(alg, sigma), 1)[0] == 6
+    assert repr(got) == "(z)*xit0 + (-11*z)*xi12t0"
+    assert repr(previous_gber(x, sigma)) == (
+        "(1 + z)*xit0 + (-11 - 11*z)*xi12t0")
 
 
 Q = preset("quaternions")

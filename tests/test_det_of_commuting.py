@@ -17,7 +17,7 @@ from gradedet import berezinian, gdet
 from gradedet.algebra import (AlgebraElement, _dot, _int_residue,
                               _int_table, _operator_column, _table_product,
                               preset, transport, twist)
-from gradedet.berezinian import _schur, ber_super_components, gber
+from gradedet.berezinian import ber_super_components, gber
 from gradedet.cli import main
 from gradedet.errors import GradedetError, TooLarge
 from gradedet.gdet import (LEIBNIZ_MAX_N, all_ns_multipliers,
@@ -33,6 +33,8 @@ from gradedet.sampling import (make_rng, parity_split,
                                rand_parity_sorted_degrees)
 from gradedet.scalars import CycloScalar, cyclo, euler_phi, rational
 from gradedet.serialize import format_matrix, parse_algebra, result_doc
+
+from full_system import decoded_schur
 
 PRESETS = [("quaternions",), ("clifford", 2, 1), ("dual_numbers", 2),
            ("grassmann", 4), ("clock_shift", 3)]
@@ -113,7 +115,7 @@ def test_supercommutative_schur_complement(spec):
         nu = rand_parity_sorted_degrees(rng, alg, r0, r1)
         x = rand_invertible_parity_blocks(rng, alg, nu, r1)
         y = j_sigma(x, canonical_sigma(alg))
-        _, blocks, _, schur = _schur(y, "test")
+        blocks, schur = decoded_schur(y)
         assert ber_super_components(y) == (leibniz_det_commutative(schur),
                                            leibniz_det_commutative(blocks.x11))
 
@@ -441,28 +443,44 @@ def test_operator_column_is_the_table_product(spec, order):
         assert {t: c for t, c in col if c} == want
 
 
-def test_every_determinant_reaches_det_of_commuting(monkeypatch):
+def test_every_determinant_reaches_berkowitz(monkeypatch):
+    # det_of_commuting is _int_entries + _berkowitz + _decode; gber runs
+    # _berkowitz on its own conversion, once per diagonal block
     calls = []
 
-    def recording(*args):
-        calls.append(None)
-        return det_of_commuting(*args)
+    def recording(name, fn):
+        def record(*args):
+            calls.append(name)
+            return fn(*args)
+        return record
 
+    wrapped = {name: recording(name, getattr(gdet, name))
+               for name in ("_berkowitz", "det_of_commuting")}
     for module in (gdet, berezinian):
-        monkeypatch.setattr(module, "det_of_commuting", recording)
+        for name, fn in wrapped.items():
+            monkeypatch.setattr(module, name, fn)
     q = preset("quaternions")
     sigma = canonical_sigma(q)
     j = q.basis_element("j")
     nu = [q.group.zero(), j.degree_of()]
     x = GradedMatrix(q, nu, nu, [[q.one(), j], [j * 3, q.one() * 2]])
     routes = [lambda: gdet0(x), lambda: gdet_sigma(x, sigma),
-              lambda: gber(x, sigma),
               lambda: ber_super_components(j_sigma(x, sigma)),
               lambda: gdet0_via_crossed(x)]
     for route in routes:
         calls.clear()
         route()
-        assert calls
+        assert "det_of_commuting" in calls and "_berkowitz" in calls
+    calls.clear()
+    gber(x, sigma)
+    assert calls == ["_berkowitz"]
+    dn = preset("dual_numbers", 2)
+    eps1 = dn.basis_element("eps1")
+    nu = [dn.group.zero(), eps1.degree_of()]
+    calls.clear()
+    gber(GradedMatrix(dn, nu, nu, [[dn.one(), eps1], [eps1, dn.one()]]),
+         canonical_sigma(dn))
+    assert calls == ["_berkowitz", "_berkowitz"]
 
 
 def _branch_cases():
