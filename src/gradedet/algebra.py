@@ -16,13 +16,15 @@ X's coefficients converted in one walk (_int_entries), the operator
 columns of X on the integer structure table (_operator_column), and
 the decoder from indexed Fractions back to elements (_decode).  It
 eliminates fraction-free on ints (solve_linear) and returns the inverse
-as ints over one denominator, which solve_inverse decodes.  The
-Berezinian is the third user of the layer, from one conversion of X to
-one decode: it solves X11^(-1) on X's converted grid, forms
-X00 - X01 X11^(-1) X10 on the integer table, and inverts the element
-P = Gdet(Schur) Gdet(X11) by a 1x1 _solve_grid, taking Gdet(X11)^(-1) =
-P^(-1) Gdet(Schur) (a one-sided inverse is two-sided in a
-finite-dimensional algebra).
+as ints over one denominator, which solve_inverse decodes.  J_sigma
+reaches the layer only through the conversion, which folds its factors
+into X's coefficients.  The Berezinian is the third user of the layer,
+from one such conversion of X over the twisted algebra to one decode: it
+solves X11^(-1) on the converted grid, forms X00 - X01 X11^(-1) X10 on
+the twisted integer table, and inverts the element P = Gdet(Schur)
+Gdet(X11) by a 1x1 _solve_grid on the base table, taking
+Gdet(X11)^(-1) = P^(-1) Gdet(Schur) (a one-sided inverse is two-sided
+in a finite-dimensional algebra).
 """
 
 import itertools
@@ -34,9 +36,9 @@ from . import scalars
 from .errors import (DegreeViolation, IncompatibleGroups, InvalidParams,
                      MixedAlgebras, NoUnit, NotAssociative, NotCrossedProduct,
                      NotInvertible, NotLambdaCommutative)
-from .grading import (Bicharacter, GradingGroup, Multiplier, is_sign_rule,
-                      lambda_twist, parity, solve_ns_multiplier,
-                      trivial_multiplier)
+from .grading import (Bicharacter, GradingGroup, Multiplier,
+                      is_ns_multiplier, lambda_twist, parity,
+                      solve_ns_multiplier, trivial_multiplier)
 from .scalars import (MINUS_ONE, ONE, ZERO, CycloScalar, as_scalar, coerce_to,
                       cyclo, euler_phi)
 
@@ -413,11 +415,13 @@ def degree_index(algebra):
 
 
 def is_supercommutative(algebra):
-    """True when algebra's lambda is the parity sign rule (is_sign_rule),
-    decided once per algebra: twist(A, sigma) is supercommutative exactly
-    when sigma is an NS multiplier of A, and twist memoizes its result."""
+    """True when algebra's lambda is the parity sign rule, that is when
+    the trivial multiplier is an NS multiplier of it, decided once per
+    algebra: twist(A, sigma) is supercommutative exactly when sigma is an
+    NS multiplier of A, and twist memoizes its result."""
     if algebra._supercommutative is None:
-        algebra._supercommutative = is_sign_rule(algebra.lam)
+        algebra._supercommutative = is_ns_multiplier(
+            algebra.lam, trivial_multiplier(algebra.group))
     return algebra._supercommutative
 
 

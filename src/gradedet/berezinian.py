@@ -5,36 +5,40 @@ For a parity-sorted degree vector (even degrees first), a homogeneous
 even-degree invertible matrix X factors as U D L with unitriangular U, L
 and block-diagonal D = diag(Schur complement, X11).  The graded Berezinian
 is sigma(x,x)^(-r1(r0-r1)) Gdet_sigma(X00 - X01 X11^(-1) X10)
-Gdet_sigma(X11)^(-1); ber_super is the independent classical-Berezinian
-path over the twisted (supercommutative) algebra, which matches gber
-exactly once the sigma bookkeeping between the twisted product and the
-base product is carried out.  udl, gber and ber_super share one block
-step: _split (the even-degree check and the parity split) and _schur
-(X11^(-1) and the Schur complement, on the integer layer of algebra.py:
-X converted once, X11^(-1) from the shared integer solve, X01 X11^(-1)
-X10 summed through the integer table, S returned as ints over one
-denominator).  gber stays on that layer to one decode: J_sigma factors
-on the ints of both diagonal blocks, Berkowitz over the twisted integer
-table, one 1x1 solve for P = Gdet_sigma(Schur) Gdet_sigma(X11) and
-Gdet_sigma(X11)^(-1) = P^(-1) Gdet_sigma(Schur).  The oracle route
-applies J_sigma before the block step and takes element determinants
-and an element inverse after it, so the two routes share only block
-arithmetic.
+Gdet_sigma(X11)^(-1); ber_super is the classical Berezinian over a
+supercommutative algebra.  udl, gber and ber_super share one block step:
+_split (the even-degree check and the parity split) and _schur (X11^(-1)
+from the shared integer solve and X00 - X01 X11^(-1) X10 through the
+integer table, as ints over one denominator, on a conversion the caller
+made with _int_entries; udl and ber_super convert X plainly).
+
+gber and the oracle route gber_via_ber_super both take the Schur
+complement of J_sigma(X) over the twisted table, which is J_sigma of the
+Schur complement (J_sigma is a functor).  They differ in how J_sigma is
+applied: the oracle forms J_sigma(X) element by element (j_sigma), gber
+folds its factors into its one conversion, as gdet_sigma does.  They
+differ in the inverse: gber stays on ints to one decode, with Berkowitz
+over the twisted table for both blocks and one 1x1 solve on the base
+table for P = Gdet_sigma(Schur) Gdet_sigma(X11), while the oracle takes
+element determinants and an element inverse.  And in the prefactor:
+gber multiplies by sigma(d,d)^(-r1(r0-r1)), which the oracle's twisted
+products and inverse contribute unasked.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from .algebra import (INHOMOGENEOUS, _decode, _decode_grid, _dot,
-                      _int_entries, _int_table, _solve_grid, _table_product,
-                      invert_element, is_supercommutative, transport, twist)
-from .errors import (InvalidParams, NotInvertible, NotParitySorted,
-                     OddDegree, Singular, SingularOddBlock)
+                      _int_entries, _int_residue, _int_table, _solve_grid,
+                      _table_product, invert_element, is_supercommutative,
+                      transport, twist)
+from .errors import (InvalidParams, NotParitySorted, OddDegree, Singular,
+                     SingularOddBlock)
 from .gdet import _berkowitz, _require_ns, canonical_sigma, det_of_commuting
 from .gmatrix import (GradedMatrix, _require_endo, block_matrix, identity,
                       j_sigma, j_sigma_exponents, zero_matrix)
 from .grading import parity
-from .scalars import _reduce, euler_phi
+from .scalars import cyclo, euler_phi
 
 
 class ParityBlocks:
@@ -95,21 +99,20 @@ def _split(x, what):
     return d, parity_blocks(x)
 
 
-def _schur(x, d, blocks, order=1):
+def _schur(alg, conversion, d, blocks):
     """The block arithmetic shared by the Berezinian routes, on X of even
-    degree d split into blocks (_split): (conversion, (y, e), (s, whole))
-    for conversion = _int_entries of X at least at root order `order`,
-    X11^(-1) = _decode_grid(alg, N, y, e) and the Schur complement
-    S = X00 - X01 X11^(-1) X10 = _decode_grid(alg, N, s, whole).
+    degree d split into blocks (_split) and converted over alg by the
+    caller, conversion = _int_entries(...) = (a, D, N, T, table):
+    ((y, e), (s, whole)) for X11^(-1) = _decode_grid(alg, N, y, e) and
+    the Schur complement S = X00 - X01 X11^(-1) X10 =
+    _decode_grid(alg, N, s, whole).
 
-    X is converted once (_int_entries: D X over the table scaled by T)
-    and X11^(-1) is solved as y / e on the X11 sub-grid at degree d
+    X11^(-1) is solved as y / e on the X11 sub-grid at degree d
     (_solve_grid).  Each table product carries one T, so _dot sums
     X01 (-y) X10 to -T^2 D^2 e X01 X11^(-1) X10, onto T^2 D e D X00: s
     is that sum, over whole = T^2 D^2 e."""
-    alg, nu1 = x.algebra, blocks.odd_degrees
+    nu1 = blocks.odd_degrees
     r0 = len(blocks.even_degrees)
-    conversion = _int_entries(x.entries, alg, order=order)
     a, den, order, t_den, table = conversion
     found = _solve_grid(alg, [row[r0:] for row in a[r0:]], order, table,
                         den * t_den, nu1, nu1, d)
@@ -124,7 +127,7 @@ def _schur(x, d, blocks, order=1):
     s = [[_dot(table, lrow, col, {t: scale * v for t, v in a00.items()})
           for a00, col in zip(arow, right)]
          for arow, lrow in zip(a, left)]
-    return conversion, found, (s, scale * den)
+    return found, (s, scale * den)
 
 
 def udl(x):
@@ -132,8 +135,10 @@ def udl(x):
     D = diag(X00 - X01 X11^(-1) X10, X11), L = [[I, 0], [X11^(-1) X10, I]].
     U and L are homogeneous of degree 0, D of the degree of X."""
     d, blocks = _split(x, "udl")
-    conversion, inverse, schur = _schur(x, d, blocks)
-    alg, order = x.algebra, conversion[2]
+    alg = x.algebra
+    conversion = _int_entries(x.entries, alg)
+    inverse, schur = _schur(alg, conversion, d, blocks)
+    order = conversion[2]
     nu0, nu1 = blocks.even_degrees, blocks.odd_degrees
     x11inv = GradedMatrix(alg, nu1, nu1, _decode_grid(alg, order, *inverse))
     schur = GradedMatrix(alg, nu0, nu0, _decode_grid(alg, order, *schur))
@@ -143,47 +148,6 @@ def udl(x):
     dmat = block_matrix(schur, z01, z10, blocks.x11)
     lmat = block_matrix(i0, z01, x11inv @ blocks.x10, i1)
     return u, dmat, lmat
-
-
-def _times_roots(cell, exps, root, order):
-    """The int dict cell (indices k phi(N) + s, N = order) with its
-    coefficient at e_k times zeta_root^exps[k]: a sign where that is +-1,
-    otherwise a shift by exps[k] N / root and a reduction modulo Phi_N
-    (root divides N there)."""
-    if not any(exps):
-        return cell
-    m = euler_phi(order)
-    out, polys = {}, {}
-    for idx, v in cell.items():
-        k, s = divmod(idx, m)
-        e = exps[k]
-        if not 2 * e % root:
-            out[idx] = -v if e else v
-            continue
-        shift = e * order // root
-        poly = polys.get(k)
-        if poly is None:
-            poly = polys[k] = [0] * (shift + m)
-        poly[shift + s] = v
-    for k, poly in polys.items():
-        for idx, v in enumerate(_reduce(poly, order), k * m):
-            if v:
-                out[idx] = v
-    return out
-
-
-def _gdet_ints(a, grid, root, order, table, t_den, scale, one):
-    """(g, den) with Gdet_sigma = g / den for the integer grid a = scale
-    X: the J_sigma factors zeta_root^grid[i][j][k] on a, then _berkowitz
-    over the twisted integer table (scaled by t_den); one is the int dict
-    of 1 for an empty block."""
-    n = len(a)
-    if not n:
-        return one, 1
-    twisted = [[_times_roots(cell, exps, root, order)
-                for cell, exps in zip(row, erow)]
-               for row, erow in zip(a, grid)]
-    return _berkowitz(twisted, table), scale ** n * t_den ** (n - 1)
 
 
 def _invert_ints(alg, g, den, order, table, t_den):
@@ -207,54 +171,65 @@ def gber(x, sigma):
     degrees.  sigma must be an NS multiplier, as for gdet_sigma;
     InvalidParams otherwise, after the block step's checks.
 
-    It runs on ints from one conversion of X to one decode, at the lcm N
-    of the root orders of X's coefficients, the base table and the
-    twisted table, times sigma's root order when a J_sigma factor of a
-    diagonal block or the prefactor is not +-1; each coefficient of the
-    value is written at N, or at 1 when it is rational.  Both blocks are
-    even (X has even degree, and the degrees within a diagonal block
-    share one parity), so Berkowitz applies over the twisted table.
-    P = Gdet_sigma(Schur) Gdet_sigma(X11) is invertible exactly when both
-    factors are, and P^(-1) Gdet_sigma(Schur) is then a left, hence
-    two-sided, inverse of Gdet_sigma(X11): one 1x1 solve inverts P, and
-    only a singular P solves for Gdet_sigma(X11) alone, to name the
-    singular factor."""
+    It runs on ints from one conversion of J_sigma(X) to one decode: X is
+    converted over the twisted algebra with the J_sigma factors folded
+    in (_int_entries with the j_sigma_exponents grid, as gdet_sigma
+    converts), at the root order of that conversion, made a multiple of
+    the base table's and, when the prefactor is not +-1, of sigma's; each
+    coefficient of the value is written at that order, or at 1 when it
+    is rational.  J_sigma is a functor, so the block step on that
+    conversion gives J_sigma(Schur), and J_sigma(X11) is its odd-odd
+    block.  Both blocks are even (X has even degree, and the degrees
+    within a diagonal block share one parity), so Berkowitz applies over
+    the twisted table.
+
+    P = Gdet_sigma(Schur) Gdet_sigma(X11) is formed and inverted by one
+    1x1 solve on the base table, and P^(-1) Gdet_sigma(Schur) is then a
+    left, hence two-sided, inverse of Gdet_sigma(X11).  A singular P
+    names the Schur complement: once the block step has inverted X11,
+    J_sigma(X11) J_sigma(X11^(-1)) = sigma(d,-d) I, and both factors
+    have even entries, which commute over the twisted algebra, so
+    Gdet_sigma(X11) is a unit."""
     d, blocks = _split(x, "gber")
     alg = x.algebra
     twisted = twist(alg, sigma)
     r0, r1 = blocks.superrank
     root = sigma.root_order
-    grids = [j_sigma_exponents(alg.degrees, nu, sigma)
-             for nu in (blocks.even_degrees, blocks.odd_degrees)]
     exp = (-r1 * (r0 - r1) * sigma.exponent(d, d)) % root
-    roots = root > 2 and (2 * exp % root or any(
-        2 * e % root for grid in grids for row in grid for exps in row
-        for e in exps))
-    order = lcm(_int_table(twisted, 1)[0], root if roots else 1)
-    conversion, _, (s, whole) = _schur(x, d, blocks, order)
+    conversion = _int_entries(
+        x.entries, twisted, j_sigma_exponents(alg.degrees, x.col_degrees,
+                                              sigma),
+        root, lcm(_int_table(alg, 1)[0], root if 2 * exp % root else 1))
+    _, (s, whole) = _schur(twisted, conversion, d, blocks)
     _require_ns(alg, twisted, "gber")
-    a, den, order, t_den, table = conversion
-    _, t_tw, tw_table = _int_table(twisted, order)
-    one = {alg.unit_index * euler_phi(order): 1}
-    g0, den0 = _gdet_ints(s, grids[0], root, order, tw_table, t_tw, whole,
-                          one)
-    g1, den1 = _gdet_ints([row[r0:] for row in a[r0:]], grids[1], root,
-                          order, tw_table, t_tw, den, one)
+    a, den, order, t_tw, tw_table = conversion
+    _, t_den, table = _int_table(alg, order)
+    m = euler_phi(order)
+
+    def gdet(block, scale):
+        # Gdet_sigma(B) = g / den for block the ints of scale J_sigma(B)
+        n = len(block)
+        if not n:
+            return {alg.unit_index * m: 1}, 1
+        return _berkowitz(block, tw_table), scale ** n * t_tw ** (n - 1)
+
+    g0, den0 = gdet(s, whole)
+    g1, den1 = gdet([row[r0:] for row in a[r0:]], den)
     found = _invert_ints(alg, _table_product(table, g0, g1, {}),
                          t_den * den0 * den1, order, table, t_den)
     if found is None:
-        if _invert_ints(alg, g1, den1, order, table, t_den) is None:
-            raise Singular("Gdet_sigma of the odd-odd block is not "
-                           "invertible")
         raise Singular(
             "Gdet_sigma of the Schur complement is not invertible; the "
             "matrix is not invertible")
     p_inv, e = found
     # Gdet(X11)^(-1) = P^(-1) Gdet(Schur), over T e den0
     inv1 = _table_product(table, p_inv, g0, {})
-    ber = _times_roots(_table_product(table, g0, inv1, {}),
-                       [exp] * alg.dim, root, order)
-    scale = (t_den * den0) ** 2 * e
+    # sigma(d,d)^(-r1(r0-r1)) as ints, through one more product (one T)
+    pre = dict(enumerate(_int_residue(cyclo(exp, root), order, 1),
+                         alg.unit_index * m))
+    ber = _table_product(table, pre, _table_product(table, g0, inv1, {}),
+                         {})
+    scale = t_den ** 3 * den0 ** 2 * e
     return _decode(alg, order,
                    ((idx, Fraction(v, scale)) for idx, v in ber.items()))
 
@@ -273,7 +248,8 @@ def ber_super_components(y):
             f"{y.algebra.name} is not supercommutative; ber_super applies "
             "to matrices over a twisted algebra")
     d, blocks = _split(y, "ber_super")
-    conversion, _, schur = _schur(y, d, blocks)
+    conversion = _int_entries(y.entries, y.algebra)
+    _, schur = _schur(y.algebra, conversion, d, blocks)
     comp0 = det_of_commuting(_decode_grid(y.algebra, conversion[2], *schur),
                              y.algebra)
     comp1 = det_of_commuting(blocks.x11.entries, y.algebra)
@@ -282,13 +258,11 @@ def ber_super_components(y):
 
 def ber_super(y):
     """det(Y00 - Y01 Y11^(-1) Y10) det(Y11)^(-1), everything in Y's own
-    (supercommutative) algebra."""
+    (supercommutative) algebra.  det(Y11) is a unit once the block step
+    has inverted Y11: det(Y11) det(Y11^(-1)) = 1, the entries being even,
+    hence commuting."""
     comp0, comp1 = ber_super_components(y)
-    try:
-        inv1 = invert_element(comp1)
-    except NotInvertible as exc:
-        raise Singular("det of the odd-odd block is not invertible") from exc
-    return comp0 * inv1
+    return comp0 * invert_element(comp1)
 
 
 def gber_via_ber_super(x, sigma):

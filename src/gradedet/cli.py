@@ -103,6 +103,10 @@ def _apply_degrees(x, text):
     except ValueError as exc:  # JSONDecodeError, or a number past the limit
         raise ParseError(f"--degrees: invalid JSON: {exc}") from exc
     if isinstance(doc, dict):
+        unknown = sorted(set(doc) - {"row", "col"})
+        if unknown:
+            raise ParseError(f"--degrees: unknown key {unknown[0]!r}; "
+                             "expected 'row' and/or 'col'")
         rows = doc.get("row", [list(d.residues) for d in x.row_degrees])
         cols = doc.get("col", [list(d.residues) for d in x.col_degrees])
     elif isinstance(doc, list):

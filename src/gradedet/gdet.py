@@ -15,8 +15,9 @@ algebra lacks them.
 Every classical determinant here, and both of the Berezinian's, is
 _berkowitz (Berkowitz, division-free, on ints).  det_of_commuting wraps
 it with the conversion and the decode; gdet0 and gdet_sigma pass it X's
-entries and the J_sigma exponent grid of an NS multiplier, and gber runs
-_berkowitz on its own conversion.
+entries and the J_sigma exponent grid of an NS multiplier, and gber
+makes the same conversion of X (_int_entries over the twisted algebra
+with that grid) and runs _berkowitz on its blocks.
 
 Entry products of odd degree do not commute after twisting, so determinants
 over them would depend on expansion order; such inputs raise OddEntries

@@ -266,15 +266,6 @@ def is_ns_multiplier(lam, sigma):
                for i in range(len(f)) for j in range(len(f)))
 
 
-def is_sign_rule(lam):
-    """True iff lam(x,y) = (-1)^(parity(x) parity(y)) for all x, y, the
-    commutation factor of every twist by an NS multiplier: the same test
-    as is_ns_multiplier with the trivial multiplier."""
-    f, half = generator_parities(lam), lam.root_order // 2
-    return all(e == half * fi * fj for row, fi in zip(lam.exponents, f)
-               for e, fj in zip(row, f))
-
-
 def solve_ns_multiplier(lam):
     """A multiplier sigma at lam's root order with lambda^sigma equal to
     the super sign rule.

@@ -11,7 +11,7 @@ inversion and four element products."""
 from fractions import Fraction
 
 from gradedet import scalars
-from gradedet.algebra import (_decode_grid, _table_product, _try_invert,
+from gradedet.algebra import (_decode_grid, _int_entries, _table_product,
                               invert_element, twist)
 from gradedet.berezinian import _schur, _split, parity_blocks
 from gradedet.errors import NotInvertible, Singular
@@ -92,7 +92,8 @@ def decoded_schur(x):
     and the Schur complement of the integer block step, decoded at the
     root order of X's conversion."""
     d, blocks = _split(x, "test")
-    conversion, _, schur = _schur(x, d, blocks)
+    conversion = _int_entries(x.entries, x.algebra)
+    _, schur = _schur(x.algebra, conversion, d, blocks)
     nu0 = blocks.even_degrees
     return blocks, GradedMatrix(x.algebra, nu0, nu0, _decode_grid(
         x.algebra, conversion[2], *schur))
@@ -112,9 +113,6 @@ def previous_gber(x, sigma):
     try:
         inv1 = invert_element(det0 * det1) * det0
     except NotInvertible as exc:
-        if _try_invert(det1) is None:
-            raise Singular("Gdet_sigma of the odd-odd block is not "
-                           "invertible") from exc
         raise Singular(
             "Gdet_sigma of the Schur complement is not invertible; the "
             "matrix is not invertible") from exc

@@ -16,14 +16,15 @@ from gradedet.errors import (IncompatibleGroups, InvalidParams,
                              OddEntries, Singular, SingularOddBlock)
 from gradedet.gdet import (all_ns_multipliers, det_of_commuting, gdet0,
                            gdet_sigma)
-from gradedet.gmatrix import GradedMatrix, identity, invert_matrix, matmul
+from gradedet.gmatrix import (GradedMatrix, identity, invert_matrix,
+                              j_sigma, j_sigma_exponents, matmul)
 from gradedet.grading import (Bicharacter, GradingGroup, Multiplier,
                               is_ns_multiplier, parity)
 from gradedet.oracles import _odd_line_tensor
 from gradedet.sampling import (make_rng, rand_invertible,
                                rand_invertible_parity_blocks,
                                rand_matrix, rand_parity_sorted_degrees)
-from gradedet.scalars import CycloScalar, cyclo, euler_phi, rational
+from gradedet.scalars import CycloScalar, cyclo, rational
 
 from full_system import (all_fractions, decoded_schur, element_schur,
                          previous_gber)
@@ -270,12 +271,48 @@ def _torsor_sigma(alg):
     return sigma
 
 
+@pytest.mark.parametrize("name", sorted(SCHUR_ALGEBRAS))
+def test_schur_of_the_twisted_conversion_is_j_sigma_of_the_schur(name):
+    # J_sigma is a functor: the block step on X converted over the twisted
+    # table with the J_sigma factors folded in (as gber converts) decodes
+    # to J_sigma of the base-table Schur complement, and to the inverse of
+    # J_sigma(X11)
+    alg = SCHUR_ALGEBRAS[name]()
+    rng = make_rng(f"functor-schur-{name}")
+    sigmas = all_ns_multipliers(alg.lam)
+    if name == "order_three":
+        sigmas.append(_torsor_sigma(alg))
+    degrees = sorted((d for d in unit_degrees(alg)
+                      if d and not parity(alg.lam, d)),
+                     key=lambda d: d.residues) or [alg.group.zero()]
+    for r0, r1 in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        for sigma in sigmas:
+            nu = rand_parity_sorted_degrees(rng, alg, r0, r1)
+            x = rand_invertible_parity_blocks(rng, alg, nu, r1,
+                                              rng.choice(degrees))
+            d, blocks = berezinian._split(x, "test")
+            twisted = twist(alg, sigma)
+            conversion = algebra._int_entries(
+                x.entries, twisted, j_sigma_exponents(alg.degrees, nu, sigma),
+                sigma.root_order)
+            inverse, schur = berezinian._schur(twisted, conversion, d,
+                                               blocks)
+            nu0, nu1 = blocks.even_degrees, blocks.odd_degrees
+            order = conversion[2]
+            assert GradedMatrix(twisted, nu0, nu0, algebra._decode_grid(
+                twisted, order, *schur)) == j_sigma(decoded_schur(x)[1],
+                                                    sigma)
+            assert GradedMatrix(twisted, nu1, nu1, algebra._decode_grid(
+                twisted, order, *inverse)) == invert_matrix(
+                    j_sigma(blocks.x11, sigma))
+
+
 SUPERRANKS = ((0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (1, 1), (2, 1),
               (1, 2), (2, 2), (3, 2))
 
 
 @pytest.mark.parametrize("name", sorted(SCHUR_ALGEBRAS))
-def test_gber_matches_the_previous_route(name, monkeypatch):
+def test_gber_matches_the_previous_route(name):
     # the integer route against previous_gber (element determinants, one
     # element inversion, element products) and the super oracle, with
     # rows also scaled by powers of zeta_3; the values print alike
@@ -288,15 +325,6 @@ def test_gber_matches_the_previous_route(name, monkeypatch):
     degrees = sorted((d for d in unit_degrees(alg)
                       if d and not parity(alg.lam, d)),
                      key=lambda d: d.residues) or [alg.group.zero()]
-    hits = []
-
-    def recording(cell, exps, root, order):
-        m = euler_phi(order)
-        hits.append(any(2 * exps[idx // m] % root for idx in cell))
-        return times_roots(cell, exps, root, order)
-
-    times_roots = berezinian._times_roots
-    monkeypatch.setattr(berezinian, "_times_roots", recording)
     reached, printed = set(), 0
     for r0, r1 in SUPERRANKS:
         for sigma in sigmas:
@@ -307,13 +335,18 @@ def test_gber_matches_the_previous_route(name, monkeypatch):
             scaled = GradedMatrix(alg, nu, nu,
                                   [[e * z for e in row]
                                    for row, z in zip(x.entries, zetas)])
+            root = sigma.root_order
+            grid = j_sigma_exponents(alg.degrees, nu, sigma)
+            d = x.degree_of()
+            if 2 * r1 * (r0 - r1) * sigma.exponent(d, d) % root:
+                reached.add("prefactor")
             for y in (x, scaled):
-                hits.clear()
                 got, previous = gber(y, sigma), previous_gber(y, sigma)
                 assert got == previous == gber_via_ber_super(y, sigma)
-                if hits[-1]:
-                    reached.add("prefactor")
-                if any(hits[:-1]):
+                # a J_sigma factor other than +-1 on a nonzero coefficient
+                if any(2 * exps[k] % root
+                       for row, erow in zip(y.entries, grid)
+                       for e, exps in zip(row, erow) for k in e.coeffs):
                     reached.add("factor")
                 tw_order = algebra._int_table(twist(alg, sigma), 1)[0]
                 if algebra._int_entries(y.entries, alg)[2] % tw_order == 0:
@@ -349,6 +382,23 @@ def test_gber_writes_its_value_at_the_conversion_order():
     assert repr(got) == "(z)*xit0 + (-11*z)*xi12t0"
     assert repr(previous_gber(x, sigma)) == (
         "(1 + z)*xit0 + (-11 - 11*z)*xi12t0")
+    # an odd line over Z_3 x Z_2 and sigma of order 6: the J_sigma factor
+    # zeta_3 falls only on zero entries, so gber writes zeta_3 at order 3,
+    # as gdet_sigma does, where the factors of the whole diagonal blocks
+    # once made it order 6
+    group = GradingGroup([3, 2])
+    line = make_algebra(
+        [group.zero(), group.element((0, 1))],
+        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+        Bicharacter(group, 2, [[0, 0], [0, 1]]), labels=["1", "xi"])
+    sigma = Multiplier(group, 6, [[2, 0], [0, 3]])
+    nu = [group.element(d) for d in ((1, 0), (2, 0), (0, 1))]
+    o, one = line.zero(), line.one()
+    x = GradedMatrix(line, nu, nu, [[line.from_scalar(z), o, o],
+                                    [o, one, o], [o, o, one]])
+    got = gber(x, sigma)
+    assert got == gber_via_ber_super(x, sigma) == line.from_scalar(z)
+    assert repr(got) == repr(gdet_sigma(x, sigma)) == "z"
 
 
 Q = preset("quaternions")

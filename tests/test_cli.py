@@ -223,6 +223,22 @@ def test_duplicate_key_in_degrees_exits_2(capsys, xfile):
     assert out["message"] == "--degrees: duplicate key 'col'"
 
 
+@pytest.mark.parametrize("degrees, key", [
+    ({"rows": [[1, 0], [1, 0]]}, "rows"),
+    ({"row": [[0, 0], [1, 0]], "cols": 3}, "cols")])
+def test_unknown_key_in_degrees_exits_2(capsys, tmp_path, degrees, key):
+    # a misspelt key used to be ignored, leaving the document's degrees
+    dn = preset("dual_numbers", 2)
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps(format_matrix(identity(
+        dn, [dn.group.zero(), dn.group.element([1, 0])]))))
+    code, out = run(capsys, "gber", "--algebra", "preset:dual_numbers:2",
+                    "--matrix", str(p), "--degrees", json.dumps(degrees))
+    assert code == 2 and out["error"] == "ParseError"
+    assert out["message"] == (f"--degrees: unknown key {key!r}; expected "
+                              "'row' and/or 'col'")
+
+
 @pytest.mark.parametrize("where", ["matrix", "algebra", "lambda", "sigma",
                                    "combined"])
 def test_root_order_past_the_limit_exits_3(capsys, tmp_path, where):
