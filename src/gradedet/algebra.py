@@ -15,8 +15,9 @@ exact rank.  The solve shares the determinant kernel's integer layer:
 X's coefficients converted in one walk (_int_entries), the operator
 columns of X on the integer structure table (_operator_column), and
 the decoder from indexed Fractions back to elements (_decode).  It
-eliminates fraction-free on ints (solve_linear) and returns the inverse
-as ints over one denominator, which solve_inverse decodes.  J_sigma
+eliminates fraction-free on ints with scalars.solve_linear, the one
+exact elimination of the library, and returns the inverse as ints over
+one denominator, which solve_inverse decodes.  J_sigma
 reaches the layer only through the conversion, which folds its factors
 into X's coefficients.  The Berezinian is the third user of the layer,
 from one such conversion of X over the twisted algebra to one decode: it
@@ -30,7 +31,7 @@ in a finite-dimensional algebra).
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from . import scalars
 from .errors import (DegreeViolation, IncompatibleGroups, InvalidParams,
@@ -40,7 +41,7 @@ from .grading import (Bicharacter, GradingGroup, Multiplier,
                       is_ns_multiplier, lambda_twist, parity,
                       solve_ns_multiplier, trivial_multiplier)
 from .scalars import (MINUS_ONE, ONE, ZERO, CycloScalar, as_scalar, coerce_to,
-                      cyclo, euler_phi)
+                      cyclo, euler_phi, solve_linear)
 
 
 class _Inhomogeneous:
@@ -59,63 +60,7 @@ INHOMOGENEOUS = _Inhomogeneous()
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over the scalar field
-
-def solve_linear(matrix, rhs):
-    """Solve M Y = R over Q by fraction-free Gauss-Jordan elimination on
-    ints (after E. H. Bareiss, Math. Comp. 22 (1968) 565-578).  M is n
-    sparse rows {column: int} over the columns 0..n-1 and R is n rows of
-    w ints; returns (E, Y) with E > 0 and Y n rows of w ints such that
-    M Y = E R, or None if M is singular, which is when a column has no
-    nonzero entry left to pivot on.  Each pivot step rewrites only the
-    rows with a nonzero entry f in the pivot column, as (p/g) row - (f/g)
-    pivot row for the pivot p and g = gcd(p, f), and divides each row by
-    the gcd of its entries; the pivot row is the shortest candidate, so
-    that fill-in stays small.  Each finished row is primitive, so its
-    diagonal entry is its least denominator, and E is their lcm."""
-    n, w = len(matrix), len(rhs[0]) if rhs else 0
-    rows = []
-    for mrow, rrow in zip(matrix, rhs):
-        row = {c: x for c, x in mrow.items() if x}
-        row.update((c, x) for c, x in enumerate(rrow, n) if x)
-        rows.append(_primitive(row))
-    free, pivots = set(range(n)), []
-    for col in range(n):
-        hits = [i for i, row in enumerate(rows) if col in row]
-        k = min((i for i in hits if i in free), key=lambda i: len(rows[i]),
-                default=None)
-        if k is None:
-            return None
-        free.remove(k)
-        pivots.append(k)
-        prow = rows[k]
-        p = prow[col]
-        for i in hits:
-            if i == k:
-                continue
-            row = rows[i]
-            g = gcd(p, row[col])
-            s, t = p // g, row[col] // g
-            if s != 1:
-                row = {c: s * x for c, x in row.items()}
-            for c, y in prow.items():
-                x = row.get(c, 0) - t * y
-                if x:
-                    row[c] = x
-                else:
-                    del row[c]
-            rows[i] = _primitive(row)
-    finished = [rows[k] for k in pivots]
-    den = lcm(*(row[col] for col, row in enumerate(finished)))
-    return den, [[row.get(c, 0) * (den // row[col]) for c in range(n, n + w)]
-                 for col, row in enumerate(finished)]
-
-
-def _primitive(row):
-    """The sparse int row divided by the gcd of its entries."""
-    g = gcd(*row.values())
-    return {c: x // g for c, x in row.items()} if g > 1 else row
-
+# determinants of scalar matrices
 
 def det_gauss(matrix):
     """Determinant of a square scalar matrix by exact elimination."""

@@ -66,7 +66,7 @@ def parity_blocks(x):
         raise NotParitySorted(
             f"degree vector parities {parities} are not sorted "
             "even-then-odd; permute the basis first (see "
-            "permutation_matrix/change_basis)")
+            "permutation_matrix)")
     nu0 = x.col_degrees[:r0]
     nu1 = x.col_degrees[r0:]
 

@@ -142,9 +142,3 @@ class OddDegree(GradedetError):
 
 class SingularOddBlock(Singular):
     pass
-
-
-# oracles
-
-class NonCommutingEntries(GradedetError):
-    pass

@@ -6,10 +6,9 @@ is homogeneous of degree x - mu_i + nu_j.  This module provides the
 homogeneity bookkeeping, products, the left module action, the J_sigma
 transform into the twisted algebra (a root-of-unity rescaling of each
 stored coefficient), the graded trace, inversion through the graded
-solve of algebra.solve_inverse, permutation matrices built from
-homogeneous units, and base change.  Operations on endomorphism matrices
-(equal row and column degree vectors) share one precondition,
-_require_endo.
+solve of algebra.solve_inverse and permutation matrices built from
+homogeneous units.  Operations on endomorphism matrices (equal row and
+column degree vectors) share one precondition, _require_endo.
 """
 
 from .algebra import (AlgebraElement, INHOMOGENEOUS, _dot, degree_index,
@@ -342,20 +341,6 @@ def permutation_matrix(algebra, pi, nu, units=None):
         i = pi[j]
         grid[i][j] = tinvs[nu[i]] * ts[nu[j]]
     return GradedMatrix(algebra, nu, nu, grid)
-
-
-def change_basis(x, p):
-    """P^(-1) X P, with the transported degree vector taken from P's
-    columns."""
-    _require_endo(x, "base change")
-    if p.row_degrees != x.col_degrees:
-        raise DegreeMismatch(
-            f"base-change rows {list(p.row_degrees)} do not match the "
-            f"matrix degree vector {list(x.col_degrees)}")
-    if p.degree_of() is INHOMOGENEOUS or p.degree_of():
-        raise DegreeMismatch("base-change matrices must be homogeneous of "
-                             "degree 0")
-    return invert_matrix(p) @ x @ p
 
 
 def shift_degrees(x, shift):

@@ -1,10 +1,9 @@
 """Independent computation paths and seeded verification sweeps.
 
 Each determinant-like operation has a second, structurally different route
-to the same value: the classical Leibniz sum over validated commuting
-entries, the complex embedding of the quaternions, a crossed-product row
-decomposition evaluated by the diagonal heredity rule, and the classical
-supermatrix Berezinian taken after J_sigma.  The sweep functions compare
+to the same value: the complex embedding of the quaternions, a
+crossed-product row decomposition evaluated by the diagonal heredity
+rule, and the classical supermatrix Berezinian taken after J_sigma.  The sweep functions compare
 the routes and check the algebraic laws on seeded random instances; the
 test suite and the CLI verify subcommand call the same functions, so a
 report with an empty failure list is the single source of truth.
@@ -19,8 +18,7 @@ from .algebra import (adjoined_units, det_gauss, graded_tensor,
                       tensor_project_left, transport, twist, unit_degrees)
 from .berezinian import ber_super_components, gber, gber0, \
     gber_via_ber_super, udl
-from .errors import (InvalidParams, NonCommutingEntries, NotInvertible,
-                     MissingUnit)
+from .errors import InvalidParams, MissingUnit, NotInvertible
 from .gdet import (_require_even, all_ns_multipliers, gdet0, gdet0_leibniz,
                    gdet0_via_crossed, gdet_sigma, permutation_sign,
                    random_ordering)
@@ -95,35 +93,6 @@ def trace_via_twist(x, sigma):
     """The trace of J_sigma(X) over the twisted algebra, carried back; the
     twisted commutation factor turns the formula into the supertrace."""
     return transport(graded_trace(j_sigma(x, sigma)), x.algebra)
-
-
-def leibniz_det_commutative(y, rng=None):
-    """Classical Leibniz determinant of a matrix whose entries pairwise
-    commute (validated).  With an rng, the factors inside every term are
-    multiplied in a shuffled order, which must not change the value.  It
-    is the reference the test suite holds det_of_commuting to: n! terms,
-    no shared intermediate values, no sweep."""
-    _require_endo(y, "leibniz_det_commutative")
-    alg = y.algebra
-    flat = [e for row in y.entries for e in row]
-    for a, b in itertools.combinations(flat, 2):
-        if a * b != b * a:
-            raise NonCommutingEntries(
-                "two entries do not commute; the Leibniz sum would be "
-                "order-dependent")
-    n = y.nrows
-    acc = alg.zero()
-    for pi in itertools.permutations(range(n)):
-        factors = [y.entries[i][pi[i]] for i in range(n)]
-        if rng is not None:
-            rng.shuffle(factors)
-        term = alg.one()
-        for f in factors:
-            term = term * f
-        if permutation_sign(pi) < 0:
-            term = -term
-        acc = acc + term
-    return acc
 
 
 _I = cyclo(1, 4)

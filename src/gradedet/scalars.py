@@ -11,6 +11,11 @@ which order produced them.
 Binary operations on scalars of different root orders coerce both sides to
 the lcm order; the coercion is an injective ring map.
 
+An inverse solves the phi(N) x phi(N) system of multiplication by a on
+ints with solve_linear, the one exact elimination of the library, which
+every element, matrix and Berezinian inverse goes through too.  Phi_N is
+an exact quotient on ints; there is no polynomial division.
+
 Fast paths: add, sub, mul and neg on operands that are both of root order 1
 do one Fraction operation and build the (already canonical) result
 directly, without padding, alignment or re-canonicalising.  cyclo results
@@ -36,61 +41,23 @@ def euler_phi(n):
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
-def _trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                if d:
-                    out[i + j] += c * d
-    return _trim(out)
-
-
-def _poly_sub(a, b):
-    out = list(a) + [_F0] * (len(b) - len(a))
-    for i, d in enumerate(b):
-        out[i] -= d
-    return _trim(out)
-
-
-def _poly_divmod(num, den):
-    num = list(num)
-    if len(num) < len(den):
-        return [], _trim(num)
-    q = [_F0] * (len(num) - len(den) + 1)
-    inv_lead = _F1 / den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] * inv_lead
-        if c:
-            q[k] = c
-            for i, d in enumerate(den):
-                num[k + i] -= c * d
-    return _trim(q), _trim(num)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n):
     """Integer coefficients of Phi_n, constant term first, by the recursive
-    divisor method: Phi_n = (x^n - 1) / prod(Phi_d for proper divisors d)."""
-    if n == 1:
-        return (-1, 1)
-    p = [_F0] * (n + 1)
-    p[0], p[n] = Fraction(-1), _F1
+    divisor method: Phi_n = (x^n - 1) / prod(Phi_d for proper divisors d).
+    Each Phi_d is monic over Z, so every quotient is exact on ints."""
+    p = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            q, r = _poly_divmod(p, [Fraction(c) for c in cyclotomic_poly(d)])
-            assert not r
-            p = q
-    assert all(c.denominator == 1 for c in p)
-    return tuple(int(c) for c in p)
+            f = cyclotomic_poly(d)
+            m = len(f) - 1
+            # synthetic division: p[k] becomes the quotient's z^(k - m)
+            for k in range(len(p) - 1, m - 1, -1):
+                for i, x in enumerate(f[:m], k - m):
+                    p[i] -= p[k] * x
+            assert not any(p[:m])
+            p = p[m:]
+    return tuple(p)
 
 
 def _reduce(p, n):
@@ -111,6 +78,62 @@ def _reduce(p, n):
                     p[i] -= c * f
     del p[m:]
     return p
+
+
+def solve_linear(matrix, rhs):
+    """Solve M Y = R over Q by fraction-free Gauss-Jordan elimination on
+    ints (after E. H. Bareiss, Math. Comp. 22 (1968) 565-578).  M is n
+    sparse rows {column: int} over the columns 0..n-1 and R is n rows of
+    w ints; returns (E, Y) with E > 0 and Y n rows of w ints such that
+    M Y = E R, or None if M is singular, which is when a column has no
+    nonzero entry left to pivot on.  Each pivot step rewrites only the
+    rows with a nonzero entry f in the pivot column, as (p/g) row - (f/g)
+    pivot row for the pivot p and g = gcd(p, f), and divides each row by
+    the gcd of its entries; the pivot row is the shortest candidate, so
+    that fill-in stays small.  Each finished row is primitive, so its
+    diagonal entry is its least denominator, and E is their lcm."""
+    n, w = len(matrix), len(rhs[0]) if rhs else 0
+    rows = []
+    for mrow, rrow in zip(matrix, rhs):
+        row = {c: x for c, x in mrow.items() if x}
+        row.update((c, x) for c, x in enumerate(rrow, n) if x)
+        rows.append(_primitive(row))
+    free, pivots = set(range(n)), []
+    for col in range(n):
+        hits = [i for i, row in enumerate(rows) if col in row]
+        k = min((i for i in hits if i in free), key=lambda i: len(rows[i]),
+                default=None)
+        if k is None:
+            return None
+        free.remove(k)
+        pivots.append(k)
+        prow = rows[k]
+        p = prow[col]
+        for i in hits:
+            if i == k:
+                continue
+            row = rows[i]
+            g = gcd(p, row[col])
+            s, t = p // g, row[col] // g
+            if s != 1:
+                row = {c: s * x for c, x in row.items()}
+            for c, y in prow.items():
+                x = row.get(c, 0) - t * y
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            rows[i] = _primitive(row)
+    finished = [rows[k] for k in pivots]
+    den = lcm(*(row[col] for col, row in enumerate(finished)))
+    return den, [[row.get(c, 0) * (den // row[col]) for c in range(n, n + w)]
+                 for col, row in enumerate(finished)]
+
+
+def _primitive(row):
+    """The sparse int row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
 
 
 class CycloScalar:
@@ -177,8 +200,6 @@ class CycloScalar:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            return power(inv(self), -k)
         return power(self, k)
 
     def __eq__(self, other):
@@ -313,20 +334,19 @@ def inv(a):
     if is_zero(a):
         raise DivisionByZero("scalar inverse of zero")
     if a.order == 1:
-        return CycloScalar(1, (_F1 / a.coeffs[0],))
-    phi = [Fraction(c) for c in cyclotomic_poly(a.order)]
-    # extended Euclid in Q[x]: u*a + v*Phi = g, with g a nonzero constant
-    # because Phi is irreducible and a is a nonzero residue
-    r0, r1 = phi, _trim(list(a.coeffs))
-    s0, s1 = [], [_F1]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    assert len(r0) == 1
-    g = r0[0]
-    u = [c / g for c in s0]
-    return CycloScalar(a.order, _reduce(u, a.order))
+        c = a.coeffs[0]
+        return _rational(Fraction(c.denominator, c.numerator))
+    # (D a) y = E with D the lcm of a's denominators: column k of the
+    # system is (D a) z^k, reduced modulo Phi_N on ints
+    n, m = a.order, euler_phi(a.order)
+    den = lcm(*(c.denominator for c in a.coeffs))
+    col = [c.numerator * (den // c.denominator) for c in a.coeffs]
+    cols = [col + [0] * (m - len(col))]
+    for _ in range(1, m):
+        cols.append(_reduce([0] + cols[-1], n))
+    e, y = solve_linear([dict(enumerate(row)) for row in zip(*cols)],
+                        [[1]] + [[0]] * (m - 1))
+    return CycloScalar(n, tuple(Fraction(den * yi, e) for yi, in y))
 
 
 def div(a, b):
@@ -334,6 +354,8 @@ def div(a, b):
 
 
 def power(a, k):
+    if k < 0:
+        return power(inv(a), -k)
     out = ONE
     base = a
     while k:

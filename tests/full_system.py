@@ -6,17 +6,21 @@ X00 - X01 X11^(-1) X10 from element-level matrix products, so the tests
 can hold the Berezinian's integer block step against it.  previous_gber
 is the Berezinian as it was computed before it ran on the integer layer
 from end to end: two determinants decoded and transported, one element
-inversion and four element products."""
+inversion and four element products.  leibniz_det_commutative is the n!
+term reference for det_of_commuting, and change_basis the base change
+P^(-1) X P the tests move matrices by."""
 
+import itertools
 from fractions import Fraction
 
 from gradedet import scalars
-from gradedet.algebra import (_decode_grid, _int_entries, _table_product,
-                              invert_element, twist)
+from gradedet.algebra import (INHOMOGENEOUS, _decode_grid, _int_entries,
+                              _table_product, invert_element, twist)
 from gradedet.berezinian import _schur, _split, parity_blocks
-from gradedet.errors import NotInvertible, Singular
-from gradedet.gdet import _det_sigma, _require_ns
-from gradedet.gmatrix import GradedMatrix, invert_matrix
+from gradedet.errors import (DegreeMismatch, GradedetError, NotInvertible,
+                             Singular)
+from gradedet.gdet import _det_sigma, _require_ns, permutation_sign
+from gradedet.gmatrix import GradedMatrix, _require_endo, invert_matrix
 from gradedet.scalars import ONE, ZERO, cyclo
 
 
@@ -126,3 +130,50 @@ def all_fractions(a):
     an int / int reaching a coefficient would leave a float here."""
     return all(type(f) is Fraction for c in a.coeffs.values()
                for f in c.coeffs)
+
+
+class NonCommutingEntries(GradedetError):
+    pass
+
+
+def leibniz_det_commutative(y, rng=None):
+    """Classical Leibniz determinant of a matrix whose entries pairwise
+    commute (validated).  With an rng, the factors inside every term are
+    multiplied in a shuffled order, which must not change the value.  It
+    is the reference the test suite holds det_of_commuting to: n! terms,
+    no shared intermediate values, no sweep."""
+    _require_endo(y, "leibniz_det_commutative")
+    alg = y.algebra
+    flat = [e for row in y.entries for e in row]
+    for a, b in itertools.combinations(flat, 2):
+        if a * b != b * a:
+            raise NonCommutingEntries(
+                "two entries do not commute; the Leibniz sum would be "
+                "order-dependent")
+    n = y.nrows
+    acc = alg.zero()
+    for pi in itertools.permutations(range(n)):
+        factors = [y.entries[i][pi[i]] for i in range(n)]
+        if rng is not None:
+            rng.shuffle(factors)
+        term = alg.one()
+        for f in factors:
+            term = term * f
+        if permutation_sign(pi) < 0:
+            term = -term
+        acc = acc + term
+    return acc
+
+
+def change_basis(x, p):
+    """P^(-1) X P, with the transported degree vector taken from P's
+    columns."""
+    _require_endo(x, "base change")
+    if p.row_degrees != x.col_degrees:
+        raise DegreeMismatch(
+            f"base-change rows {list(p.row_degrees)} do not match the "
+            f"matrix degree vector {list(x.col_degrees)}")
+    if p.degree_of() is INHOMOGENEOUS or p.degree_of():
+        raise DegreeMismatch("base-change matrices must be homogeneous of "
+                             "degree 0")
+    return invert_matrix(p) @ x @ p

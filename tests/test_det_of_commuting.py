@@ -26,7 +26,6 @@ from gradedet.gdet import (LEIBNIZ_MAX_N, all_ns_multipliers,
 from gradedet.gmatrix import (GradedMatrix, identity, j_sigma,
                               j_sigma_exponents, matmul)
 from gradedet.grading import Multiplier, is_ns_multiplier, parity
-from gradedet.oracles import leibniz_det_commutative
 from gradedet.sampling import (make_rng, parity_split,
                                rand_invertible_parity_blocks, rand_matrix,
                                rand_parity_constant_degrees,
@@ -34,7 +33,7 @@ from gradedet.sampling import (make_rng, parity_split,
 from gradedet.scalars import CycloScalar, cyclo, euler_phi, rational
 from gradedet.serialize import format_matrix, parse_algebra, result_doc
 
-from full_system import decoded_schur
+from full_system import decoded_schur, leibniz_det_commutative
 
 PRESETS = [("quaternions",), ("clifford", 2, 1), ("dual_numbers", 2),
            ("grassmann", 4), ("clock_shift", 3)]

@@ -6,22 +6,22 @@ import pytest
 
 from gradedet import algebra
 from gradedet.algebra import (INHOMOGENEOUS, invert_element, preset,
-                              solve_linear, transport, twist)
+                              solve_linear, twist)
 from gradedet.errors import (DegreeMismatch, InhomogeneousScalar,
                              InvalidParams, MissingUnit, MixedAlgebras,
                              NotSquare, Singular)
 from gradedet.gdet import canonical_sigma
 from gradedet.grading import GradingGroup, Multiplier
-from gradedet.gmatrix import (GradedMatrix, change_basis, diagonal,
-                              graded_trace, identity, invert_matrix, j_sigma,
-                              matmul, permutation_matrix, scalar_action,
+from gradedet.gmatrix import (GradedMatrix, diagonal, graded_trace, identity,
+                              invert_matrix, j_sigma, matmul,
+                              permutation_matrix, scalar_action,
                               shift_degrees, superrank, zero_matrix)
 from gradedet.oracles import _odd_line_tensor
 from gradedet.sampling import (make_rng, rand_degrees, rand_invertible,
                                rand_matrix, sorted_degrees)
 from gradedet.scalars import rational
 
-from full_system import full_system_inverse
+from full_system import change_basis, full_system_inverse
 
 Q = preset("quaternions")
 I, J, K = (Q.basis_element(s) for s in "ijk")

@@ -3,19 +3,20 @@
 import pytest
 
 from gradedet.algebra import det_gauss, preset
-from gradedet.errors import InvalidParams, NonCommutingEntries
+from gradedet.errors import InvalidParams
 from gradedet.gdet import (all_ns_multipliers, canonical_sigma,
                            det_of_commuting, gdet0, gdet_sigma)
 from gradedet.gmatrix import GradedMatrix, graded_trace, j_sigma
 from gradedet.oracles import (SUITES, SweepReport, complex_embedding,
                               dieudonne_norm_check, gdet_via_row_decomposition,
-                              leibniz_det_commutative,
                               printed_quaternion_multipliers, quaternion_norm,
                               run_property_sweeps, sweep_crossed_route,
                               sweep_grading, sweep_matrix_identities,
                               sweep_row_decomposition, trace_via_twist)
 from gradedet.sampling import make_rng, rand_matrix
 from gradedet.scalars import cyclo, rational
+
+from full_system import NonCommutingEntries, leibniz_det_commutative
 
 Q = preset("quaternions")
 I, J, K = (Q.basis_element(s) for s in "ijk")

@@ -1,20 +1,22 @@
 """Exact cyclotomic scalar arithmetic."""
 
+import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gradedet import scalars as scalar_module
 from gradedet.algebra import preset
 from gradedet.errors import (DivisionByZero, IncompatibleRootOrders,
                              ParseError, TooLarge)
 from gradedet.oracles import SweepReport
-from gradedet.scalars import (ONE, ZERO, CycloScalar, _poly_divmod, _reduce,
-                              as_scalar, coerce_to, cyclo, cyclotomic_poly,
-                              euler_phi, format_scalar, parse_scalar,
+from gradedet.scalars import (ONE, ZERO, CycloScalar, _reduce, as_scalar,
+                              coerce_to, cyclo, cyclotomic_poly, euler_phi,
+                              format_scalar, inv, parse_scalar, power,
                               rational)
 
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
@@ -29,19 +31,33 @@ def cyclos(order):
 scalars = st.one_of(rationals.map(as_scalar), cyclos(3), cyclos(4), cyclos(6))
 
 
+@settings(deadline=None)
 @given(st.data())
 def test_reduce_is_the_remainder_mod_phi(data):
-    # _poly_divmod is the reference; degrees below 2n cover every caller
+    # sympy's remainder is the reference; degrees below 2n cover every
+    # caller
+    sympy = pytest.importorskip("sympy")
     n = data.draw(st.one_of(st.integers(1, 64), st.just(256)))
     ints = data.draw(st.booleans())
     p = data.draw(st.lists(st.integers(-50, 50) if ints else rationals,
                            max_size=2 * n - 1))
     m = euler_phi(n)
-    _, rem = _poly_divmod(p, [Fraction(c) for c in cyclotomic_poly(n)])
+    x = sympy.Symbol("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain=sympy.QQ)
+    rem = sympy.Poly(p[::-1] or [0], x, domain=sympy.QQ).rem(phi)
+    rem = [Fraction(int(c.p), int(c.q)) for c in rem.all_coeffs()[::-1]]
     got = _reduce(p, n)
     assert got == rem + [0] * (m - len(rem))
     if ints and len(p) >= m:  # the integer table's case stays on ints
         assert all(type(c) is int for c in got)
+
+
+def test_cyclotomic_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 257):
+        want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+        assert cyclotomic_poly(n) == tuple(int(c) for c in reversed(want))
 
 
 def test_rational_basics():
@@ -155,6 +171,38 @@ def test_cyclo_is_shared_per_residue():
 def test_field_inverse(a):
     if a:
         assert a * (ONE / a) == ONE
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_dense_inverse_at_high_root_orders(data):
+    # mul and _reduce share no code with the solve behind inv
+    order = data.draw(st.sampled_from([*range(3, 65), 105, 128]))
+    coeffs = data.draw(st.lists(rationals, min_size=euler_phi(order),
+                                max_size=euler_phi(order)))
+    a = CycloScalar(order, coeffs)
+    if a:
+        b = inv(a)
+        assert a * b == ONE
+        assert b.order == a.order
+        assert all(type(c) is Fraction for c in b.coeffs)
+
+
+def test_dense_inverse_at_order_128_is_fast():
+    rng = random.Random(128)
+    a = CycloScalar(128, [Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+                          for _ in range(euler_phi(128))])
+    start = time.perf_counter()
+    b = inv(a)
+    assert time.perf_counter() - start < 2
+    assert a * b == ONE
+
+
+def test_negative_powers():
+    assert power(cyclo(1, 3), -1) == cyclo(2, 3)
+    assert power(rational(2), -2) == rational(1, 4)
+    with pytest.raises(DivisionByZero):
+        power(ZERO, -1)
 
 
 @given(scalars)
