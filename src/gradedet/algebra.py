@@ -225,6 +225,7 @@ class GradedAlgebra:
         self._int_tables = {}  # root order -> _int_table's result
         self._degree_index = None  # degree_index, filled on first use
         self._digest = None  # serialize.digest_algebra, filled on first use
+        self._table_order = None  # serialize.check_root_orders, likewise
 
     @property
     def dim(self):

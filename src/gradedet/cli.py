@@ -6,12 +6,16 @@ print a JSON document.  Every result echoes the digests of its inputs so
 golden files can cross-reference them.  Errors print a JSON document with
 the exception name and exit with its code: 2 parse, 3 precondition, 4
 mathematical, 5 verification failure.  main(argv) may be called any
-number of times in one process; the argument parser is built once.
+number of times in one process: the argument parser is built once,
+argv goes straight to its command's own parser, and an algebra or
+multiplier file is parsed once per distinct text (serialize.load_algebra
+and load_multiplier).
 """
 
 import argparse
 import json
 import sys
+from collections import OrderedDict
 from functools import cache
 from time import perf_counter
 
@@ -23,11 +27,13 @@ from .gdet import all_ns_multipliers, canonical_sigma, gdet0, gdet_sigma
 from .gmatrix import GradedMatrix, graded_trace
 from .grading import is_ns_multiplier
 from .oracles import SUITES, iter_property_sweeps
-from .serialize import (FORMAT, check_ints, check_root_orders, digest,
+from .serialize import (FORMAT, canonical_json, check_ints,
+                        check_preset_family, check_root_orders, digest,
                         digest_algebra, digest_matrix, digest_multiplier,
-                        format_algebra, format_multiplier, load_json,
-                        parse_algebra, parse_multiplier, parse_preset,
-                        read_matrix, result_doc, unique_keys)
+                        format_algebra, format_multiplier, load_algebra,
+                        load_json, load_multiplier, parse_preset,
+                        read_matrix, recall, remember, result_doc,
+                        unique_keys)
 
 
 @cache
@@ -36,9 +42,10 @@ def _parser():
         prog="gradedet",
         description="Exact linear algebra over graded-commutative algebras")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}  # command name -> its parser, for _parse
 
     def add(name, help_text, matrix=False, sigma=False, algebra=True):
-        p = sub.add_parser(name, help=help_text)
+        p = parser.commands[name] = sub.add_parser(name, help=help_text)
         if algebra:
             p.add_argument("--algebra", required=True,
                            help="algebra JSON file or preset:NAME[:a,b,...]")
@@ -76,16 +83,32 @@ def _parser():
     return parser
 
 
-def _load_algebra(text, sigma=None):
+def _parse(argv):
+    """_parser().parse_args(argv), on the command's own parser when argv
+    starts with a command and that parser leaves nothing over: the top
+    level would hand it the same strings.  Everything else (no command,
+    an unknown one, arguments left over) goes through the top level, for
+    its usage errors."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
+def _load_algebra(text):
     if text.startswith("preset:"):
-        return parse_preset(text, sigma)
-    return parse_algebra(load_json(text), where=text)
+        return parse_preset(text)
+    return load_algebra(text)
 
 
 def _load_sigma(text, algebra):
     if text == "auto":
         return canonical_sigma(algebra)
-    m = parse_multiplier(load_json(text), where=text)
+    m = load_multiplier(text)
     if m.group != algebra.group:
         raise IncompatibleGroups(
             f"multiplier group {m.group!r} does not match the algebra "
@@ -214,8 +237,10 @@ def _dispatch(args):
                          "sigma": digest_multiplier(sigma)}
         return doc, 0
     if args.command == "solve-sigma":
+        if args.algebra.startswith("preset:"):
+            check_preset_family(args.algebra)  # before the preset is built
         algebra = _load_algebra(args.algebra)
-        sigmas = all_ns_multipliers(algebra.lam)
+        sigmas = _ns_multipliers(algebra)
         return {"format": FORMAT,
                 "multiplier": format_multiplier(sigmas[0]),
                 "all": [format_multiplier(s) for s in sigmas],
@@ -223,14 +248,32 @@ def _dispatch(args):
     return _verify(args)
 
 
+# solve-sigma keeps the NS families of this many algebra objects (a preset
+# and the same algebra read from a file are two objects)
+NS_FAMILIES = 16
+_families = OrderedDict()  # id(algebra) -> (algebra, its NS family)
+
+
+def _ns_multipliers(algebra):
+    """A new list of all_ns_multipliers(algebra.lam), enumerated once per
+    algebra object among the last NS_FAMILIES (the entry holds the
+    algebra, so its id is not reused while kept)."""
+    hit = recall(_families, id(algebra))
+    if hit is None:
+        hit = remember(_families, id(algebra),
+                       (algebra, tuple(all_ns_multipliers(algebra.lam))),
+                       NS_FAMILIES)
+    return list(hit[1])
+
+
 def _dump(doc, layout):
     if layout == "pretty":
         return json.dumps(doc, indent=2, sort_keys=True)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return canonical_json(doc)
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         doc, status = _dispatch(args)
     except GradedetError as exc:

@@ -136,13 +136,25 @@ def _primitive(row):
     return {c: x // g for c, x in row.items()} if g > 1 else row
 
 
+_PHI = {}  # root order N -> euler_phi(N), for CycloScalar.__init__
+
+
 class CycloScalar:
     """An element of Q(zeta_N), kept as the reduced residue modulo Phi_N."""
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order, coeffs):
+        """The polynomial coeffs in zeta_N, N = order, constant term first.
+        phi(N) coefficients, as every library caller passes, are kept as
+        they stand; any other number is reduced modulo Phi_N or padded."""
         coeffs = tuple(coeffs)
+        try:
+            phi = _PHI[order]
+        except KeyError:
+            phi = _PHI[order] = euler_phi(order)
+        if len(coeffs) != phi:
+            coeffs = tuple(_reduce(coeffs, order))
         if order > 1 and not any(coeffs[1:]):
             order, coeffs = 1, coeffs[:1]
         self.order = order

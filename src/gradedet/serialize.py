@@ -18,6 +18,7 @@ from .algebra import (INHOMOGENEOUS, AlgebraElement, make_algebra, preset,
                       table_root_order)
 from .errors import (InvalidCommutationFactor, InvalidParams, ParseError,
                      TooLarge)
+from .gdet import NS_FAMILY_MAX_BITS
 from .gmatrix import GradedMatrix
 from .grading import (Bicharacter, GradingGroup, Multiplier,
                       is_commutation_factor, trivial_multiplier)
@@ -34,8 +35,12 @@ MAX_ALGEBRA_DIM = 128
 # costs O(n^4) ring products (gdet0 of a dense 64x64 quaternion matrix
 # takes about 1.5 s on a 2-core host under Python 3.11)
 MAX_MATRIX_N = 64
-# parse_algebra keeps the algebras of this many distinct documents
+# parse_algebra keeps the algebras of this many distinct documents, and
+# load_algebra those of this many distinct file texts
 PARSED_ALGEBRAS = 8
+# load_multiplier keeps the multipliers of this many distinct file texts
+# (a multiplier document is a few hundred bytes)
+PARSED_MULTIPLIERS = 64
 # an algebra table key: "<i>,<j>" in canonical (ASCII) decimal
 _TABLE_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
 # the keys of the document format_matrix writes
@@ -43,8 +48,12 @@ _MATRIX_KEYS = {"format", "root_order", "row_degrees", "col_degrees",
                 "entries"}
 
 
+# one encoder for every canonical text, where json.dumps builds one per call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(doc):
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(doc)
 
 
 def digest(doc):
@@ -95,8 +104,10 @@ def check_root_orders(order, algebra, sigma=None):
     """TooLarge unless the lcm of order (a matrix's scalars', as
     read_matrix gives it), the root orders of the algebra's constants and
     lambda, and sigma's is at most MAX_ROOT_ORDER."""
+    if algebra._table_order is None:
+        algebra._table_order = table_root_order(algebra)
     order = lcm(order, algebra.lam.root_order,
-                sigma.root_order if sigma else 1, table_root_order(algebra))
+                sigma.root_order if sigma else 1, algebra._table_order)
     if order > MAX_ROOT_ORDER:
         raise TooLarge(f"the inputs' root orders combine to {order}, above "
                        f"the limit {MAX_ROOT_ORDER}")
@@ -206,7 +217,28 @@ def format_algebra(a):
 
 
 _parsed = OrderedDict()  # canonical text -> (json.loads(text), algebra)
-_parsed_lock = threading.Lock()
+_parsed_lock = threading.Lock()  # guards every memo of this module
+
+
+def recall(memo, key):
+    """memo[key] (None if absent), made the most recently used entry of
+    the ordered dict memo, under the module's lock."""
+    with _parsed_lock:
+        value = memo.get(key)
+        if value is not None:
+            memo.move_to_end(key)
+        return value
+
+
+def remember(memo, key, value, bound):
+    """value, kept under key as the most recently used entry of memo, which
+    drops its least recently used entries past bound."""
+    with _parsed_lock:
+        memo[key] = value
+        memo.move_to_end(key)
+        if len(memo) > bound:
+            memo.popitem(last=False)
+    return value
 
 
 def parse_algebra(doc, where="algebra"):
@@ -218,20 +250,42 @@ def parse_algebra(doc, where="algebra"):
         key = canonical_json(doc)
     except (TypeError, ValueError):  # not JSON data, or a huge int
         return _parse_algebra(doc, where)
-    with _parsed_lock:
-        hit = _parsed.get(key)
-        # equal text is not enough: a tuple dumps like a list, an int key
-        # like a str key
-        if hit is not None and hit[0] == doc:
-            _parsed.move_to_end(key)
-            return hit[1]
+    hit = recall(_parsed, key)
+    # equal text is not enough: a tuple dumps like a list, an int key like
+    # a str key
+    if hit is not None and hit[0] == doc:
+        return hit[1]
     algebra = _parse_algebra(doc, where)
-    with _parsed_lock:
-        _parsed[key] = (json.loads(key), algebra)
-        _parsed.move_to_end(key)
-        if len(_parsed) > PARSED_ALGEBRAS:
-            _parsed.popitem(last=False)
+    remember(_parsed, key, (json.loads(key), algebra), PARSED_ALGEBRAS)
     return algebra
+
+
+_algebra_files = OrderedDict()  # file text -> its algebra
+_multiplier_files = OrderedDict()  # file text -> its multiplier
+
+
+def load_algebra(path):
+    """parse_algebra(load_json(path), where=path), with the same errors,
+    once per distinct file text among the last PARSED_ALGEBRAS: a text met
+    before skips the JSON decode, the canonical key and validation.  Only
+    successes are kept."""
+    return _load_parsed(path, parse_algebra, _algebra_files, PARSED_ALGEBRAS)
+
+
+def load_multiplier(path):
+    """parse_multiplier(load_json(path), where=path), once per distinct
+    file text among the last PARSED_MULTIPLIERS, as load_algebra."""
+    return _load_parsed(path, parse_multiplier, _multiplier_files,
+                        PARSED_MULTIPLIERS)
+
+
+def _load_parsed(path, parse, memo, bound):
+    text = _read_text(path)
+    value = recall(memo, text)
+    if value is None:
+        value = remember(memo, text, parse(_decode_json(text, path),
+                                           where=path), bound)
+    return value
 
 
 def _parse_algebra(doc, where):
@@ -291,6 +345,43 @@ def _parse_algebra(doc, where):
 def parse_preset(text, sigma=None):
     """Algebra from a "preset:NAME[:a,b,...]" string; crossed_product uses
     the supplied multiplier (trivial when absent)."""
+    name, args = _preset_args(text)
+    if name == "crossed_product":
+        group = GradingGroup(args)
+        if sigma is None:
+            sigma = trivial_multiplier(group)
+        return preset(name, group, sigma)
+    return preset(name, *args)
+
+
+def check_preset_family(text):
+    """The errors of parse_preset(text) that come before anything is
+    built, then all_ns_multipliers' TooLarge when the preset's NS
+    multiplier family has more than NS_FAMILY_MAX_BITS free exponents,
+    computed from the parameters alone (as _preset_dim computes the
+    dimension).  crossed_product counts with its trivial multiplier, as
+    parse_preset builds it."""
+    name, args = _preset_args(text)
+    # over (Z_2)^k with lambda of root order <= 2 the family toggles the
+    # k(k+1)/2 upper-triangle exponents (gdet._ns_family)
+    k = 0
+    if name == "clifford" and len(args) == 2 and min(args) >= 0:
+        k = sum(args) + 1
+    elif name == "dual_numbers" and len(args) == 1:
+        k = max(args[0], 0)
+    elif name in ("group_algebra", "crossed_product") \
+            and all(m in (1, 2) for m in args):
+        k = args.count(2)  # lambda is trivial, of root order 1
+    bits = k * (k + 1) // 2
+    if bits > NS_FAMILY_MAX_BITS:
+        raise TooLarge(f"the NS multiplier family has 2^{bits} members; "
+                       f"{bits} free exponents are above the limit "
+                       f"{NS_FAMILY_MAX_BITS}")
+
+
+def _preset_args(text):
+    """(name, integer parameters) of a preset string, with its ParseError
+    or the dimension's TooLarge."""
     parts = text.split(":")
     if len(parts) < 2 or parts[0] != "preset" or len(parts) > 3 \
             or not parts[1]:
@@ -304,12 +395,7 @@ def parse_preset(text, sigma=None):
             raise ParseError(
                 f"bad preset arguments in {text!r}: {exc}") from exc
     _check_dim(_preset_dim(name, args), text)
-    if name == "crossed_product":
-        group = GradingGroup(args)
-        if sigma is None:
-            sigma = trivial_multiplier(group)
-        return preset(name, group, sigma)
-    return preset(name, *args)
+    return name, args
 
 
 def _preset_dim(name, args):
@@ -466,7 +552,13 @@ def digest_matrix(x):
 
 
 def digest_multiplier(m):
-    return digest(format_multiplier(m))
+    """The digest of format_multiplier(m), computed once per multiplier
+    object (a Multiplier has a __dict__ besides Bicharacter's slots)."""
+    try:
+        return m._digest
+    except AttributeError:
+        m._digest = digest(format_multiplier(m))
+        return m._digest
 
 
 def unique_keys(pairs):
@@ -483,18 +575,29 @@ def unique_keys(pairs):
 
 
 def load_json(path):
+    return _decode_json(_read_text(path), path)
+
+
+def _read_text(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=unique_keys)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
+def _decode_json(text, path):
+    """json.loads(text) with duplicate keys refused; every error a
+    ParseError naming path."""
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path}: JSON nested too deeply") from exc
     except ValueError as exc:  # a number past the digit limit

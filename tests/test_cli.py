@@ -1,5 +1,7 @@
 """End-to-end command-line checks on golden documents and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 
 import gradedet
 
+from gradedet import cli, serialize
 from gradedet.algebra import make_algebra, preset, twist
 from gradedet.cli import _parser, main
 from gradedet.errors import TooLarge, VerificationFailure
@@ -589,6 +592,43 @@ def test_solve_sigma_refuses_a_huge_family(capsys, tmp_path):
     assert "2^28" in doc["message"]
 
 
+def test_solve_sigma_refuses_a_huge_preset_family_before_building(capsys):
+    # clifford:4,3 is graded by (Z_2)^8: 36 free exponents.  Building and
+    # validating the 128-dimensional preset takes seconds; the family size
+    # follows from the parameters alone.
+    start = time.perf_counter()
+    code, doc = run(capsys, "solve-sigma", "--algebra",
+                    "preset:clifford:4,3")
+    assert time.perf_counter() - start < 1
+    assert code == TooLarge.exit_code == 3
+    assert doc == {"format": 1, "error": "TooLarge",
+                   "message": "the NS multiplier family has 2^36 members; "
+                              "36 free exponents are above the limit 15"}
+
+
+@pytest.mark.parametrize("spec, args", [
+    ("clifford:3,2", ("clifford", 3, 2)),
+    ("dual_numbers:6", ("dual_numbers", 6)),
+    ("group_algebra:2,2,1,2,2,2,2", ("group_algebra", 2, 2, 1, 2, 2, 2, 2)),
+])
+def test_early_family_refusal_is_the_library_refusal(capsys, spec, args):
+    with pytest.raises(TooLarge) as exc:
+        all_ns_multipliers(preset(*args).lam)
+    code, doc = run(capsys, "solve-sigma", "--algebra", f"preset:{spec}")
+    assert (code, doc["error"], doc["message"]) == (3, "TooLarge",
+                                                    str(exc.value))
+
+
+@pytest.mark.parametrize("spec, error", [
+    ("clifford:99,1", "TooLarge"),  # the dimension limit speaks first
+    ("clifford:-1,7", "InvalidParams"),
+    ("group_algebra:2,2,0,2,2,2,2", "InvalidParams"),
+])
+def test_early_family_refusal_keeps_the_preset_errors(capsys, spec, error):
+    code, doc = run(capsys, "solve-sigma", "--algebra", f"preset:{spec}")
+    assert doc["error"] == error and "NS multiplier" not in doc["message"]
+
+
 @pytest.mark.parametrize("name", [
     "quaternions", "clifford:1,1", "clifford:2,1", "dual_numbers:2",
     "grassmann:3", "group_algebra:2,2", "group_algebra:3", "clock_shift:3",
@@ -638,9 +678,126 @@ def test_repeated_calls_match_fresh_runs(capsys, xfile, tmp_path):
     capsys.readouterr()
     for argv in jobs[3:]:
         outputs.append((main(list(argv)), capsys.readouterr().out))
-    assert _parser.cache_info().misses == 1
     assert outputs == [_fresh(*argv) for argv in jobs]
     assert "\n  " in outputs[2][1] and "\n" not in outputs[4][1].strip()
+    _rewrite_input_files(xfile, tmp_path)
+    assert _parser.cache_info().misses == 1
+
+
+def _rewrite_input_files(xfile, tmp_path):
+    """An algebra or sigma file is parsed once per distinct text: each
+    rewrite of the same path (valid, another valid, invalid, valid) is
+    seen by the next job, which prints what a fresh process prints, and a
+    failed document is not kept."""
+    ap, sp = tmp_path / "alg.json", tmp_path / "sigma.json"
+    family = all_ns_multipliers(Q.lam)
+    first = (json.dumps(format_algebra(Q)),
+             json.dumps(format_multiplier(family[-1])))
+    second = (json.dumps(dict(format_algebra(Q), name="renamed")),
+              json.dumps(format_multiplier(family[1])))
+    bad_algebra = ALGEBRA_TEXT.replace('"c": "-1"', '"c": "1"', 1)
+    bad_sigma = '{"format": 1, "moduli": [2, 2]}'
+    steps = [first, second, (bad_algebra, second[1]), (second[0], bad_sigma),
+             first]
+    argv = ["gdet", "--algebra", str(ap), "--matrix", xfile,
+            "--sigma", str(sp)]
+    outputs, fresh = [], []
+    for algebra_text, sigma_text in steps:
+        ap.write_text(algebra_text)
+        sp.write_text(sigma_text)
+        code, out, _ = _outcome(argv)
+        outputs.append((code, out))
+        fresh.append(_fresh(*argv))
+    assert outputs == fresh
+    codes = [code for code, _ in outputs]
+    assert codes == [0, 0, 3, 2, 0]  # NotAssociative, then ParseError
+    assert outputs[0] == outputs[4] and outputs[0] != outputs[1]
+    assert bad_algebra not in serialize._algebra_files
+    assert bad_sigma not in serialize._multiplier_files
+    assert first[0] in serialize._algebra_files
+
+
+def _outcome(argv):
+    """(exit status, stdout, stderr) of main(argv), with argparse's
+    SystemExit read as its status."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _dispatch_table(xfile):
+    job = ["--algebra", "preset:quaternions", "--matrix", xfile]
+    commands = ["trace", "gdet0", "gdet", "gber", "twist", "solve-sigma",
+                "verify"]
+    return [
+        ["trace", *job], ["gdet0", *job], ["gdet", *job, "--sigma", "auto"],
+        ["gber", *job, "--sigma", "auto", "--format", "pretty"],
+        ["twist", "--algebra", "preset:quaternions"],
+        ["solve-sigma", "--algebra", "preset:dual_numbers:2"],
+        ["verify", "--suite", "algebra", "--seed", "3"],
+        ["gdet0", "--algebra=preset:quaternions", f"--matrix={xfile}"],
+        ["-h"], ["--help"], *([c, "-h"] for c in commands),
+        [],
+        ["no-such-command"],
+        ["gdet0", *job, "--no-such-flag"],
+        ["gdet0", *job, "extra"],
+        ["gdet0", *job, "--"],
+        ["gdet0", "--matrix", xfile],
+        ["gdet0", *job, "--format", "xml"],
+        ["--format", "json", "gdet0", *job],
+        ["verify", "--seed", "three"],
+    ]
+
+
+def test_direct_dispatch_matches_the_top_level_parser(xfile, monkeypatch):
+    # every namespace, help text, usage error and exit code is the one the
+    # top-level parser gives
+    table = _dispatch_table(xfile)
+    direct = [_outcome(argv) for argv in table]
+    monkeypatch.setattr(cli, "_parse", lambda argv: _parser().parse_args(
+        argv))
+    assert direct == [_outcome(argv) for argv in table]
+    assert [code for code, _, _ in direct[:8]] == [0] * 8
+    assert all(code == ("SystemExit", 0) for code, _, _ in direct[8:17])
+    assert all(code == ("SystemExit", 2) for code, _, _ in direct[17:])
+    assert "unrecognized arguments: --no-such-flag" in direct[19][2]
+
+
+def test_direct_dispatch_builds_the_top_level_namespace(xfile):
+    for argv in _dispatch_table(xfile)[:8]:
+        assert cli._parse(argv) == _parser().parse_args(argv)
+
+
+def test_a_kept_sigma_file_is_checked_against_each_algebra(tmp_path):
+    # the same sigma text meets an algebra of its group, one of another
+    # group, and one of its group for which it is not an NS multiplier
+    sp, one, other = (tmp_path / name for name in
+                      ("sigma.json", "one.json", "other.json"))
+    sp.write_text(json.dumps(format_multiplier(trivial_multiplier(
+        GradingGroup([2, 2])))))
+    one.write_text(json.dumps({
+        "format": 1, "row_degrees": [[0, 0]], "col_degrees": [[0, 0]],
+        "entries": [[[{"b": "t0_0", "c": "2"}]]]}))
+    other.write_text(json.dumps({
+        "format": 1, "row_degrees": [[0, 0]], "col_degrees": [[0, 0]],
+        "entries": [[[{"b": "1", "c": "2"}]]]}))
+    ok, _, _ = _outcome(["gdet", "--algebra", "preset:group_algebra:2,2",
+                         "--matrix", str(one), "--sigma", str(sp)])
+    assert ok == 0
+    for spec, matrix, error in (("preset:grassmann:2", other,
+                                 "IncompatibleGroups"),
+                                ("preset:quaternions", other,
+                                 "InvalidParams")):
+        code, out, _ = _outcome(["gdet", "--algebra", spec, "--matrix",
+                                 str(matrix), "--sigma", str(sp)])
+        assert code == 3 and json.loads(out)["error"] == error
+    code, out, _ = _outcome(["twist", "--algebra", "preset:grassmann:2",
+                             "--sigma", str(sp)])
+    assert code == 3 and json.loads(out)["error"] == "IncompatibleGroups"
 
 
 def test_import_loads_no_dataclasses():

@@ -88,6 +88,30 @@ def test_order_collapse():
     assert (cyclo(1, 4) * cyclo(3, 4)).is_rational()
 
 
+def test_constructor_reduces_or_pads_any_other_length():
+    # phi(N) coefficients are kept as they stand; fewer are padded, more
+    # are reduced modulo Phi_N, so equal values compare and print equal
+    assert CycloScalar(5, (1, 2)) == CycloScalar(5, (1, 2, 0, 0))
+    assert CycloScalar(5, (1, 2)).coeffs == (1, 2, 0, 0)
+    value = CycloScalar(4, (1, 2, 3))  # 1 + 2z + 3z^2 with z^2 = -1
+    assert repr(value) == "CycloScalar('-2 + 2*z', order=4)"
+    assert value == rational(-2) + 2 * cyclo(1, 4)
+    assert CycloScalar(3, ()) == ZERO and CycloScalar(3, ()).order == 1
+    assert CycloScalar(1, (1, 2)) == rational(3)  # zeta_1 = 1
+
+
+@given(st.integers(1, 40), st.lists(rationals, max_size=90))
+def test_constructor_matches_reduce(order, coeffs):
+    value = CycloScalar(order, coeffs)
+    want = _reduce(coeffs, order)
+    if any(want[1:]):
+        assert (value.order, value.coeffs) == (order, tuple(want))
+    else:  # a rational value collapses to root order 1
+        assert (value.order, value.coeffs) == (1, (want[0],))
+    assert value == CycloScalar(order, want)
+    assert parse_scalar(format_scalar(value), value.order) == value
+
+
 def test_mixed_order_arithmetic():
     # regression: a rational operand is stored with a single coefficient,
     # so arithmetic must pad before convolving or zipping
