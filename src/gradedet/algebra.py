@@ -200,8 +200,8 @@ class AlgebraElement:
 
 class GradedAlgebra:
     """Immutable after construction; carries memo caches for twists, unit
-    witnesses, tensor products, the determinant's integer tables and the
-    document digest."""
+    witnesses, tensor products, the determinant's integer tables, the
+    document digest and the formatted document."""
 
     def __init__(self, group, lam, labels, degrees, unit_index, table, name):
         self.group = group
@@ -225,6 +225,7 @@ class GradedAlgebra:
         self._int_tables = {}  # root order -> _int_table's result
         self._degree_index = None  # degree_index, filled on first use
         self._digest = None  # serialize.digest_algebra, filled on first use
+        self._document = None  # cli's twist output, filled on first use
         self._table_order = None  # serialize.check_root_orders, likewise
 
     @property

@@ -7,10 +7,13 @@ and block-diagonal D = diag(Schur complement, X11).  The graded Berezinian
 is sigma(x,x)^(-r1(r0-r1)) Gdet_sigma(X00 - X01 X11^(-1) X10)
 Gdet_sigma(X11)^(-1); ber_super is the classical Berezinian over a
 supercommutative algebra.  udl, gber and ber_super share one block step:
-_split (the even-degree check and the parity split) and _schur (X11^(-1)
-from the shared integer solve and X00 - X01 X11^(-1) X10 through the
-integer table, as ints over one denominator, on a conversion the caller
-made with _int_entries; udl and ber_super convert X plainly).
+_split (the even-degree check through GradedMatrix.degree_of and the
+parity split) and _schur (X11^(-1) from the shared integer solve and
+X00 - X01 X11^(-1) X10 through the integer table, as ints over one
+denominator, on a conversion the caller made with _int_entries; udl and
+ber_super convert X plainly).  gber(x, sigma, on_index=True) takes
+_index_split in place of _split: the same checks read off the degree
+index, with no block built; the CLI computes gber that way.
 
 gber and the oracle route gber_via_ber_super both take the Schur
 complement of J_sigma(X) over the twisted table, which is J_sigma of the
@@ -30,8 +33,8 @@ from math import lcm
 
 from .algebra import (INHOMOGENEOUS, _decode, _decode_grid, _dot,
                       _int_entries, _int_residue, _int_table, _solve_grid,
-                      _table_product, invert_element, is_supercommutative,
-                      transport, twist)
+                      _table_product, degree_index, invert_element,
+                      is_supercommutative, transport, twist)
 from .errors import (InvalidParams, NotParitySorted, OddDegree, Singular,
                      SingularOddBlock)
 from .gdet import _berkowitz, _require_ns, canonical_sigma, det_of_commuting
@@ -55,18 +58,25 @@ class ParityBlocks:
         return len(self.even_degrees), len(self.odd_degrees)
 
 
-def parity_blocks(x):
-    """Split a square matrix with a parity-sorted degree vector (all even
-    degrees before all odd ones) into its four parity blocks."""
-    _require_endo(x, "a parity-block split")
-    lam = x.algebra.lam
-    parities = [parity(lam, d) for d in x.col_degrees]
+def _even_rank(parities):
+    """r0, the number of even degrees of a degree vector with these
+    parities, when they are sorted (all even degrees before all odd
+    ones); NotParitySorted otherwise."""
     r0 = parities.count(0)
     if any(parities[:r0]) or not all(parities[r0:]):
         raise NotParitySorted(
             f"degree vector parities {parities} are not sorted "
             "even-then-odd; permute the basis first (see "
             "permutation_matrix)")
+    return r0
+
+
+def parity_blocks(x):
+    """Split a square matrix with a parity-sorted degree vector (all even
+    degrees before all odd ones) into its four parity blocks."""
+    _require_endo(x, "a parity-block split")
+    lam = x.algebra.lam
+    r0 = _even_rank([parity(lam, d) for d in x.col_degrees])
     nu0 = x.col_degrees[:r0]
     nu1 = x.col_degrees[r0:]
 
@@ -88,7 +98,8 @@ def parity_blocks(x):
 
 def _split(x, what):
     """(d, blocks) for X homogeneous of even degree d and its parity
-    blocks; OddDegree or NotParitySorted otherwise."""
+    blocks; OddDegree, NotSquare or NotParitySorted otherwise, in that
+    order."""
     d = x.degree_of()
     if d is INHOMOGENEOUS:
         raise OddDegree(f"{what} needs a homogeneous matrix, got an "
@@ -99,10 +110,38 @@ def _split(x, what):
     return d, parity_blocks(x)
 
 
-def _schur(alg, conversion, d, blocks):
+def _index_split(x, what):
+    """(d, r0) for X of even degree d whose degree vector has its r0 even
+    degrees first: the d and the even block size of _split, with the same
+    errors in the same order, read off the degree index.  d comes from
+    X's first stored coefficient (the group zero for the zero matrix) and
+    is confirmed by is_homogeneous_of, and the index gives the parities;
+    no degree is walked pair by pair and no block is built."""
+    alg = x.algebra
+    d = alg.group.zero()
+    for mu, row in zip(x.row_degrees, x.entries):
+        j = next((j for j, e in enumerate(row) if e.coeffs), None)
+        if j is not None:
+            k = next(iter(row[j].coeffs))
+            d = alg.degrees[k] + (mu - x.col_degrees[j])
+            break
+    if not x.is_homogeneous_of(d):
+        raise OddDegree(f"{what} needs a homogeneous matrix, got an "
+                        "inhomogeneous one")
+    index = degree_index(alg)
+    if index.parity(index.number(d)):
+        raise OddDegree(f"{what} needs an even homogeneous degree, got "
+                        f"{d!r}")
+    _require_endo(x, "a parity-block split")
+    return d, _even_rank([index.parity(b)
+                          for b in index.numbers(x.col_degrees)])
+
+
+def _schur(alg, conversion, d, nu, r0):
     """The block arithmetic shared by the Berezinian routes, on X of even
-    degree d split into blocks (_split) and converted over alg by the
-    caller, conversion = _int_entries(...) = (a, D, N, T, table):
+    degree d with degree vector nu whose first r0 degrees are even
+    (_split or _index_split), converted over alg by the caller,
+    conversion = _int_entries(...) = (a, D, N, T, table):
     ((y, e), (s, whole)) for X11^(-1) = _decode_grid(alg, N, y, e) and
     the Schur complement S = X00 - X01 X11^(-1) X10 =
     _decode_grid(alg, N, s, whole).
@@ -111,8 +150,7 @@ def _schur(alg, conversion, d, blocks):
     (_solve_grid).  Each table product carries one T, so _dot sums
     X01 (-y) X10 to -T^2 D^2 e X01 X11^(-1) X10, onto T^2 D e D X00: s
     is that sum, over whole = T^2 D^2 e."""
-    nu1 = blocks.odd_degrees
-    r0 = len(blocks.even_degrees)
+    nu1 = nu[r0:]
     a, den, order, t_den, table = conversion
     found = _solve_grid(alg, [row[r0:] for row in a[r0:]], order, table,
                         den * t_den, nu1, nu1, d)
@@ -137,7 +175,8 @@ def udl(x):
     d, blocks = _split(x, "udl")
     alg = x.algebra
     conversion = _int_entries(x.entries, alg)
-    inverse, schur = _schur(alg, conversion, d, blocks)
+    inverse, schur = _schur(alg, conversion, d, x.col_degrees,
+                            len(blocks.even_degrees))
     order = conversion[2]
     nu0, nu1 = blocks.even_degrees, blocks.odd_degrees
     x11inv = GradedMatrix(alg, nu1, nu1, _decode_grid(alg, order, *inverse))
@@ -165,11 +204,17 @@ def _invert_ints(alg, g, den, order, table, t_den):
     return None if found is None else (found[0][0][0], found[1])
 
 
-def gber(x, sigma):
+def gber(x, sigma, on_index=False):
     """sigma(d,d)^(-r1(r0-r1)) Gdet_sigma(Schur) Gdet_sigma(X11)^(-1) on a
     homogeneous invertible matrix X of even degree d with parity-sorted
     degrees.  sigma must be an NS multiplier, as for gdet_sigma;
     InvalidParams otherwise, after the block step's checks.
+
+    on_index chooses how those checks find d and the superrank: False
+    takes the _split that udl and ber_super share (GradedMatrix.degree_of
+    and the four parity blocks), True takes _index_split (the degree
+    index, no block built).  Both give the same value and the same
+    refusals in the same order; the CLI takes the index.
 
     It runs on ints from one conversion of J_sigma(X) to one decode: X is
     converted over the twisted algebra with the J_sigma factors folded
@@ -190,17 +235,21 @@ def gber(x, sigma):
     J_sigma(X11) J_sigma(X11^(-1)) = sigma(d,-d) I, and both factors
     have even entries, which commute over the twisted algebra, so
     Gdet_sigma(X11) is a unit."""
-    d, blocks = _split(x, "gber")
+    if on_index:
+        d, r0 = _index_split(x, "gber")
+    else:
+        d, blocks = _split(x, "gber")
+        r0 = len(blocks.even_degrees)
     alg = x.algebra
     twisted = twist(alg, sigma)
-    r0, r1 = blocks.superrank
+    r1 = x.nrows - r0
     root = sigma.root_order
     exp = (-r1 * (r0 - r1) * sigma.exponent(d, d)) % root
     conversion = _int_entries(
         x.entries, twisted, j_sigma_exponents(alg.degrees, x.col_degrees,
                                               sigma),
         root, lcm(_int_table(alg, 1)[0], root if 2 * exp % root else 1))
-    _, (s, whole) = _schur(twisted, conversion, d, blocks)
+    _, (s, whole) = _schur(twisted, conversion, d, x.col_degrees, r0)
     _require_ns(alg, twisted, "gber")
     a, den, order, t_tw, tw_table = conversion
     _, t_den, table = _int_table(alg, order)
@@ -249,7 +298,8 @@ def ber_super_components(y):
             "to matrices over a twisted algebra")
     d, blocks = _split(y, "ber_super")
     conversion = _int_entries(y.entries, y.algebra)
-    _, schur = _schur(y.algebra, conversion, d, blocks)
+    _, schur = _schur(y.algebra, conversion, d, y.col_degrees,
+                      len(blocks.even_degrees))
     comp0 = det_of_commuting(_decode_grid(y.algebra, conversion[2], *schur),
                              y.algebra)
     comp1 = det_of_commuting(blocks.x11.entries, y.algebra)

@@ -7,9 +7,12 @@ golden files can cross-reference them.  Errors print a JSON document with
 the exception name and exit with its code: 2 parse, 3 precondition, 4
 mathematical, 5 verification failure.  main(argv) may be called any
 number of times in one process: the argument parser is built once,
-argv goes straight to its command's own parser, and an algebra or
+argv goes straight to its command's own parser, an algebra or
 multiplier file is parsed once per distinct text (serialize.load_algebra
-and load_multiplier).
+and load_multiplier), a matrix file is decoded by one plain json.loads
+when its key count proves it free of duplicate keys
+(serialize.load_matrix), and the twist and solve-sigma documents are
+formatted once per twisted algebra and per NS family.
 """
 
 import argparse
@@ -31,9 +34,8 @@ from .serialize import (FORMAT, canonical_json, check_ints,
                         check_preset_family, check_root_orders, digest,
                         digest_algebra, digest_matrix, digest_multiplier,
                         format_algebra, format_multiplier, load_algebra,
-                        load_json, load_multiplier, parse_preset,
-                        read_matrix, recall, remember, result_doc,
-                        unique_keys)
+                        load_matrix, load_multiplier, parse_preset, recall,
+                        remember, result_doc, unique_keys)
 
 
 @cache
@@ -162,7 +164,7 @@ def _compute(command, x, sigma):
         return gdet0(x)
     if command == "gdet":
         return gdet_sigma(x, sigma)
-    return gber(x, sigma)
+    return gber(x, sigma, on_index=True)
 
 
 def _matrix_job(args):
@@ -179,8 +181,7 @@ def _matrix_job(args):
                 f"{args.sigma} is not an NS multiplier of {algebra.name}, "
                 f"so the entries of J_sigma(X) need not commute; "
                 f"gradedet solve-sigma lists the NS multipliers")
-    doc = load_json(args.matrix)
-    x, order, canonical = read_matrix(doc, algebra, where=args.matrix)
+    doc, x, order, canonical = load_matrix(args.matrix, algebra)
     if args.degrees:
         x, canonical = _apply_degrees(x, args.degrees), False
     check_root_orders(order, algebra, sigma)
@@ -232,7 +233,7 @@ def _dispatch(args):
     if args.command == "twist":
         algebra = _load_algebra(args.algebra)
         sigma = _load_sigma(args.sigma, algebra)
-        doc = format_algebra(twist(algebra, sigma))
+        doc = _twist_document(twist(algebra, sigma))
         doc["inputs"] = {"algebra": digest_algebra(algebra),
                          "sigma": digest_multiplier(sigma)}
         return doc, 0
@@ -240,30 +241,41 @@ def _dispatch(args):
         if args.algebra.startswith("preset:"):
             check_preset_family(args.algebra)  # before the preset is built
         algebra = _load_algebra(args.algebra)
-        sigmas = _ns_multipliers(algebra)
-        return {"format": FORMAT,
-                "multiplier": format_multiplier(sigmas[0]),
-                "all": [format_multiplier(s) for s in sigmas],
+        family = _ns_family(algebra)
+        return {"format": FORMAT, "multiplier": family[0],
+                "all": list(family),
                 "inputs": {"algebra": digest_algebra(algebra)}}, 0
     return _verify(args)
+
+
+def _twist_document(twisted):
+    """A new top-level dict equal to format_algebra(twisted), formatted
+    once per twisted algebra (twist memoizes those) and kept on it; the
+    nested values are shared between calls, so only the top level may be
+    changed."""
+    if twisted._document is None:
+        twisted._document = format_algebra(twisted)
+    return dict(twisted._document)
 
 
 # solve-sigma keeps the NS families of this many algebra objects (a preset
 # and the same algebra read from a file are two objects)
 NS_FAMILIES = 16
-_families = OrderedDict()  # id(algebra) -> (algebra, its NS family)
+# id(algebra) -> (algebra, format_multiplier of each member of its NS family)
+_families = OrderedDict()
 
 
-def _ns_multipliers(algebra):
-    """A new list of all_ns_multipliers(algebra.lam), enumerated once per
-    algebra object among the last NS_FAMILIES (the entry holds the
-    algebra, so its id is not reused while kept)."""
+def _ns_family(algebra):
+    """format_multiplier of each member of all_ns_multipliers(algebra.lam),
+    enumerated and formatted once per algebra object among the last
+    NS_FAMILIES (the entry holds the algebra, so its id is not reused
+    while kept).  The documents are shared between calls."""
     hit = recall(_families, id(algebra))
     if hit is None:
-        hit = remember(_families, id(algebra),
-                       (algebra, tuple(all_ns_multipliers(algebra.lam))),
-                       NS_FAMILIES)
-    return list(hit[1])
+        hit = remember(_families, id(algebra), (algebra, tuple(
+            format_multiplier(s) for s in all_ns_multipliers(algebra.lam))),
+            NS_FAMILIES)
+    return hit[1]
 
 
 def _dump(doc, layout):

@@ -16,8 +16,8 @@ from math import lcm
 
 from .algebra import (INHOMOGENEOUS, AlgebraElement, make_algebra, preset,
                       table_root_order)
-from .errors import (InvalidCommutationFactor, InvalidParams, ParseError,
-                     TooLarge)
+from .errors import (GradedetError, InvalidCommutationFactor, InvalidParams,
+                     ParseError, TooLarge)
 from .gdet import NS_FAMILY_MAX_BITS
 from .gmatrix import GradedMatrix
 from .grading import (Bicharacter, GradingGroup, Multiplier,
@@ -463,6 +463,35 @@ def read_matrix(doc, algebra, where="matrix"):
     once.  order is the lcm of the root orders of x's coefficients.
     canonical says whether doc is the document format_matrix(x) writes, so
     that digest(doc) == digest_matrix(x)."""
+    return _read_matrix(doc, algebra, where)[:3]
+
+
+def load_matrix(path, algebra):
+    """(doc, x, order, canonical): doc = load_json(path) and the rest
+    read_matrix(doc, algebra, where=path), with the same values and
+    errors, from one plain json.loads when it can.  Each key of a JSON
+    object comes with exactly one ':' outside strings, so when the keys
+    read_matrix's walk counts (the document's and every term's) equal the
+    ':' of the text, every object was walked and none gave a key twice.
+    Otherwise, or when the plain decode or the walk raises, the text goes
+    the checked way: _decode_json, then read_matrix."""
+    text = _read_text(path)
+    try:
+        doc = json.loads(text)
+        *read, keys = _read_matrix(doc, algebra, path)
+        if keys == text.count(":"):
+            return doc, *read
+    # a JSON error, deep nesting or a refusal: the checked way raises the
+    # error that comes first there, a duplicate key included
+    except (ValueError, RecursionError, GradedetError):
+        pass
+    doc = _decode_json(text, path)
+    return doc, *read_matrix(doc, algebra, path)
+
+
+def _read_matrix(doc, algebra, where):
+    """read_matrix's (x, order, canonical), and the number of keys of doc
+    and of its terms."""
     _check_format(doc, where)
     declared = _root_order(doc, where)
     rows = _field(doc, "row_degrees", where, list)
@@ -483,6 +512,7 @@ def read_matrix(doc, algebra, where="matrix"):
         key == g.residues for key, g in vectors.items())
     # text -> (its scalar, whether format_scalar writes that scalar as text)
     index, scalars, summed, grid = algebra._label_index, {}, False, []
+    keys = len(doc)
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != len(nu):
             raise ParseError(f"{where}: row {i} must list {len(nu)} entries")
@@ -513,6 +543,7 @@ def read_matrix(doc, algebra, where="matrix"):
                     coeffs[k], summed = coeffs[k] + c, True
                 else:
                     coeffs[k] = c
+                keys += len(term)
                 # canonical terms: ascending basis order, none zero or
                 # repeated, only "b" and "c", the text format_scalar writes
                 canonical = canonical and k > last and hit[1] \
@@ -525,7 +556,7 @@ def read_matrix(doc, algebra, where="matrix"):
     else:  # a dropped coefficient is zero, of root order 1
         order = lcm(*(c.order for c, _ in scalars.values()))
     return (GradedMatrix(algebra, mu, nu, grid), order,
-            canonical and order == declared)
+            canonical and order == declared, keys)
 
 
 def _degree(d, group, seen, where):

@@ -97,7 +97,8 @@ def decoded_schur(x):
     root order of X's conversion."""
     d, blocks = _split(x, "test")
     conversion = _int_entries(x.entries, x.algebra)
-    _, schur = _schur(x.algebra, conversion, d, blocks)
+    _, schur = _schur(x.algebra, conversion, d, x.col_degrees,
+                      len(blocks.even_degrees))
     nu0 = blocks.even_degrees
     return blocks, GradedMatrix(x.algebra, nu0, nu0, _decode_grid(
         x.algebra, conversion[2], *schur))

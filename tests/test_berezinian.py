@@ -1,11 +1,12 @@
 """Parity blocks, UDL factorization, and the graded Berezinian."""
 
+import json
 import sys
 from fractions import Fraction
 
 import pytest
 
-from gradedet import algebra, berezinian, gdet
+from gradedet import algebra, berezinian, cli, gdet
 from gradedet.algebra import (_solve_grid, invert_element, make_algebra,
                               preset, twist, unit_degrees)
 from gradedet.berezinian import (ber_super, ber_super_components, gber,
@@ -25,6 +26,7 @@ from gradedet.sampling import (make_rng, rand_invertible,
                                rand_invertible_parity_blocks,
                                rand_matrix, rand_parity_sorted_degrees)
 from gradedet.scalars import CycloScalar, cyclo, rational
+from gradedet.serialize import format_matrix
 
 from full_system import (all_fractions, decoded_schur, element_schur,
                          previous_gber)
@@ -51,8 +53,8 @@ def fraction_tripwire(monkeypatch):
 
 
 def _checked(exact, name, calls):
-    def checked(*args):
-        value = exact(*args)
+    def checked(*args, **kwargs):
+        value = exact(*args, **kwargs)
         assert all_fractions(value), f"{name} gave {value.coeffs!r}"
         calls[name] += 1
         return value
@@ -295,8 +297,8 @@ def test_schur_of_the_twisted_conversion_is_j_sigma_of_the_schur(name):
             conversion = algebra._int_entries(
                 x.entries, twisted, j_sigma_exponents(alg.degrees, nu, sigma),
                 sigma.root_order)
-            inverse, schur = berezinian._schur(twisted, conversion, d,
-                                               blocks)
+            inverse, schur = berezinian._schur(
+                twisted, conversion, d, nu, len(blocks.even_degrees))
             nu0, nu1 = blocks.even_degrees, blocks.odd_degrees
             order = conversion[2]
             assert GradedMatrix(twisted, nu0, nu0, algebra._decode_grid(
@@ -343,6 +345,7 @@ def test_gber_matches_the_previous_route(name):
             for y in (x, scaled):
                 got, previous = gber(y, sigma), previous_gber(y, sigma)
                 assert got == previous == gber_via_ber_super(y, sigma)
+                assert repr(gber(y, sigma, on_index=True)) == repr(got)
                 # a J_sigma factor other than +-1 on a nonzero coefficient
                 if any(2 * exps[k] % root
                        for row, erow in zip(y.entries, grid)
@@ -500,3 +503,99 @@ def test_block_values_and_even_reduction():
     q = rand_invertible(rng, quat, q_nu)
     assert gber0(q) == gdet0(q)
     assert gber0(identity(DN, nu)) == DN.one()
+
+
+
+GR = preset("grassmann", 2)
+G0, G1 = GR.group.zero(), GR.group.element((1,))
+XI, ONE, NIL = GR.basis_element("xi1"), GR.one(), GR.zero()
+INHOMOGENEOUS = ("OddDegree",
+                 "{} needs a homogeneous matrix, got an inhomogeneous one")
+ODD = ("OddDegree", "{} needs an even homogeneous degree, got <1>")
+NOT_SQUARE = ("NotSquare", "a parity-block split needs a square matrix with "
+              "equal row and column degree vectors")
+UNSORTED = ("NotParitySorted", "degree vector parities [1, 0] are not "
+            "sorted even-then-odd; permute the basis first (see "
+            "permutation_matrix)")
+# name -> (X, the outcomes of gber0, udl and ber_super): an error's name and
+# message ("{}" stands for the routine's name), or the repr of the value;
+# gber on the degree index has gber0's outcome
+SPLIT_CASES = {
+    "inhomogeneous": (GradedMatrix(GR, [G0, G1], [G0, G1],
+                                   [[ONE, XI + ONE], [XI, ONE]]),
+                      (INHOMOGENEOUS,) * 3),
+    "odd_degree": (GradedMatrix(GR, [G0, G1], [G0, G1],
+                                [[XI, ONE], [ONE, XI]]), (ODD,) * 3),
+    # the degree is checked before the shape and the parity order
+    "odd_and_not_square": (GradedMatrix(GR, [G0, G1], [G0], [[XI], [ONE]]),
+                           (ODD,) * 3),
+    "inhomogeneous_and_unsorted": (
+        GradedMatrix(GR, [G1, G0], [G1, G0], [[ONE, XI + ONE], [XI, ONE]]),
+        (INHOMOGENEOUS,) * 3),
+    "unsorted": (GradedMatrix(GR, [G1, G0], [G1, G0],
+                              [[ONE, XI], [XI, ONE]]), (UNSORTED,) * 3),
+    "not_square": (GradedMatrix(GR, [G0, G1], [G0], [[ONE], [XI]]),
+                   (NOT_SQUARE,) * 3),
+    "unequal_degree_vectors": (GradedMatrix(GR, [G0, G1], [G0, G0],
+                                            [[ONE, NIL], [NIL, XI]]),
+                               (NOT_SQUARE,) * 3),
+    "zero": (GradedMatrix(GR, [G0, G1], [G0, G1], [[NIL, NIL], [NIL, NIL]]),
+             (("SingularOddBlock", "the odd-odd block is not invertible"),)
+             * 3),
+    "zero_even": (GradedMatrix(GR, [G0], [G0], [[NIL]]),
+                  (("Singular", "Gdet_sigma of the Schur complement is not "
+                    "invertible; the matrix is not invertible"),
+                   "([1], [0], [1])", "0")),
+    "empty": (GradedMatrix(GR, [], [], []), ("1", "([], [], [])", "1")),
+}
+
+
+def gber0_on_index(x):
+    return gber(x, gdet.canonical_sigma(x.algebra), on_index=True)
+
+
+@pytest.mark.parametrize("name", list(SPLIT_CASES))
+def test_block_split_outcomes_are_pinned(name):
+    # the split on the degree index reads the degree and the parities off
+    # the index and builds no block; each refusal keeps the type, message
+    # and order of the split that walks the degrees and builds the parity
+    # blocks first
+    x, outcomes = SPLIT_CASES[name]
+    for fn, outcome in zip((gber0, gber0_on_index, udl, ber_super),
+                           outcomes[:1] + outcomes):
+        if isinstance(outcome, str):
+            assert repr(fn(x)) == outcome
+            continue
+        error, text = outcome
+        with pytest.raises(Exception) as exc:
+            fn(x)
+        assert type(exc.value).__name__ == error
+        routine = fn.__name__.split("0")[0]
+        assert str(exc.value) == text.format(routine)
+
+
+def test_gber_on_the_index_builds_no_graded_matrix(monkeypatch, tmp_path,
+                                                   capsys):
+    # on the degree index gber reads the superrank and the degree vector
+    # off X: no parity block is built as a matrix, and a CLI gber job
+    # builds the document's matrix only; the split udl and ber_super share
+    # builds the four blocks
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(format_matrix(M)))
+    built = []
+    init = GradedMatrix.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(GradedMatrix, "__init__", counted)
+    for sigma in all_ns_multipliers(DN.lam):
+        assert gber(M, sigma, on_index=True) == gber(M, sigma)
+    assert len(built) == 4 * len(all_ns_multipliers(DN.lam))
+    del built[:]
+    assert cli.main(["gber", "--algebra", "preset:dual_numbers:2",
+                     "--matrix", str(path), "--sigma", "auto"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == [
+        {"b": "1", "c": "2"}]
+    assert len(built) == 1

@@ -500,6 +500,38 @@ def test_solve_sigma(capsys):
     assert all(d["format"] == 1 for d in doc["all"])
 
 
+def test_kept_twist_and_family_documents_stay_unchanged(capsys):
+    # twist keeps its formatted document on the twisted algebra and
+    # solve-sigma beside the NS family; format_algebra, format_multiplier
+    # and each job still give a document of their own, so changing one
+    # changes no later output
+    jobs = [("twist", "--algebra", "preset:quaternions"),
+            ("solve-sigma", "--algebra", "preset:quaternions")]
+    first = [run(capsys, *argv) for argv in jobs]
+    twisted = twist(Q, canonical_sigma(Q))
+    mine = format_algebra(twisted)
+    mine["table"].clear()
+    mine["basis"][0]["label"] = "x"
+    mine["lambda"]["exponents"][0][0] = 7
+    sigma = format_multiplier(canonical_sigma(Q))
+    sigma["exponents"][0][0] = 7
+    for _, doc in first:
+        doc.clear()
+    kept = cli._twist_document(twisted)
+    kept["inputs"] = {}
+    del kept["table"]
+    assert [run(capsys, *argv) for argv in jobs] == [
+        _fresh_json(*argv) for argv in jobs]
+    doc = run(capsys, *jobs[0])[1]
+    del doc["inputs"]
+    assert doc == format_algebra(twisted)
+
+
+def _fresh_json(*argv):
+    code, out = _fresh(*argv)
+    return code, json.loads(out)
+
+
 def test_verify_suite(capsys):
     code, doc = run(capsys, "verify", "--suite", "algebra", "--seed", "3")
     assert code == 0

@@ -1,22 +1,27 @@
 """The CLI contract on hostile input, fuzzed: malformed algebra, sigma and
 matrix documents and shuffled or partial argv.  main(argv) returns 0, 2, 3
 or 4 and prints exactly one JSON document, or argparse exits with status
-2; no other exception escapes."""
+2; no other exception escapes.  The plain decode of a matrix document
+(serialize.load_matrix) gives what the duplicate-key-checked decode gives,
+refusals included."""
 
 import contextlib
 import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from gradedet import serialize
 from gradedet.algebra import preset
 from gradedet.cli import main
+from gradedet.errors import GradedetError
 from gradedet.gdet import canonical_sigma
 from gradedet.gmatrix import GradedMatrix
-from gradedet.serialize import format_algebra, format_matrix, \
-    format_multiplier
+from gradedet.serialize import digest, digest_matrix, format_algebra, \
+    format_matrix, format_multiplier
 
 Q = preset("quaternions")
 J = Q.basis_element("j")
@@ -153,3 +158,119 @@ def test_every_run_prints_one_json_document_or_a_usage_error(data):
     if "pretty" not in argv:
         assert text.count("\n") == 1
     assert ("error" in json.loads(text)) == (code != 0)
+
+
+# ---------------------------------------------------------------------------
+# the matrix decode path: serialize.load_matrix decodes a document with one
+# plain json.loads unless its key count differs from its ':' count, and must
+# then give what _decode_json followed by read_matrix gives
+
+DN = preset("dual_numbers", 2)
+COEFFS = ["1", "-1", "2", "1/2", "-3/7", "0", "z", "1 + z"]
+
+
+@st.composite
+def matrix_docs(draw):
+    """A matrix document over DN as format_matrix writes it, or with its
+    terms out of order, repeated or with a coefficient text that
+    format_scalar would write otherwise (a non-canonical document)."""
+    n = draw(st.integers(0, 3))
+    degrees = [[draw(st.integers(0, 1)), draw(st.integers(0, 1))]
+               for _ in range(n)]
+    entries = [[[{"b": draw(st.sampled_from(DN.labels)),
+                  "c": draw(st.sampled_from(COEFFS))}
+                 for _ in range(draw(st.integers(0, 2)))]
+                for _ in range(n)] for _ in range(n)]
+    return {"format": 1, "root_order": draw(st.sampled_from((1, 2, 4))),
+            "row_degrees": degrees, "col_degrees": degrees,
+            "entries": entries}
+
+
+def _terms(text):
+    """The offsets of the term objects in a matrix text."""
+    return [i for i in range(len(text)) if text.startswith('{"b": ', i)]
+
+
+@st.composite
+def hostile_texts(draw):
+    """The text of a matrix document with up to two of: a key given twice
+    at top level, in a term or in an extra nested object; a ':' inside a
+    label, a coefficient text or an extra string; the text cut after a
+    duplicate; 65 rows.  Each is a refusal or a document the plain decode
+    must not take on its own."""
+    doc = draw(matrix_docs())
+    if draw(st.booleans()):
+        doc["row_degrees"] = doc["col_degrees"] = [[0, 0]] * 65
+        doc["entries"] = [[[]] * 65] * 65
+    text = json.dumps(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        terms = _terms(text)
+        kind = draw(st.sampled_from(
+            ("top", "term", "nested", "colon_label", "colon_text",
+             "colon_extra", "cut")))
+        if kind == "top":
+            key = draw(st.sampled_from(sorted(doc)))
+            text = text.replace("{", f'{{"{key}": {json.dumps(doc[key])}, ',
+                                1)
+        elif kind == "term" and terms:
+            at = draw(st.sampled_from(terms))
+            key = draw(st.sampled_from(('"b": "1"', '"c": "2"')))
+            text = f"{text[:at + 1]}{key}, {text[at + 1:]}"
+        elif kind == "nested":
+            extra = '{"a": 1, "a": 2}' if draw(st.booleans()) else '{"a": 1}'
+            at = draw(st.sampled_from([0] + terms))
+            text = f'{text[:at + 1]}"x": {extra}, {text[at + 1:]}'
+        elif kind == "colon_label" and terms:
+            at = draw(st.sampled_from(terms)) + len('{"b": "')
+            text = f"{text[:at]}e:{text[at:]}"
+        elif kind == "colon_text":
+            text = text.replace('"c": "', '"c": "1:', 1)
+        elif kind == "colon_extra":
+            text = text.replace("{", '{"note": "a:b", ', 1)
+        elif kind == "cut":
+            text = text[:draw(st.integers(len(text) // 2, len(text)))]
+    return text
+
+
+def _outcome(read):
+    """("ok", doc, (x, order, canonical), the CLI's matrix digest) for
+    read() = (doc, x, order, canonical), or (error name, message)."""
+    try:
+        doc, x, order, canonical = read()
+    except GradedetError as exc:
+        return type(exc).__name__, str(exc)
+    return ("ok", doc, (x, order, canonical),
+            digest(doc) if canonical else digest_matrix(x))
+
+
+def _checked_read(path):
+    doc = serialize._decode_json(Path(path).read_text(), path)
+    return (doc, *serialize.read_matrix(doc, DN, path))
+
+
+def _compare(text):
+    """Both outcomes for text, and the unique_keys calls of load_matrix."""
+    with tempfile.TemporaryDirectory() as work:
+        path = str(Path(work) / "matrix.json")
+        Path(path).write_text(text)
+        want = _outcome(lambda: _checked_read(path))
+        with mock.patch.object(serialize, "unique_keys",
+                               wraps=serialize.unique_keys) as hook:
+            got = _outcome(lambda: serialize.load_matrix(path, DN))
+        return want, got, hook.call_count
+
+
+@settings(deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(hostile_texts())
+def test_load_matrix_refuses_as_the_checked_decode(text):
+    want, got, _ = _compare(text)
+    assert got == want
+
+
+@settings(deadline=None, max_examples=200)
+@given(matrix_docs(), st.booleans())
+def test_load_matrix_reads_a_duplicate_free_document_plainly(doc, pretty):
+    want, got, hooked = _compare(json.dumps(doc, indent=2 if pretty else None))
+    assert got == want
+    assert hooked == 0
