@@ -290,7 +290,9 @@ class DegreeIndex:
     and parities of numbers are memoized, and so are the homogeneous
     components shifted by a degree.  Nothing is dropped: the index grows
     only with the degrees met, to at most |Gamma| numbers and |Gamma|^2
-    sums."""
+    sums.  Every twist of an algebra shares its index: a twist has the
+    same group and basis degrees, and lambda^sigma(x,x) = lambda(x,x)
+    keeps every parity."""
 
     __slots__ = ("group", "lam", "zero", "basis", "_degrees", "_numbers",
                  "_sums", "_parities", "_shifted", "_odd")
@@ -895,6 +897,7 @@ def twist(algebra, sigma, validate=False):
                            lambda_twist(algebra.lam, sigma), algebra.labels,
                            validate=False, name=f"twist({algebra.name})",
                            unit_index=algebra.unit_index)
+        out._degree_index = degree_index(algebra)  # see DegreeIndex
         algebra._twist_cache[key] = out
     # a cached twist is validated too
     if validate:

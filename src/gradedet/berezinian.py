@@ -7,13 +7,11 @@ and block-diagonal D = diag(Schur complement, X11).  The graded Berezinian
 is sigma(x,x)^(-r1(r0-r1)) Gdet_sigma(X00 - X01 X11^(-1) X10)
 Gdet_sigma(X11)^(-1); ber_super is the classical Berezinian over a
 supercommutative algebra.  udl, gber and ber_super share one block step:
-_split (the even-degree check through GradedMatrix.degree_of and the
-parity split) and _schur (X11^(-1) from the shared integer solve and
-X00 - X01 X11^(-1) X10 through the integer table, as ints over one
-denominator, on a conversion the caller made with _int_entries; udl and
-ber_super convert X plainly).  gber(x, sigma, on_index=True) takes
-_index_split in place of _split: the same checks read off the degree
-index, with no block built; the CLI computes gber that way.
+_split (the even-degree check and the even block size r0, read off the
+degree index, with no block built) and _schur (X11^(-1) from the shared
+integer solve and X00 - X01 X11^(-1) X10 through the integer table, as
+ints over one denominator, on a conversion the caller made with
+_int_entries; udl and ber_super convert X plainly).
 
 gber and the oracle route gber_via_ber_super both take the Schur
 complement of J_sigma(X) over the twisted table, which is J_sigma of the
@@ -31,31 +29,16 @@ products and inverse contribute unasked.
 from fractions import Fraction
 from math import lcm
 
-from .algebra import (INHOMOGENEOUS, _decode, _decode_grid, _dot,
-                      _int_entries, _int_residue, _int_table, _solve_grid,
-                      _table_product, degree_index, invert_element,
-                      is_supercommutative, transport, twist)
+from .algebra import (_decode, _decode_grid, _dot, _int_entries,
+                      _int_residue, _int_table, _solve_grid, _table_product,
+                      degree_index, invert_element, is_supercommutative,
+                      transport, twist)
 from .errors import (InvalidParams, NotParitySorted, OddDegree, Singular,
                      SingularOddBlock)
 from .gdet import _berkowitz, _require_ns, canonical_sigma, det_of_commuting
 from .gmatrix import (GradedMatrix, _require_endo, block_matrix, identity,
                       j_sigma, j_sigma_exponents, zero_matrix)
-from .grading import parity
 from .scalars import cyclo, euler_phi
-
-
-class ParityBlocks:
-    """The four parity blocks of a matrix and the even and odd degrees of
-    its degree vector."""
-
-    def __init__(self, x00, x01, x10, x11, even_degrees, odd_degrees):
-        self.x00, self.x01, self.x10, self.x11 = x00, x01, x10, x11
-        self.even_degrees = even_degrees
-        self.odd_degrees = odd_degrees
-
-    @property
-    def superrank(self):
-        return len(self.even_degrees), len(self.odd_degrees)
 
 
 def _even_rank(parities):
@@ -71,52 +54,13 @@ def _even_rank(parities):
     return r0
 
 
-def parity_blocks(x):
-    """Split a square matrix with a parity-sorted degree vector (all even
-    degrees before all odd ones) into its four parity blocks."""
-    _require_endo(x, "a parity-block split")
-    lam = x.algebra.lam
-    r0 = _even_rank([parity(lam, d) for d in x.col_degrees])
-    nu0 = x.col_degrees[:r0]
-    nu1 = x.col_degrees[r0:]
-
-    def block(rows, cols, rdeg, cdeg):
-        return GradedMatrix(x.algebra, rdeg, cdeg,
-                            [[x.entries[i][j] for j in cols] for i in rows])
-
-    n = x.nrows
-    even_idx, odd_idx = range(r0), range(r0, n)
-    return ParityBlocks(
-        x00=block(even_idx, even_idx, nu0, nu0),
-        x01=block(even_idx, odd_idx, nu0, nu1),
-        x10=block(odd_idx, even_idx, nu1, nu0),
-        x11=block(odd_idx, odd_idx, nu1, nu1),
-        even_degrees=nu0,
-        odd_degrees=nu1,
-    )
-
-
 def _split(x, what):
-    """(d, blocks) for X homogeneous of even degree d and its parity
-    blocks; OddDegree, NotSquare or NotParitySorted otherwise, in that
-    order."""
-    d = x.degree_of()
-    if d is INHOMOGENEOUS:
-        raise OddDegree(f"{what} needs a homogeneous matrix, got an "
-                        "inhomogeneous one")
-    if parity(x.algebra.lam, d):
-        raise OddDegree(f"{what} needs an even homogeneous degree, got "
-                        f"{d!r}")
-    return d, parity_blocks(x)
-
-
-def _index_split(x, what):
-    """(d, r0) for X of even degree d whose degree vector has its r0 even
-    degrees first: the d and the even block size of _split, with the same
-    errors in the same order, read off the degree index.  d comes from
-    X's first stored coefficient (the group zero for the zero matrix) and
-    is confirmed by is_homogeneous_of, and the index gives the parities;
-    no degree is walked pair by pair and no block is built."""
+    """(d, r0) for X homogeneous of even degree d whose degree vector has
+    its r0 even degrees first; OddDegree, NotSquare or NotParitySorted
+    otherwise, in that order.  d comes from X's first stored coefficient
+    (the group zero for the zero matrix) and is confirmed by
+    is_homogeneous_of, and the degree index gives the parities; no
+    block is built."""
     alg = x.algebra
     d = alg.group.zero()
     for mu, row in zip(x.row_degrees, x.entries):
@@ -139,8 +83,8 @@ def _index_split(x, what):
 
 def _schur(alg, conversion, d, nu, r0):
     """The block arithmetic shared by the Berezinian routes, on X of even
-    degree d with degree vector nu whose first r0 degrees are even
-    (_split or _index_split), converted over alg by the caller,
+    degree d with degree vector nu whose first r0 degrees are even (as
+    _split returns them), converted over alg by the caller,
     conversion = _int_entries(...) = (a, D, N, T, table):
     ((y, e), (s, whole)) for X11^(-1) = _decode_grid(alg, N, y, e) and
     the Schur complement S = X00 - X01 X11^(-1) X10 =
@@ -172,20 +116,22 @@ def udl(x):
     """X = U D L with U = [[I, X01 X11^(-1)], [0, I]],
     D = diag(X00 - X01 X11^(-1) X10, X11), L = [[I, 0], [X11^(-1) X10, I]].
     U and L are homogeneous of degree 0, D of the degree of X."""
-    d, blocks = _split(x, "udl")
-    alg = x.algebra
-    conversion = _int_entries(x.entries, alg)
-    inverse, schur = _schur(alg, conversion, d, x.col_degrees,
-                            len(blocks.even_degrees))
+    d, r0 = _split(x, "udl")
+    alg, a, nu = x.algebra, x.entries, x.col_degrees
+    conversion = _int_entries(a, alg)
+    inverse, schur = _schur(alg, conversion, d, nu, r0)
     order = conversion[2]
-    nu0, nu1 = blocks.even_degrees, blocks.odd_degrees
+    nu0, nu1 = nu[:r0], nu[r0:]
     x11inv = GradedMatrix(alg, nu1, nu1, _decode_grid(alg, order, *inverse))
     schur = GradedMatrix(alg, nu0, nu0, _decode_grid(alg, order, *schur))
+    x01 = GradedMatrix(alg, nu0, nu1, [row[r0:] for row in a[:r0]])
+    x10 = GradedMatrix(alg, nu1, nu0, [row[:r0] for row in a[r0:]])
+    x11 = GradedMatrix(alg, nu1, nu1, [row[r0:] for row in a[r0:]])
     i0, i1 = identity(alg, nu0), identity(alg, nu1)
     z01, z10 = zero_matrix(alg, nu0, nu1), zero_matrix(alg, nu1, nu0)
-    u = block_matrix(i0, blocks.x01 @ x11inv, z10, i1)
-    dmat = block_matrix(schur, z01, z10, blocks.x11)
-    lmat = block_matrix(i0, z01, x11inv @ blocks.x10, i1)
+    u = block_matrix(i0, x01 @ x11inv, z10, i1)
+    dmat = block_matrix(schur, z01, z10, x11)
+    lmat = block_matrix(i0, z01, x11inv @ x10, i1)
     return u, dmat, lmat
 
 
@@ -204,17 +150,12 @@ def _invert_ints(alg, g, den, order, table, t_den):
     return None if found is None else (found[0][0][0], found[1])
 
 
-def gber(x, sigma, on_index=False):
+def gber(x, sigma):
     """sigma(d,d)^(-r1(r0-r1)) Gdet_sigma(Schur) Gdet_sigma(X11)^(-1) on a
     homogeneous invertible matrix X of even degree d with parity-sorted
     degrees.  sigma must be an NS multiplier, as for gdet_sigma;
-    InvalidParams otherwise, after the block step's checks.
-
-    on_index chooses how those checks find d and the superrank: False
-    takes the _split that udl and ber_super share (GradedMatrix.degree_of
-    and the four parity blocks), True takes _index_split (the degree
-    index, no block built).  Both give the same value and the same
-    refusals in the same order; the CLI takes the index.
+    InvalidParams otherwise, after the block step's checks, which read d
+    and the superrank off the degree index and build no block.
 
     It runs on ints from one conversion of J_sigma(X) to one decode: X is
     converted over the twisted algebra with the J_sigma factors folded
@@ -235,11 +176,7 @@ def gber(x, sigma, on_index=False):
     J_sigma(X11) J_sigma(X11^(-1)) = sigma(d,-d) I, and both factors
     have even entries, which commute over the twisted algebra, so
     Gdet_sigma(X11) is a unit."""
-    if on_index:
-        d, r0 = _index_split(x, "gber")
-    else:
-        d, blocks = _split(x, "gber")
-        r0 = len(blocks.even_degrees)
+    d, r0 = _split(x, "gber")
     alg = x.algebra
     twisted = twist(alg, sigma)
     r1 = x.nrows - r0
@@ -296,13 +233,13 @@ def ber_super_components(y):
         raise InvalidParams(
             f"{y.algebra.name} is not supercommutative; ber_super applies "
             "to matrices over a twisted algebra")
-    d, blocks = _split(y, "ber_super")
+    d, r0 = _split(y, "ber_super")
     conversion = _int_entries(y.entries, y.algebra)
-    _, schur = _schur(y.algebra, conversion, d, y.col_degrees,
-                      len(blocks.even_degrees))
+    _, schur = _schur(y.algebra, conversion, d, y.col_degrees, r0)
     comp0 = det_of_commuting(_decode_grid(y.algebra, conversion[2], *schur),
                              y.algebra)
-    comp1 = det_of_commuting(blocks.x11.entries, y.algebra)
+    comp1 = det_of_commuting([row[r0:] for row in y.entries[r0:]],
+                             y.algebra)
     return comp0, comp1
 
 

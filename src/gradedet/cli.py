@@ -30,12 +30,12 @@ from .gdet import all_ns_multipliers, canonical_sigma, gdet0, gdet_sigma
 from .gmatrix import GradedMatrix, graded_trace
 from .grading import is_ns_multiplier
 from .oracles import SUITES, iter_property_sweeps
-from .serialize import (FORMAT, canonical_json, check_ints,
+from .serialize import (FORMAT, _decode_json, canonical_json, check_ints,
                         check_preset_family, check_root_orders, digest,
                         digest_algebra, digest_matrix, digest_multiplier,
                         format_algebra, format_multiplier, load_algebra,
                         load_matrix, load_multiplier, parse_preset, recall,
-                        remember, result_doc, unique_keys)
+                        remember, result_doc)
 
 
 @cache
@@ -119,14 +119,7 @@ def _load_sigma(text, algebra):
 
 
 def _apply_degrees(x, text):
-    try:
-        doc = json.loads(text, object_pairs_hook=unique_keys)
-    except ParseError as exc:
-        raise ParseError(f"--degrees: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError("--degrees: JSON nested too deeply") from exc
-    except ValueError as exc:  # JSONDecodeError, or a number past the limit
-        raise ParseError(f"--degrees: invalid JSON: {exc}") from exc
+    doc = _decode_json(text, "--degrees")
     if isinstance(doc, dict):
         unknown = sorted(set(doc) - {"row", "col"})
         if unknown:
@@ -164,7 +157,7 @@ def _compute(command, x, sigma):
         return gdet0(x)
     if command == "gdet":
         return gdet_sigma(x, sigma)
-    return gber(x, sigma, on_index=True)
+    return gber(x, sigma)
 
 
 def _matrix_job(args):

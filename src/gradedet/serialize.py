@@ -168,7 +168,8 @@ def format_element(e, root_order):
 
 def parse_element(items, algebra, root_order, where="element"):
     """The element of an element document: one coefficient dict through
-    the algebra's label index, repeated labels summed."""
+    the algebra's label index, repeated labels summed.  Every refusal
+    starts with where."""
     if not isinstance(items, list):
         raise ParseError(f"{where}: an element must be a list of terms")
     index, coeffs = algebra._label_index, {}
@@ -179,7 +180,10 @@ def parse_element(items, algebra, root_order, where="element"):
         if k is None:
             raise ParseError(f"{where}: unknown basis label {label!r} for "
                              f"{algebra.name}")
-        c = parse_scalar(text, root_order)
+        try:
+            c = parse_scalar(text, root_order)
+        except ParseError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
         coeffs[k] = coeffs[k] + c if k in coeffs else c
     return AlgebraElement(algebra, coeffs)
 
@@ -536,7 +540,11 @@ def _read_matrix(doc, algebra, where):
                                      f"label {label!r} for {algebra.name}")
                 hit = scalars.get(text)
                 if hit is None:
-                    c = parse_scalar(text, declared)
+                    try:
+                        c = parse_scalar(text, declared)
+                    except ParseError as exc:
+                        raise ParseError(
+                            f"{where} entry ({i},{j}): {exc}") from exc
                     hit = scalars[text] = (c, _writes(c, text))
                 c = hit[0]
                 if k in coeffs:
@@ -621,7 +629,7 @@ def _read_text(path):
 
 def _decode_json(text, path):
     """json.loads(text) with duplicate keys refused; every error a
-    ParseError naming path."""
+    ParseError naming path (a file, or the option that gave the text)."""
     try:
         return json.loads(text, object_pairs_hook=unique_keys)
     except ParseError as exc:

@@ -6,8 +6,11 @@ X00 - X01 X11^(-1) X10 from element-level matrix products, so the tests
 can hold the Berezinian's integer block step against it.  previous_gber
 is the Berezinian as it was computed before it ran on the integer layer
 from end to end: two determinants decoded and transported, one element
-inversion and four element products.  leibniz_det_commutative is the n!
-term reference for det_of_commuting, and change_basis the base change
+inversion and four element products.  walked_split is the block split as
+it was before it read the degree index: GradedMatrix.degree_of and the
+four parity blocks (parity_blocks), the reference the tests hold
+berezinian._split against.  leibniz_det_commutative is the n! term
+reference for det_of_commuting, and change_basis the base change
 P^(-1) X P the tests move matrices by."""
 
 import itertools
@@ -16,11 +19,12 @@ from fractions import Fraction
 from gradedet import scalars
 from gradedet.algebra import (INHOMOGENEOUS, _decode_grid, _int_entries,
                               _table_product, invert_element, twist)
-from gradedet.berezinian import _schur, _split, parity_blocks
+from gradedet.berezinian import _even_rank, _schur, _split
 from gradedet.errors import (DegreeMismatch, GradedetError, NotInvertible,
-                             Singular)
+                             OddDegree, Singular)
 from gradedet.gdet import _det_sigma, _require_ns, permutation_sign
 from gradedet.gmatrix import GradedMatrix, _require_endo, invert_matrix
+from gradedet.grading import parity
 from gradedet.scalars import ONE, ZERO, cyclo
 
 
@@ -84,6 +88,53 @@ def full_system_inverse(x):
     return GradedMatrix(x.algebra, x.col_degrees, x.row_degrees, grid)
 
 
+class ParityBlocks:
+    """The four parity blocks of a matrix and the even and odd degrees of
+    its degree vector."""
+
+    def __init__(self, x00, x01, x10, x11, even_degrees, odd_degrees):
+        self.x00, self.x01, self.x10, self.x11 = x00, x01, x10, x11
+        self.even_degrees = even_degrees
+        self.odd_degrees = odd_degrees
+
+    @property
+    def superrank(self):
+        return len(self.even_degrees), len(self.odd_degrees)
+
+
+def parity_blocks(x):
+    """Split a square matrix with a parity-sorted degree vector (all even
+    degrees before all odd ones) into its four parity blocks."""
+    _require_endo(x, "a parity-block split")
+    r0 = _even_rank([parity(x.algebra.lam, d) for d in x.col_degrees])
+    nu0, nu1 = x.col_degrees[:r0], x.col_degrees[r0:]
+
+    def block(rows, cols, rdeg, cdeg):
+        return GradedMatrix(x.algebra, rdeg, cdeg,
+                            [[x.entries[i][j] for j in cols] for i in rows])
+
+    even_idx, odd_idx = range(r0), range(r0, x.nrows)
+    return ParityBlocks(x00=block(even_idx, even_idx, nu0, nu0),
+                        x01=block(even_idx, odd_idx, nu0, nu1),
+                        x10=block(odd_idx, even_idx, nu1, nu0),
+                        x11=block(odd_idx, odd_idx, nu1, nu1),
+                        even_degrees=nu0, odd_degrees=nu1)
+
+
+def walked_split(x, what):
+    """(d, blocks) for X homogeneous of even degree d and its parity
+    blocks, d from GradedMatrix.degree_of's walk over every degree pair;
+    OddDegree, NotSquare or NotParitySorted otherwise, in that order."""
+    d = x.degree_of()
+    if d is INHOMOGENEOUS:
+        raise OddDegree(f"{what} needs a homogeneous matrix, got an "
+                        "inhomogeneous one")
+    if parity(x.algebra.lam, d):
+        raise OddDegree(f"{what} needs an even homogeneous degree, got "
+                        f"{d!r}")
+    return d, parity_blocks(x)
+
+
 def element_schur(x):
     """X00 - X01 @ invert_matrix(X11) @ X10 for a parity-sorted X, each
     product and the difference taken entry by entry on elements."""
@@ -95,12 +146,11 @@ def decoded_schur(x):
     """(blocks, S) for a parity-sorted X of even degree: the parity blocks
     and the Schur complement of the integer block step, decoded at the
     root order of X's conversion."""
-    d, blocks = _split(x, "test")
+    d, r0 = _split(x, "test")
     conversion = _int_entries(x.entries, x.algebra)
-    _, schur = _schur(x.algebra, conversion, d, x.col_degrees,
-                      len(blocks.even_degrees))
-    nu0 = blocks.even_degrees
-    return blocks, GradedMatrix(x.algebra, nu0, nu0, _decode_grid(
+    _, schur = _schur(x.algebra, conversion, d, x.col_degrees, r0)
+    nu0 = x.col_degrees[:r0]
+    return parity_blocks(x), GradedMatrix(x.algebra, nu0, nu0, _decode_grid(
         x.algebra, conversion[2], *schur))
 
 
@@ -109,10 +159,10 @@ def previous_gber(x, sigma):
     decoded Schur complement and of X11, each read back in the base
     algebra, P = det0 det1 inverted as an element, and
     (det0 (P^(-1) det0)) sigma(d,d)^(-r1(r0-r1))."""
-    d, blocks = _split(x, "gber")
-    schur = decoded_schur(x)[1]
+    d, r0 = _split(x, "gber")
+    blocks, schur = decoded_schur(x)
     twisted = _require_ns(x.algebra, twist(x.algebra, sigma), "gber")
-    r0, r1 = blocks.superrank
+    r1 = x.nrows - r0
     det0 = _det_sigma(schur, sigma, twisted)
     det1 = _det_sigma(blocks.x11, sigma, twisted)
     try:

@@ -10,9 +10,8 @@ from gradedet import algebra, berezinian, cli, gdet
 from gradedet.algebra import (_solve_grid, invert_element, make_algebra,
                               preset, twist, unit_degrees)
 from gradedet.berezinian import (ber_super, ber_super_components, gber,
-                                 gber0, gber_via_ber_super, parity_blocks,
-                                 udl)
-from gradedet.errors import (IncompatibleGroups, InvalidParams,
+                                 gber0, gber_via_ber_super, udl)
+from gradedet.errors import (GradedetError, IncompatibleGroups, InvalidParams,
                              NotParitySorted, NotSquare, OddDegree,
                              OddEntries, Singular, SingularOddBlock)
 from gradedet.gdet import (all_ns_multipliers, det_of_commuting, gdet0,
@@ -22,14 +21,15 @@ from gradedet.gmatrix import (GradedMatrix, identity, invert_matrix,
 from gradedet.grading import (Bicharacter, GradingGroup, Multiplier,
                               is_ns_multiplier, parity)
 from gradedet.oracles import _odd_line_tensor
-from gradedet.sampling import (make_rng, rand_invertible,
-                               rand_invertible_parity_blocks,
-                               rand_matrix, rand_parity_sorted_degrees)
+from gradedet.sampling import (make_rng, parity_split, rand_component,
+                               rand_degrees, rand_invertible,
+                               rand_invertible_parity_blocks, rand_matrix,
+                               rand_parity_sorted_degrees, sorted_degrees)
 from gradedet.scalars import CycloScalar, cyclo, rational
 from gradedet.serialize import format_matrix
 
 from full_system import (all_fractions, decoded_schur, element_schur,
-                         previous_gber)
+                         parity_blocks, previous_gber, walked_split)
 
 
 TRIPPED = {berezinian: ("gber", "det_of_commuting"),
@@ -292,18 +292,17 @@ def test_schur_of_the_twisted_conversion_is_j_sigma_of_the_schur(name):
             nu = rand_parity_sorted_degrees(rng, alg, r0, r1)
             x = rand_invertible_parity_blocks(rng, alg, nu, r1,
                                               rng.choice(degrees))
-            d, blocks = berezinian._split(x, "test")
+            d, r0 = berezinian._split(x, "test")
             twisted = twist(alg, sigma)
             conversion = algebra._int_entries(
                 x.entries, twisted, j_sigma_exponents(alg.degrees, nu, sigma),
                 sigma.root_order)
-            inverse, schur = berezinian._schur(
-                twisted, conversion, d, nu, len(blocks.even_degrees))
-            nu0, nu1 = blocks.even_degrees, blocks.odd_degrees
+            inverse, schur = berezinian._schur(twisted, conversion, d, nu, r0)
+            blocks, base_schur = decoded_schur(x)
+            nu0, nu1 = nu[:r0], nu[r0:]
             order = conversion[2]
             assert GradedMatrix(twisted, nu0, nu0, algebra._decode_grid(
-                twisted, order, *schur)) == j_sigma(decoded_schur(x)[1],
-                                                    sigma)
+                twisted, order, *schur)) == j_sigma(base_schur, sigma)
             assert GradedMatrix(twisted, nu1, nu1, algebra._decode_grid(
                 twisted, order, *inverse)) == invert_matrix(
                     j_sigma(blocks.x11, sigma))
@@ -345,7 +344,6 @@ def test_gber_matches_the_previous_route(name):
             for y in (x, scaled):
                 got, previous = gber(y, sigma), previous_gber(y, sigma)
                 assert got == previous == gber_via_ber_super(y, sigma)
-                assert repr(gber(y, sigma, on_index=True)) == repr(got)
                 # a J_sigma factor other than +-1 on a nonzero coefficient
                 if any(2 * exps[k] % root
                        for row, erow in zip(y.entries, grid)
@@ -518,8 +516,7 @@ UNSORTED = ("NotParitySorted", "degree vector parities [1, 0] are not "
             "sorted even-then-odd; permute the basis first (see "
             "permutation_matrix)")
 # name -> (X, the outcomes of gber0, udl and ber_super): an error's name and
-# message ("{}" stands for the routine's name), or the repr of the value;
-# gber on the degree index has gber0's outcome
+# message ("{}" stands for the routine's name), or the repr of the value
 SPLIT_CASES = {
     "inhomogeneous": (GradedMatrix(GR, [G0, G1], [G0, G1],
                                    [[ONE, XI + ONE], [XI, ONE]]),
@@ -550,19 +547,13 @@ SPLIT_CASES = {
 }
 
 
-def gber0_on_index(x):
-    return gber(x, gdet.canonical_sigma(x.algebra), on_index=True)
-
-
 @pytest.mark.parametrize("name", list(SPLIT_CASES))
 def test_block_split_outcomes_are_pinned(name):
-    # the split on the degree index reads the degree and the parities off
-    # the index and builds no block; each refusal keeps the type, message
-    # and order of the split that walks the degrees and builds the parity
-    # blocks first
+    # the split reads the degree and the parities off the degree index and
+    # builds no block; each refusal keeps the type, message and order of
+    # the split that walked the degrees and built the parity blocks first
     x, outcomes = SPLIT_CASES[name]
-    for fn, outcome in zip((gber0, gber0_on_index, udl, ber_super),
-                           outcomes[:1] + outcomes):
+    for fn, outcome in zip((gber0, udl, ber_super), outcomes):
         if isinstance(outcome, str):
             assert repr(fn(x)) == outcome
             continue
@@ -574,14 +565,83 @@ def test_block_split_outcomes_are_pinned(name):
         assert str(exc.value) == text.format(routine)
 
 
+SPLIT_DRAW_ALGEBRAS = {
+    "dual_numbers:2": lambda: DN,
+    "grassmann:3": lambda: preset("grassmann", 3),
+    "quaternions": lambda: preset("quaternions"),
+    "order_three": _order_three_algebra,
+    "twisted_dual_numbers:2": lambda: twist(DN, all_ns_multipliers(DN.lam)[3]),
+}
+SPLIT_DRAW_KINDS = ("square", "not_square", "inhomogeneous", "odd_degree",
+                    "unsorted", "zero")
+
+
+def _split_outcome(split, x):
+    """(d, r0) from split(x, "split"), or the type and message of its
+    refusal."""
+    try:
+        return split(x, "split")
+    except GradedetError as exc:
+        return type(exc), str(exc)
+
+
+def _walked_outcome(x, what):
+    d, blocks = walked_split(x, what)
+    return d, len(blocks.even_degrees)
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_DRAW_ALGEBRAS))
+def test_split_matches_the_walked_split(name):
+    # seeded square, non-square, inhomogeneous, odd-degree, unsorted and
+    # zero matrices: the split on the degree index has the outcome, value
+    # or refusal, of the split that walked every degree pair and built the
+    # parity blocks
+    alg = SPLIT_DRAW_ALGEBRAS[name]()
+    rng = make_rng(f"split-{name}")
+    pool = sorted_degrees(alg)
+    evens = parity_split(alg)[0]
+    reached = set()
+    for kind in SPLIT_DRAW_KINDS * 20:
+        n = rng.randint(1, 3)
+        nu = sorted(rand_degrees(rng, alg, n),
+                    key=lambda d: parity(alg.lam, d))
+        # a degree of either parity, so that two refusals can compete
+        mu, degree = nu, rng.choice(evens if kind == "square" else pool)
+        if kind == "not_square":
+            mu = rand_degrees(rng, alg, rng.choice((n, n + 1)))
+        elif kind == "unsorted":
+            nu = mu = nu[::-1]
+        x = rand_matrix(rng, alg, nu, degree, mu)
+        if kind in ("inhomogeneous", "zero"):
+            grid = [[alg.zero() if kind == "zero" else e for e in row]
+                    for row in x.entries]
+            if kind == "inhomogeneous":
+                i, j = rng.randrange(len(mu)), rng.randrange(n)
+                grid[i][j] += rand_component(rng, alg, rng.choice(pool),
+                                             nonzero=True)
+            x = GradedMatrix(alg, mu, nu, grid)
+        got = _split_outcome(berezinian._split, x)
+        assert got == _split_outcome(_walked_outcome, x)
+        error = got[0] if isinstance(got[0], type) else None
+        reached.add("split" if error is None else error.__name__ + (
+            " inhomogeneous" if "inhomogeneous" in got[1] else ""))
+    want = {"split", "NotSquare", "OddDegree inhomogeneous"}
+    if parity_split(alg)[1]:
+        want |= {"OddDegree", "NotParitySorted"}
+    assert reached == want
+
+
 def test_gber_on_the_index_builds_no_graded_matrix(monkeypatch, tmp_path,
                                                    capsys):
-    # on the degree index gber reads the superrank and the degree vector
-    # off X: no parity block is built as a matrix, and a CLI gber job
-    # builds the document's matrix only; the split udl and ber_super share
-    # builds the four blocks
+    # the split reads the superrank and the degree vector off X: gber and
+    # ber_super_components build no block as a matrix, and a CLI gber job
+    # builds the document's matrix only
     path = tmp_path / "m.json"
     path.write_text(json.dumps(format_matrix(M)))
+    sigmas = all_ns_multipliers(DN.lam)
+    ys = [j_sigma(M, sigma) for sigma in sigmas]
+    want = [(gber_via_ber_super(M, sigma), ber_super_components(y))
+            for sigma, y in zip(sigmas, ys)]
     built = []
     init = GradedMatrix.__init__
 
@@ -590,10 +650,9 @@ def test_gber_on_the_index_builds_no_graded_matrix(monkeypatch, tmp_path,
         init(self, *args)
 
     monkeypatch.setattr(GradedMatrix, "__init__", counted)
-    for sigma in all_ns_multipliers(DN.lam):
-        assert gber(M, sigma, on_index=True) == gber(M, sigma)
-    assert len(built) == 4 * len(all_ns_multipliers(DN.lam))
-    del built[:]
+    assert [(gber(M, sigma), ber_super_components(y))
+            for sigma, y in zip(sigmas, ys)] == want
+    assert built == []
     assert cli.main(["gber", "--algebra", "preset:dual_numbers:2",
                      "--matrix", str(path), "--sigma", "auto"]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == [

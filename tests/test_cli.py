@@ -16,7 +16,7 @@ import gradedet
 from gradedet import cli, serialize
 from gradedet.algebra import make_algebra, preset, twist
 from gradedet.cli import _parser, main
-from gradedet.errors import TooLarge, VerificationFailure
+from gradedet.errors import ParseError, TooLarge, VerificationFailure
 from gradedet.gdet import all_ns_multipliers, canonical_sigma
 from gradedet.gmatrix import GradedMatrix, identity
 from gradedet.grading import (Bicharacter, GradingGroup, is_ns_multiplier,
@@ -106,7 +106,9 @@ def test_degrees_override_errors(capsys, xfile):
     assert doc["error"] == "ParseError"
     code, doc = run(capsys, "gdet0", "--algebra", "preset:quaternions",
                     "--matrix", xfile, "--degrees", "{bad json")
-    assert code == 2
+    # the same decoder, and so the same message, as a file's invalid JSON
+    assert (code, doc["error"]) == (2, "ParseError")
+    assert doc["message"] == "--degrees: invalid JSON at line 1, column 2"
 
 
 def test_parse_error_exit_codes(capsys, tmp_path, xfile):
@@ -125,6 +127,31 @@ def test_parse_error_exit_codes(capsys, tmp_path, xfile):
     code, doc = run(capsys, "gdet0", "--algebra", "preset:quaternions",
                     "--matrix", str(bad))
     assert code == 2 and "not UTF-8" in doc["message"]
+
+
+@pytest.mark.parametrize("text, refusal", [
+    ("1/0", "zero denominator in '1/0'"),
+    ("q", "bad scalar term 'q' in 'q'")])
+def test_coefficient_refusal_names_the_file_and_the_entry(capsys, tmp_path,
+                                                          text, refusal):
+    doc = format_matrix(X)
+    doc["entries"][1][0][0]["c"] = text
+    p = tmp_path / "coefficient.json"
+    body = json.dumps(doc)
+    p.write_text(body)
+    want = f"{p} entry (1,0): {refusal}"
+    assert run(capsys, "gdet0", "--algebra", "preset:quaternions",
+               "--matrix", str(p)) == (2, {"format": 1, "error": "ParseError",
+                                           "message": want})
+    # load_matrix's plain path (one json.loads and the walk) and its
+    # checked path (_decode_json and read_matrix) refuse alike
+    for read in (lambda: serialize._read_matrix(json.loads(body), Q, str(p)),
+                 lambda: serialize.read_matrix(
+                     serialize._decode_json(body, str(p)), Q, str(p)),
+                 lambda: serialize.load_matrix(str(p), Q)):
+        with pytest.raises(ParseError) as exc:
+            read()
+        assert exc.type is ParseError and str(exc.value) == want
 
 
 @pytest.mark.parametrize("corrupt", [

@@ -4,9 +4,10 @@ against references written with GroupElement arithmetic."""
 from hypothesis import given, settings, strategies as st
 
 from gradedet import algebra, gdet, gmatrix
-from gradedet.algebra import degree_index, preset
+from gradedet.algebra import degree_index, preset, twist
 from gradedet.errors import NotDegreeZero, OddEntries
-from gradedet.gdet import _require_degree_zero, _require_even
+from gradedet.gdet import (_require_degree_zero, _require_even,
+                           all_ns_multipliers)
 from gradedet.gmatrix import GradedMatrix
 from gradedet.grading import (Bicharacter, GradingGroup, GroupElement,
                               Multiplier, parity)
@@ -162,6 +163,22 @@ def test_index_numbers_each_degree_once():
     assert index.add(a, b) == index.number(deg[1] + deg[2])
     assert index.number(GroupElement(alg.group, deg[1].residues)) == a
     assert len(index._degrees) == alg.dim  # clock_shift:3 fills Z_3 x Z_3
+
+
+def test_a_twist_shares_its_base_algebras_index():
+    # the same group and basis degrees, and lambda^sigma(x,x) =
+    # lambda(x,x) keeps every parity
+    twisted = 0
+    for alg in ALGEBRAS:
+        index = degree_index(alg)
+        for sigma in all_ns_multipliers(alg.lam)[-1:]:
+            tw = twist(alg, sigma)
+            assert degree_index(tw) is index
+            assert degree_index(twist(tw, sigma)) is index
+            assert [index.parity(index.number(d)) for d in tw.degrees] == [
+                parity(tw.lam, d) for d in tw.degrees]
+            twisted += 1
+    assert twisted == len(ALGEBRAS)
 
 
 def test_warm_checks_form_no_degree(monkeypatch):

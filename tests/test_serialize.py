@@ -92,6 +92,8 @@ def test_parse_element_sums_repeated_labels():
                         ([{"c": "1"}], "e: missing field 'b'"),
                         ([{"b": "i", "c": 1}],
                          "e: field 'c' has the wrong type"),
+                        ([{"b": "i", "c": "1/0"}],
+                         "e: zero denominator in '1/0'"),
                         ({"b": "i"}, "e: an element must be a list of "
                                      "terms")):
         with pytest.raises(ParseError) as exc:
@@ -232,11 +234,11 @@ def test_parse_matrix_errors():
         (_with(two, 0, 1, [{"b": "j", "c": "1"}, {"b": "zz", "c": "1"}]),
          ParseError, at + "unknown basis label 'zz' for quaternions"),
         (_with(two, 0, 1, [{"b": "1", "c": "1+"}]), ParseError,
-         "cannot tokenize scalar '1+'"),
+         at + "cannot tokenize scalar '1+'"),
         (_with(two, 0, 1, [{"b": "1", "c": "2*w"}]), ParseError,
-         "bad scalar term '2*w' in '2*w'"),
+         at + "bad scalar term '2*w' in '2*w'"),
         (_with(two, 0, 1, [{"b": "1", "c": "1/0"}]), ParseError,
-         "zero denominator in '1/0'"),
+         at + "zero denominator in '1/0'"),
         (dict(two, row_degrees=[[0, 0], [0]]), ParseError,
          "matrix: bad degree vector: element (0,) has wrong length for "
          "moduli (2, 2)"),
@@ -250,12 +252,13 @@ def test_parse_matrix_errors():
     # two bad entries: the first in row-major order is reported
     both = _with(two, 1, 0, [{"b": "zz", "c": "1"}])
     both["entries"][0][1] = [{"b": "1", "c": "1/0"}]
-    cases.append((both, ParseError, "zero denominator in '1/0'"))
+    cases.append((both, ParseError, at + "zero denominator in '1/0'"))
     if LIMIT:
         cases.append((_with(two, 0, 1, [{"b": "1", "c": "7" * (LIMIT + 1)}]),
                       ParseError,
-                      "scalar '77777777777777777777'... exceeds the limit "
-                      f"of {LIMIT} digits on integer string conversion"))
+                      at + "scalar '77777777777777777777'... exceeds the "
+                      f"limit of {LIMIT} digits on integer string "
+                      "conversion"))
     for bad, kind, text in cases:
         with pytest.raises(kind) as exc:
             parse_matrix(bad, Q)
